@@ -45,8 +45,6 @@ from .reasoning import (
 )
 from .validation import format_validation, schema_deviations, validate_dataset
 
-logger = logging.getLogger(__name__)
-
 
 def _add_dataset_arg(parser: argparse.ArgumentParser, multiple: bool = False) -> None:
     if multiple:
@@ -69,13 +67,35 @@ def _add_dataset_arg(parser: argparse.ArgumentParser, multiple: bool = False) ->
     )
 
 
+def _threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
+    return value
+
+
+def _workers(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tagger", choices=sorted(TAGGERS), default="oracle")
     parser.add_argument("--operator", choices=sorted(OPERATOR_PREDICTORS), default="oracle")
     parser.add_argument("--order", choices=sorted(ORDER_DECIDERS), default="oracle")
     parser.add_argument("--scale", choices=sorted(SCALE_PREDICTORS), default="oracle")
-    parser.add_argument("--threshold", type=float, default=0.5, help="tag decode threshold")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--threshold", type=_threshold, default=0.5, help="tag decode threshold, in [0, 1)"
+    )
+    parser.add_argument("--workers", type=_workers, default=1, help="worker processes, at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:

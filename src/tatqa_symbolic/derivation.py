@@ -16,7 +16,7 @@ from typing import Union
 
 from .corpus import AnswerSource, AnswerType, Dataset, iter_questions
 from .errors import DerivationParseError, ExecutionError
-from .numerics import ParsedNumber, parse_number
+from .numerics import _CURRENCY, _NUMBER_CORE, ParsedNumber, parse_number
 
 
 class Operator:
@@ -104,9 +104,7 @@ DerivationAst = Union[NumberLeaf, UnaryNeg, BinaryOp, ItemSet]
 # Lexing and parsing
 # ---------------------------------------------------------------------------
 
-_NUMBER_TOKEN_RE = re.compile(
-    r"[$£€¥]?\s*((?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+)\s*(%)?"
-)
+_NUMBER_TOKEN_RE = re.compile(rf"[{_CURRENCY}]?\s*({_NUMBER_CORE})\s*(%)?")
 
 _OPERATOR_CHARS = {
     "+": "+",
@@ -245,6 +243,34 @@ def parse_derivation(text: str, answer_type: str | None = None) -> DerivationAst
             raise DerivationParseError("item set has no items", text, 0)
         return ItemSet(items)
     return _Parser(text, _lex(text)).parse()
+
+
+_last_parse: tuple = (None, None)  # (question record, its AST or parse error)
+
+
+def parsed_derivation(question) -> DerivationAst:
+    """``parse_derivation`` of a question's gold derivation, memoised for
+    the most recent question record.
+
+    Supervision, the operator and order oracles and validation read the
+    same question's derivation one after another; this parses it once.
+    The slot is keyed on the record's identity (records are frozen, so
+    that fixes its derivation and answer type) and holds one record, so
+    memory stays bounded and a reloaded dataset parses afresh.  AST nodes
+    are frozen, so sharing one is safe; a failed parse raises a fresh
+    copy of its error on every call.
+    """
+    global _last_parse
+    record, outcome = _last_parse
+    if record is not question:
+        try:
+            outcome = parse_derivation(question.derivation, question.answer_type)
+        except DerivationParseError as exc:
+            outcome = exc.with_traceback(None)
+        _last_parse = (question, outcome)
+    if isinstance(outcome, DerivationParseError):
+        raise DerivationParseError(outcome.message, outcome.text, outcome.offset)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +433,7 @@ def classify_question(question) -> str:
     ast = None
     if question.answer_type in (AnswerType.COUNTING, AnswerType.ARITHMETIC):
         try:
-            ast = parse_derivation(question.derivation, question.answer_type)
+            ast = parsed_derivation(question)
         except DerivationParseError:
             ast = None
     return classify_operator(ast, question.answer_type, question.answer_source)

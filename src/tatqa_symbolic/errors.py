@@ -30,6 +30,7 @@ class DerivationParseError(PipelineError):
 
     def __init__(self, message: str, text: str = "", offset: int = 0):
         super().__init__(f"{message} at offset {offset} in {text!r}")
+        self.message = message
         self.text = text
         self.offset = offset
 

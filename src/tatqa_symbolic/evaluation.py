@@ -378,22 +378,38 @@ def write_predictions(predictions: Mapping[str, tuple[object, Scale]], path: str
 
 
 def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
+    """Read a prediction file.  Every malformation raises ``ScoringError``
+    naming the file and the JSON location."""
+
+    def error(location: str, message: str) -> ScoringError:
+        return ScoringError(f"{path}: {location}: {message}")
+
     def reject_duplicates(pairs):
         seen = {}
         for key, value in pairs:
             if key in seen:
-                raise ScoringError(f"duplicate prediction id: {key}")
+                raise error("$", f"duplicate prediction id: {key}")
             seen[key] = value
         return seen
 
-    with Path(path).open("r", encoding="utf-8") as handle:
-        raw = json.load(handle, object_pairs_hook=reject_duplicates)
+    try:
+        with Path(path).open("r", encoding="utf-8") as handle:
+            raw = json.load(handle, object_pairs_hook=reject_duplicates)
+    except json.JSONDecodeError as exc:
+        raise error(f"line {exc.lineno} column {exc.colno}", f"invalid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"byte {exc.start}", "not UTF-8 text") from exc
+    if not isinstance(raw, dict):
+        raise error("$", "top level must be an object of {question id: [answer, scale word]}")
     predictions: dict[str, tuple[object, Scale]] = {}
     for question_id, entry in raw.items():
+        location = f"$[{json.dumps(question_id)}]"
         if not isinstance(entry, list) or len(entry) != 2:
-            raise ScoringError(
-                f"prediction for {question_id} must be [answer, scale word]"
-            )
+            raise error(location, f"prediction for {question_id} must be [answer, scale word]")
         value, scale_word = entry
-        predictions[question_id] = (value, Scale.from_word(str(scale_word)))
+        try:
+            scale = Scale.from_word(str(scale_word))
+        except ValueError as exc:
+            raise error(f"{location}[1]", str(exc)) from exc
+        predictions[question_id] = (value, scale)
     return predictions

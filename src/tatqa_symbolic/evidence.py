@@ -9,7 +9,17 @@ paragraph words form one span each.
 
 Two deterministic taggers are provided: an oracle that realizes the
 gold tag labels exactly, and a lexical-overlap baseline that needs no
-gold annotation.  Both are stateless and safe to share across threads.
+gold annotation.
+
+What does not depend on the question (the unit skeleton, units at the
+oracle's zero or the lexical floor, origin positions, paragraph word
+spans and numbers, cell value lookups, content words and sentence
+boundaries) is kept in a private per-context index.  Each part is
+built once per context object, on first use, and the index of the most
+recent context is held in a one-slot cache, so memory stays bounded to
+one context.  The taggers keep no state of their own and stay safe to
+share across threads: a race on the cache can only build an index
+twice, never mix two.
 """
 
 from __future__ import annotations
@@ -18,14 +28,16 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from .corpus import (
     AnswerSource,
     AnswerType,
     Dataset,
     HybridContext,
+    Paragraph,
     QuestionRecord,
     iter_questions,
 )
@@ -36,7 +48,7 @@ from .derivation import (
     Operator,
     classify_operator,
     operand_sequence,
-    parse_derivation,
+    parsed_derivation,
 )
 from .errors import DerivationParseError, UnlocatableEvidenceError
 from .numerics import ParsedNumber, Scale, extract_numbers, parse_number
@@ -129,17 +141,221 @@ def _word_spans(text: str) -> list[tuple[int, int]]:
     return [match.span() for match in re.finditer(r"\S+", text)]
 
 
+def _question_units(question_text: str) -> list[TagUnit]:
+    return [
+        TagUnit(word, QuestionWord(index), 0.0)
+        for index, word in enumerate(_words(question_text))
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Per-context index
+# ---------------------------------------------------------------------------
+
+
+class _ParagraphIndex:
+    """One paragraph's word spans, numbers and casefolded text."""
+
+    def __init__(self, paragraph: Paragraph):
+        self.paragraph = paragraph
+
+    @cached_property
+    def word_spans(self) -> list[tuple[int, int]]:
+        return _word_spans(self.paragraph.text)
+
+    @cached_property
+    def numbers(self) -> list[tuple[ParsedNumber, tuple[int, int]]]:
+        return extract_numbers(self.paragraph.text)
+
+    @cached_property
+    def folded(self) -> str:
+        return self.paragraph.text.casefold()
+
+
+@dataclass(frozen=True)
+class _LexicalIndex:
+    """The question-independent half of the lexical tagger.
+
+    A question scores one slot per cell, then one per sentence.
+    ``slot_positions`` lists the skeleton units of each slot; a word past
+    its paragraph's last sentence end belongs to none and scores 0.
+    """
+
+    cells: tuple[tuple[frozenset[str], frozenset[str] | None], ...]
+    sentences: tuple[frozenset[str], ...]
+    slot_positions: tuple[tuple[int, ...], ...]
+
+
+_SENTENCE_END_RE = re.compile(r"[.!?;]\s+|\Z")
+
+
+class _ContextIndex:
+    """What every question over one context shares.
+
+    Each part is built on first use, so a context read by one question
+    costs no more than the per-question work it replaces.
+    """
+
+    def __init__(self, context: HybridContext):
+        self.context = context
+        self.paragraphs = tuple(_ParagraphIndex(p) for p in context.paragraphs)
+        self._uniform: tuple[float, tuple[TagUnit, ...]] | None = None
+
+    @cached_property
+    def skeleton(self) -> tuple[tuple[str, UnitOrigin], ...]:
+        """Cell and paragraph units of the input sequence, in order."""
+        units: list[tuple[str, UnitOrigin]] = []
+        for cell in self.context.table.iter_cells():
+            for word_index, word in enumerate(_words(cell.text)):
+                units.append((word, CellWord(cell.row, cell.col, word_index)))
+        for paragraph in self.context.paragraphs:
+            for word_index, word in enumerate(_words(paragraph.text)):
+                units.append((word, ParagraphWord(paragraph.paragraph_id, word_index)))
+        return tuple(units)
+
+    def uniform_units(self, probability: float) -> tuple[TagUnit, ...]:
+        """Every skeleton unit at one probability: the oracle's zeros or
+        the lexical tagger's floor.  The tuple last asked for is kept, so
+        it is built once per context."""
+        cached = self._uniform  # read once: another thread may replace it
+        if cached is None or cached[0] != probability:
+            units = tuple(TagUnit(text, origin, probability) for text, origin in self.skeleton)
+            cached = self._uniform = (probability, units)
+        return cached[1]
+
+    @cached_property
+    def cell_ranges(self) -> dict[tuple[int, int], range]:
+        """Skeleton positions of each cell's words; empty cells are absent."""
+        ranges: dict[tuple[int, int], range] = {}
+        position = 0
+        for cell in self.context.table.iter_cells():
+            n_words = len(_words(cell.text))
+            if n_words:
+                ranges[(cell.row, cell.col)] = range(position, position + n_words)
+            position += n_words
+        return ranges
+
+    @cached_property
+    def paragraph_ranges(self) -> dict[str, list[range]]:
+        """Skeleton positions of each paragraph's words, by paragraph id.
+        Ids are not guaranteed unique, so an id maps to all its
+        paragraphs, in order."""
+        lengths = [len(_words(p.text)) for p in self.context.paragraphs]
+        position = len(self.skeleton) - sum(lengths)
+        ranges: dict[str, list[range]] = {}
+        for paragraph, n_words in zip(self.context.paragraphs, lengths):
+            ranges.setdefault(paragraph.paragraph_id, []).append(
+                range(position, position + n_words)
+            )
+            position += n_words
+        return ranges
+
+    def positions(self, origin: CandidateOrigin) -> Iterator[int]:
+        """Skeleton positions of the units an origin covers, in order."""
+        if isinstance(origin, CellOrigin):
+            yield from self.cell_ranges.get((origin.row, origin.col), ())
+        else:
+            for words in self.paragraph_ranges.get(origin.paragraph_id, ()):
+                yield from words[origin.start : origin.stop]
+
+    def _first_numeric_cells(self, key) -> dict[Fraction, CellOrigin]:
+        found: dict[Fraction, CellOrigin] = {}
+        for cell in self.context.table.iter_cells():
+            if cell.numeric is not None:
+                found.setdefault(key(cell.numeric.value), CellOrigin(cell.row, cell.col))
+        return found
+
+    @cached_property
+    def cells_by_value(self) -> dict[Fraction, CellOrigin]:
+        """First numeric cell (row-major) holding each value."""
+        return self._first_numeric_cells(lambda value: value)
+
+    @cached_property
+    def cells_by_magnitude(self) -> dict[Fraction, CellOrigin]:
+        """First numeric cell (row-major) holding each absolute value."""
+        return self._first_numeric_cells(abs)
+
+    @cached_property
+    def cell_texts(self) -> tuple[tuple[str, CellOrigin], ...]:
+        """Each cell's stripped, casefolded text, row-major."""
+        return tuple(
+            (cell.text.strip().casefold(), CellOrigin(cell.row, cell.col))
+            for cell in self.context.table.iter_cells()
+        )
+
+    @cached_property
+    def lexical(self) -> _LexicalIndex:
+        table = self.context.table
+        cells = []
+        cell_slots: dict[tuple[int, int], int] = {}
+        for cell in table.iter_cells():
+            header_words = None
+            if cell.numeric is not None:
+                words: set[str] = set()
+                if cell.row > 0:
+                    words |= _content_words(table.cell(0, cell.col).text)
+                if cell.col > 0:
+                    words |= _content_words(table.cell(cell.row, 0).text)
+                header_words = frozenset(words)
+            cell_slots[(cell.row, cell.col)] = len(cells)
+            cells.append((_content_words(cell.text), header_words))
+
+        # paragraph id -> (word spans, [(sentence end, slot)]); a word's
+        # sentence is looked up by paragraph id, so a repeated id
+        # resolves to its last paragraph
+        sentences: list[frozenset[str]] = []
+        by_paragraph: dict[str, tuple[list[tuple[int, int]], list[tuple[int, int]]]] = {}
+        for entry in self.paragraphs:
+            text = entry.paragraph.text
+            boundaries = []
+            start = 0
+            for match in _SENTENCE_END_RE.finditer(text):
+                sentence = text[start : match.end()]
+                if sentence.strip():
+                    boundaries.append((match.end(), len(cells) + len(sentences)))
+                    sentences.append(_content_words(sentence))
+                start = match.end()
+            by_paragraph[entry.paragraph.paragraph_id] = (entry.word_spans, boundaries)
+
+        slot_positions: list[list[int]] = [[] for _ in range(len(cells) + len(sentences))]
+        for position, (_, origin) in enumerate(self.skeleton):
+            if isinstance(origin, CellWord):
+                slot_positions[cell_slots[(origin.row, origin.col)]].append(position)
+            else:
+                spans, boundaries = by_paragraph[origin.paragraph_id]
+                word_start = spans[origin.word][0]
+                for end, slot in boundaries:
+                    if word_start < end:
+                        slot_positions[slot].append(position)
+                        break
+        return _LexicalIndex(
+            tuple(cells), tuple(sentences), tuple(map(tuple, slot_positions))
+        )
+
+
+_current_index: _ContextIndex | None = None
+
+
+def _context_index(context: HybridContext) -> _ContextIndex:
+    """The index of ``context``, from a one-slot cache keyed on identity.
+
+    The slot holds the most recent context only, so ``run_pipeline``,
+    which answers a context's questions one after another, builds each
+    index once, and memory stays bounded to one context.
+    """
+    global _current_index
+    index = _current_index
+    if index is None or index.context is not context:
+        index = _current_index = _ContextIndex(context)
+    return index
+
+
 def context_units(question_text: str, context: HybridContext) -> list[tuple[str, UnitOrigin]]:
     """Skeleton of the input sequence: (unit text, origin) in order."""
-    units: list[tuple[str, UnitOrigin]] = []
-    for index, word in enumerate(_words(question_text)):
-        units.append((word, QuestionWord(index)))
-    for cell in context.table.iter_cells():
-        for word_index, word in enumerate(_words(cell.text)):
-            units.append((word, CellWord(cell.row, cell.col, word_index)))
-    for paragraph in context.paragraphs:
-        for word_index, word in enumerate(_words(paragraph.text)):
-            units.append((word, ParagraphWord(paragraph.paragraph_id, word_index)))
+    units: list[tuple[str, UnitOrigin]] = [
+        (word, QuestionWord(index)) for index, word in enumerate(_words(question_text))
+    ]
+    units.extend(_context_index(context).skeleton)
     return units
 
 
@@ -197,10 +413,26 @@ def decode_evidence(
         span_key = None
 
     for index, unit in enumerate(tags.units):
-        origin = unit.origin
-        if isinstance(origin, QuestionWord):
-            continue
-        if isinstance(origin, CellWord):
+        origin = unit.origin  # question words fall through: never evidence
+        if isinstance(origin, ParagraphWord):
+            if cell_key is not None:
+                flush_cell()
+            probability = unit.probability
+            if not probability > threshold:
+                if span_key is not None:
+                    flush_span()
+            elif span_key == (origin.paragraph_id, origin.word):
+                span_key = (origin.paragraph_id, origin.word + 1)
+                span_words.append(unit.text)
+                span_best = max(span_best, probability)
+            else:
+                flush_span()
+                span_key = (origin.paragraph_id, origin.word + 1)
+                span_start = origin.word
+                span_words = [unit.text]
+                span_best = probability
+                span_position = index
+        elif isinstance(origin, CellWord):
             key = (origin.row, origin.col)
             if key != cell_key:
                 flush_cell()
@@ -211,28 +443,6 @@ def decode_evidence(
             cell_words.append(unit.text)
             if unit.probability > threshold:
                 cell_best = max(cell_best, unit.probability)
-            continue
-        # paragraph word
-        flush_cell()
-        positive = unit.probability > threshold
-        continues = (
-            span_key is not None
-            and span_key[0] == origin.paragraph_id
-            and span_key[1] == origin.word
-        )
-        if positive and continues:
-            span_key = (origin.paragraph_id, origin.word + 1)
-            span_words.append(unit.text)
-            span_best = max(span_best, unit.probability)
-        elif positive:
-            flush_span()
-            span_key = (origin.paragraph_id, origin.word + 1)
-            span_start = origin.word
-            span_words = [unit.text]
-            span_best = unit.probability
-            span_position = index
-        else:
-            flush_span()
     flush_cell()
     flush_span()
     return candidates
@@ -277,7 +487,7 @@ def _evidence_items(question: QuestionRecord) -> list[_EvidenceItem]:
             if span.strip()
         ]
 
-    ast = parse_derivation(question.derivation, question.answer_type)
+    ast = parsed_derivation(question)
     if isinstance(ast, ItemSet):
         return [_text_item(item) for item in ast.items]
 
@@ -298,21 +508,18 @@ def _evidence_items(question: QuestionRecord) -> list[_EvidenceItem]:
 
 
 def _find_in_table(
-    context: HybridContext, item: _EvidenceItem, loose: bool
+    index: _ContextIndex, item: _EvidenceItem, loose: bool
 ) -> CellOrigin | None:
+    if item.value is not None:
+        # the loose pass also accepts an exact match, so the first cell
+        # matching either way is the first cell of equal magnitude
+        if loose:
+            return index.cells_by_magnitude.get(abs(item.value))
+        return index.cells_by_value.get(item.value)
     needle = item.surface.casefold()
-    for cell in context.table.iter_cells():
-        if item.value is not None:
-            if cell.numeric is None:
-                continue
-            if cell.numeric.value == item.value:
-                return CellOrigin(cell.row, cell.col)
-            if loose and abs(cell.numeric.value) == abs(item.value):
-                return CellOrigin(cell.row, cell.col)
-        else:
-            hay = cell.text.strip().casefold()
-            if hay == needle or (loose and needle and needle in hay):
-                return CellOrigin(cell.row, cell.col)
+    for hay, origin in index.cell_texts:
+        if hay == needle or (loose and needle and needle in hay):
+            return origin
     return None
 
 
@@ -328,32 +535,31 @@ def _char_to_word_range(
 
 
 def _find_in_paragraphs(
-    context: HybridContext, item: _EvidenceItem, loose: bool
+    index: _ContextIndex, item: _EvidenceItem, loose: bool
 ) -> SpanOrigin | None:
-    for paragraph in context.paragraphs:
-        spans = _word_spans(paragraph.text)
+    for entry in index.paragraphs:
+        paragraph_id = entry.paragraph.paragraph_id
         if item.value is not None:
-            for parsed, (start, end) in extract_numbers(paragraph.text):
+            for parsed, (start, end) in entry.numbers:
                 if parsed.value == item.value or (
                     loose and abs(parsed.value) == abs(item.value)
                 ):
-                    word_range = _char_to_word_range(spans, start, end)
+                    word_range = _char_to_word_range(entry.word_spans, start, end)
                     if word_range:
-                        return SpanOrigin(paragraph.paragraph_id, *word_range)
+                        return SpanOrigin(paragraph_id, *word_range)
         else:
-            haystack = paragraph.text.casefold()
-            index = haystack.find(item.surface.casefold())
-            if index >= 0:
+            found = entry.folded.find(item.surface.casefold())
+            if found >= 0:
                 word_range = _char_to_word_range(
-                    spans, index, index + len(item.surface)
+                    entry.word_spans, found, found + len(item.surface)
                 )
                 if word_range:
-                    return SpanOrigin(paragraph.paragraph_id, *word_range)
+                    return SpanOrigin(paragraph_id, *word_range)
     return None
 
 
 def _locate(
-    context: HybridContext, item: _EvidenceItem, table_first: bool
+    index: _ContextIndex, item: _EvidenceItem, table_first: bool
 ) -> CandidateOrigin | None:
     """First occurrence in input-sequence order, preferring the table for
     table-sourced answers.  Within each region an exact pass runs before
@@ -366,7 +572,7 @@ def _locate(
     )
     for finder in finders:
         for loose in (False, True):
-            origin = finder(context, item, loose)
+            origin = finder(index, item, loose)
             if origin is not None:
                 return origin
     return None
@@ -394,22 +600,6 @@ def _merge_spans(origins: list[SpanOrigin]) -> list[SpanOrigin]:
     return merged
 
 
-def _origin_position(
-    units: list[tuple[str, UnitOrigin]], origin: CandidateOrigin
-) -> int:
-    for index, (_, unit_origin) in enumerate(units):
-        if isinstance(origin, CellOrigin) and isinstance(unit_origin, CellWord):
-            if (unit_origin.row, unit_origin.col) == (origin.row, origin.col):
-                return index
-        elif isinstance(origin, SpanOrigin) and isinstance(unit_origin, ParagraphWord):
-            if (
-                unit_origin.paragraph_id == origin.paragraph_id
-                and unit_origin.word == origin.start
-            ):
-                return index
-    raise ValueError(f"origin {origin} not present in the input sequence")
-
-
 def build_supervision(
     question: QuestionRecord, context: HybridContext
 ) -> SupervisionLabels:
@@ -424,11 +614,12 @@ def build_supervision(
     """
     items = _evidence_items(question)
     table_first = question.answer_source in (AnswerSource.TABLE, AnswerSource.TABLE_TEXT)
+    index = _context_index(context)
 
     located: dict[_EvidenceItem, CandidateOrigin] = {}
     missing: list[str] = []
     for item in items:
-        origin = _locate(context, item, table_first)
+        origin = _locate(index, item, table_first)
         if origin is None:
             missing.append(item.surface)
         else:
@@ -440,19 +631,23 @@ def build_supervision(
         _try_parse(question), question.answer_type, question.answer_source
     )
 
-    def origin_for_value(value: Fraction) -> CandidateOrigin:
+    def position_of_value(value: Fraction) -> int:
         for item, origin in located.items():
             if item.value == value:
-                return origin
+                # the question words precede every origin, so skeleton
+                # positions order origins as the input sequence does
+                position = next(index.positions(origin), None)
+                if position is None:
+                    raise ValueError(f"origin {origin} not present in the input sequence")
+                return position
         raise ValueError(f"no located evidence with value {value}")
 
     g_order: int | None = None
     if operator in ORDER_SENSITIVE:
-        units = context_units(question.text, context)
-        operands = operand_sequence(parse_derivation(question.derivation, question.answer_type))
+        operands = operand_sequence(parsed_derivation(question))
         first, second = operands[0], operands[1]
-        position_first = _origin_position(units, origin_for_value(first.value))
-        position_second = _origin_position(units, origin_for_value(second.value))
+        position_first = position_of_value(first.value)
+        position_second = position_of_value(second.value)
         g_order = 0 if position_first <= position_second else 1
 
     cells = [o for o in located.values() if isinstance(o, CellOrigin)]
@@ -470,7 +665,7 @@ def _try_parse(question: QuestionRecord):
     if question.answer_type not in (AnswerType.COUNTING, AnswerType.ARITHMETIC):
         return None
     try:
-        return parse_derivation(question.derivation, question.answer_type)
+        return parsed_derivation(question)
     except DerivationParseError:
         return None
 
@@ -486,26 +681,13 @@ class OracleTagger:
 
     def tag(self, question: QuestionRecord, context: HybridContext) -> TaggedSequence:
         labels = build_supervision(question, context)
-        cell_set = {
-            (o.row, o.col) for o in labels.g_tag if isinstance(o, CellOrigin)
-        }
-        span_list = [o for o in labels.g_tag if isinstance(o, SpanOrigin)]
-
-        units = []
-        for text, origin in context_units(question.text, context):
-            probability = 0.0
-            if isinstance(origin, CellWord) and (origin.row, origin.col) in cell_set:
-                probability = 1.0
-            elif isinstance(origin, ParagraphWord):
-                for span in span_list:
-                    if (
-                        span.paragraph_id == origin.paragraph_id
-                        and span.start <= origin.word < span.stop
-                    ):
-                        probability = 1.0
-                        break
-            units.append(TagUnit(text, origin, probability))
-        return TaggedSequence(tuple(units))
+        index = _context_index(context)
+        units = list(index.uniform_units(0.0))
+        for origin in labels.g_tag:
+            for position in index.positions(origin):
+                unit = units[position]
+                units[position] = TagUnit(unit.text, unit.origin, 1.0)
+        return TaggedSequence(tuple(_question_units(question.text) + units))
 
 
 _STOPWORDS = frozenset(
@@ -552,54 +734,26 @@ class LexicalTagger:
 
     def tag(self, question: QuestionRecord, context: HybridContext) -> TaggedSequence:
         question_words = _content_words(question.text)
-        table = context.table
+        index = _context_index(context)
+        lexical = index.lexical
 
-        cell_scores: dict[tuple[int, int], float] = {}
-        for cell in table.iter_cells():
-            score = _jaccard(question_words, _content_words(cell.text))
-            if cell.numeric is not None:
-                header_words: set[str] = set()
-                if cell.row > 0:
-                    header_words |= _content_words(table.cell(0, cell.col).text)
-                if cell.col > 0:
-                    header_words |= _content_words(table.cell(cell.row, 0).text)
-                score = max(score, _jaccard(question_words, frozenset(header_words)))
-            cell_scores[(cell.row, cell.col)] = score
+        scores = []
+        for cell_words, header_words in lexical.cells:
+            score = _jaccard(question_words, cell_words)
+            if header_words is not None:
+                score = max(score, _jaccard(question_words, header_words))
+            scores.append(score)
+        scores.extend(_jaccard(question_words, words) for words in lexical.sentences)
 
-        sentence_scores: dict[str, list[tuple[int, float]]] = {}
-        for paragraph in context.paragraphs:
-            boundaries: list[tuple[int, float]] = []
-            start = 0
-            for match in re.finditer(r"[.!?;]\s+|\Z", paragraph.text):
-                sentence = paragraph.text[start : match.end()]
-                if sentence.strip():
-                    boundaries.append(
-                        (match.end(), _jaccard(question_words, _content_words(sentence)))
-                    )
-                start = match.end()
-            sentence_scores[paragraph.paragraph_id] = boundaries
-
-        paragraph_spans = {
-            p.paragraph_id: _word_spans(p.text) for p in context.paragraphs
-        }
-
-        units = []
-        for text, origin in context_units(question.text, context):
-            if isinstance(origin, QuestionWord):
-                probability = 0.0
-            elif isinstance(origin, CellWord):
-                probability = self._smooth(cell_scores[(origin.row, origin.col)])
-            else:
-                spans = paragraph_spans[origin.paragraph_id]
-                word_start = spans[origin.word][0]
-                score = 0.0
-                for boundary, sentence_score in sentence_scores[origin.paragraph_id]:
-                    if word_start < boundary:
-                        score = sentence_score
-                        break
+        # units of a zero-overlap slot keep the shared floor units
+        units = list(index.uniform_units(self._smooth(0.0)))
+        for score, positions in zip(scores, lexical.slot_positions):
+            if score:
                 probability = self._smooth(score)
-            units.append(TagUnit(text, origin, probability))
-        return TaggedSequence(tuple(units))
+                for position in positions:
+                    unit = units[position]
+                    units[position] = TagUnit(unit.text, unit.origin, probability)
+        return TaggedSequence(tuple(_question_units(question.text) + units))
 
 
 # ---------------------------------------------------------------------------

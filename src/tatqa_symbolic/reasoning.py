@@ -24,7 +24,7 @@ from .derivation import (
     Operator,
     classify_question,
     operand_sequence,
-    parse_derivation,
+    parsed_derivation,
 )
 from .errors import (
     ExecutionError,
@@ -277,8 +277,7 @@ class OracleOrder:
 
     def decide(self, question, top_two) -> int:
         try:
-            ast = parse_derivation(question.derivation, question.answer_type)
-            operands = operand_sequence(ast)
+            operands = operand_sequence(parsed_derivation(question))
         except (PipelineError, ValueError):
             return 0
         if len(operands) < 2 or len(top_two) < 2:

@@ -16,13 +16,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .corpus import AnswerType, Dataset, iter_questions, schema_report
-from .derivation import eval_derivation, parse_derivation
+from .derivation import eval_derivation, parsed_derivation
 from .errors import (
     DerivationParseError,
     ExecutionError,
     UnlocatableEvidenceError,
 )
-from .evaluation import DEFAULT_POLICY, RoundingPolicy
+from .evaluation import DEFAULT_POLICY, RoundingPolicy, _as_fraction
 from .evidence import build_supervision
 from .numerics import round_fraction
 
@@ -76,20 +76,6 @@ class ValidationReport:
         return counts
 
 
-def _gold_fraction(question) -> Fraction | None:
-    answer = question.answer
-    if isinstance(answer, list) and len(answer) == 1:
-        answer = answer[0]
-    if isinstance(answer, Fraction):
-        return answer
-    if isinstance(answer, str):
-        from .numerics import parse_number
-
-        parsed = parse_number(answer)
-        return parsed.value if parsed else None
-    return None
-
-
 def check_question(question, policy: RoundingPolicy = DEFAULT_POLICY) -> DerivationCheck:
     """Execute one gold derivation and compare it with the gold answer.
 
@@ -100,7 +86,7 @@ def check_question(question, policy: RoundingPolicy = DEFAULT_POLICY) -> Derivat
     """
     question_id = question.question_id
     try:
-        ast = parse_derivation(question.derivation, question.answer_type)
+        ast = parsed_derivation(question)
     except DerivationParseError as exc:
         return DerivationCheck(question_id, PARSE_ERROR, detail=str(exc))
     try:
@@ -108,7 +94,7 @@ def check_question(question, policy: RoundingPolicy = DEFAULT_POLICY) -> Derivat
     except ExecutionError as exc:
         return DerivationCheck(question_id, EXECUTION_ERROR, detail=str(exc))
 
-    gold = _gold_fraction(question)
+    gold = _as_fraction(question.answer)
     if gold is None:
         return DerivationCheck(
             question_id, NO_NUMERIC_GOLD, detail=f"gold answer {question.answer!r}"

@@ -4,6 +4,11 @@ These deliberately share no code with the library: a shunting-yard
 expression evaluator, a faithful transcription of the published DROP
 metric, a brute-force span-alignment scorer, and a random expression
 generator.  Keep them boring and obviously correct.
+
+The one exception is the evidence section at the end: the per-question
+unit loops and gold-label search that the evidence module ran before it
+kept a per-context index.  They use the library's data types and its
+number and derivation parsers, but none of its tagging or lookup code.
 """
 
 from __future__ import annotations
@@ -16,6 +21,12 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from tatqa_symbolic import derivation
+from tatqa_symbolic import evidence as ev
+from tatqa_symbolic.corpus import AnswerSource, AnswerType
+from tatqa_symbolic.errors import DerivationParseError, UnlocatableEvidenceError
+from tatqa_symbolic.numerics import extract_numbers, parse_number
 
 # ---------------------------------------------------------------------------
 # Shunting-yard arithmetic oracle
@@ -229,3 +240,262 @@ def brute_force_alignment_f1(pred_spans: list[str], gold_spans: list[str]) -> fl
                     total += _drop_f1(padded_pred[p], gold_bags[g])
         best = max(best, total / n)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Evidence: per-question loops, as they ran before the per-context index
+# ---------------------------------------------------------------------------
+
+
+def reference_context_units(question_text, context):
+    units = []
+    for index, word in enumerate(question_text.split()):
+        units.append((word, ev.QuestionWord(index)))
+    for cell in context.table.iter_cells():
+        for word_index, word in enumerate(cell.text.split()):
+            units.append((word, ev.CellWord(cell.row, cell.col, word_index)))
+    for paragraph in context.paragraphs:
+        for word_index, word in enumerate(paragraph.text.split()):
+            units.append((word, ev.ParagraphWord(paragraph.paragraph_id, word_index)))
+    return units
+
+
+def _reference_word_spans(text):
+    return [match.span() for match in re.finditer(r"\S+", text)]
+
+
+def _reference_items(question):
+    def text_item(surface):
+        parsed = parse_number(surface)
+        return (surface, parsed.value if parsed else None)
+
+    if question.answer_type in (AnswerType.SPAN, AnswerType.SPANS):
+        answer = question.answer
+        if isinstance(answer, list):
+            spans = [str(item) for item in answer]
+        elif isinstance(answer, Fraction):
+            spans = []
+        else:
+            spans = [str(answer)]
+        return [text_item(span) for span in spans if span.strip()]
+    ast = derivation.parse_derivation(question.derivation, question.answer_type)
+    if isinstance(ast, derivation.ItemSet):
+        return [text_item(item) for item in ast.items]
+    operator = derivation.classify_operator(ast, question.answer_type, question.answer_source)
+    if operator == derivation.Operator.AVERAGE and isinstance(ast, derivation.BinaryOp):
+        operands = derivation.operand_sequence(ast.left)
+    else:
+        operands = derivation.operand_sequence(ast)
+    items, seen = [], set()
+    for operand in operands:
+        if operand.value not in seen:
+            seen.add(operand.value)
+            items.append((operand.source_text.strip(), operand.value))
+    return items
+
+
+def _reference_word_range(spans, start, end):
+    covered = [i for i, (ws, we) in enumerate(spans) if ws < end and we > start]
+    return (covered[0], covered[-1] + 1) if covered else None
+
+
+def _reference_locate(context, item, table_first):
+    surface, value = item
+
+    def in_table(loose):
+        needle = surface.casefold()
+        for cell in context.table.iter_cells():
+            if value is not None:
+                if cell.numeric is None:
+                    continue
+                if cell.numeric.value == value or (
+                    loose and abs(cell.numeric.value) == abs(value)
+                ):
+                    return ev.CellOrigin(cell.row, cell.col)
+            else:
+                hay = cell.text.strip().casefold()
+                if hay == needle or (loose and needle and needle in hay):
+                    return ev.CellOrigin(cell.row, cell.col)
+        return None
+
+    def in_paragraphs(loose):
+        for paragraph in context.paragraphs:
+            spans = _reference_word_spans(paragraph.text)
+            if value is not None:
+                for parsed, (start, end) in extract_numbers(paragraph.text):
+                    if parsed.value == value or (loose and abs(parsed.value) == abs(value)):
+                        word_range = _reference_word_range(spans, start, end)
+                        if word_range:
+                            return ev.SpanOrigin(paragraph.paragraph_id, *word_range)
+            else:
+                index = paragraph.text.casefold().find(surface.casefold())
+                if index >= 0:
+                    word_range = _reference_word_range(spans, index, index + len(surface))
+                    if word_range:
+                        return ev.SpanOrigin(paragraph.paragraph_id, *word_range)
+        return None
+
+    for finder in ((in_table, in_paragraphs) if table_first else (in_paragraphs, in_table)):
+        for loose in (False, True):
+            origin = finder(loose)
+            if origin is not None:
+                return origin
+    return None
+
+
+def _reference_merge(origins):
+    by_paragraph = {}
+    for origin in origins:
+        by_paragraph.setdefault(origin.paragraph_id, []).append(origin)
+    merged = []
+    for paragraph_id, spans in by_paragraph.items():
+        spans.sort(key=lambda s: (s.start, s.stop))
+        current = spans[0]
+        for span in spans[1:]:
+            if span.start <= current.stop:
+                current = ev.SpanOrigin(paragraph_id, current.start, max(current.stop, span.stop))
+            else:
+                merged.append(current)
+                current = span
+        merged.append(current)
+    return merged
+
+
+def reference_supervision(question, context):
+    """Gold labels by linear search over the context."""
+    items = _reference_items(question)
+    table_first = question.answer_source in (
+        AnswerSource.TABLE, AnswerSource.TABLE_TEXT
+    )
+    located, missing = {}, []
+    for item in items:
+        origin = _reference_locate(context, item, table_first)
+        if origin is None:
+            missing.append(item[0])
+        else:
+            located[item] = origin
+    if missing:
+        raise UnlocatableEvidenceError(question.question_id, missing)
+
+    ast = None
+    if question.answer_type in (AnswerType.COUNTING, AnswerType.ARITHMETIC):
+        try:
+            ast = derivation.parse_derivation(question.derivation, question.answer_type)
+        except DerivationParseError:
+            ast = None
+    operator = derivation.classify_operator(ast, question.answer_type, question.answer_source)
+
+    def position(value):
+        origin = next(o for (_, v), o in located.items() if v == value)
+        for index, (_, unit) in enumerate(reference_context_units(question.text, context)):
+            if isinstance(origin, ev.CellOrigin) and isinstance(unit, ev.CellWord):
+                if (unit.row, unit.col) == (origin.row, origin.col):
+                    return index
+            elif isinstance(origin, ev.SpanOrigin) and isinstance(unit, ev.ParagraphWord):
+                if unit.paragraph_id == origin.paragraph_id and unit.word == origin.start:
+                    return index
+        raise ValueError(f"origin {origin} not present in the input sequence")
+
+    g_order = None
+    if operator in derivation.ORDER_SENSITIVE:
+        operands = derivation.operand_sequence(ast)
+        g_order = 0 if position(operands[0].value) <= position(operands[1].value) else 1
+    cells = [o for o in located.values() if isinstance(o, ev.CellOrigin)]
+    spans = [o for o in located.values() if isinstance(o, ev.SpanOrigin)]
+    return ev.SupervisionLabels(
+        g_tag=frozenset(cells) | frozenset(_reference_merge(spans)),
+        g_op=operator,
+        g_scale=question.gold_scale,
+        g_order=g_order,
+    )
+
+
+def reference_oracle_tags(question, context, labels):
+    cell_set = {(o.row, o.col) for o in labels.g_tag if isinstance(o, ev.CellOrigin)}
+    span_list = [o for o in labels.g_tag if isinstance(o, ev.SpanOrigin)]
+    units = []
+    for text, origin in reference_context_units(question.text, context):
+        probability = 0.0
+        if isinstance(origin, ev.CellWord) and (origin.row, origin.col) in cell_set:
+            probability = 1.0
+        elif isinstance(origin, ev.ParagraphWord):
+            for span in span_list:
+                if span.paragraph_id == origin.paragraph_id and span.start <= origin.word < span.stop:
+                    probability = 1.0
+                    break
+        units.append(ev.TagUnit(text, origin, probability))
+    return ev.TaggedSequence(tuple(units))
+
+
+_REFERENCE_STOPWORDS = frozenset(
+    """a an the of in on at to for from by with as is are was were be been being
+    do does did done what which when where who whom whose how why much many and
+    or not than that this these those it its their there between during per each
+    have has had having will would can could should may might must s""".split()
+)
+
+
+def _reference_content_words(text):
+    words = set()
+    for token in text.lower().split():
+        token = re.sub(r"^\W+|\W+$", "", token).replace(",", "")
+        if token and token not in _REFERENCE_STOPWORDS:
+            words.add(token)
+    return frozenset(words)
+
+
+def _reference_jaccard(a, b):
+    if not a or not b:
+        return 0.0
+    return len(a & b) / len(a | b)
+
+
+def reference_lexical_tags(question, context, floor=0.01):
+
+    def smooth(score):
+        return floor + (1.0 - floor) * score
+
+    question_words = _reference_content_words(question.text)
+    table = context.table
+    cell_scores = {}
+    for cell in table.iter_cells():
+        score = _reference_jaccard(question_words, _reference_content_words(cell.text))
+        if cell.numeric is not None:
+            header_words = set()
+            if cell.row > 0:
+                header_words |= _reference_content_words(table.cell(0, cell.col).text)
+            if cell.col > 0:
+                header_words |= _reference_content_words(table.cell(cell.row, 0).text)
+            score = max(score, _reference_jaccard(question_words, frozenset(header_words)))
+        cell_scores[(cell.row, cell.col)] = score
+
+    sentence_scores = {}
+    for paragraph in context.paragraphs:
+        boundaries = []
+        start = 0
+        for match in re.finditer(r"[.!?;]\s+|\Z", paragraph.text):
+            sentence = paragraph.text[start : match.end()]
+            if sentence.strip():
+                boundaries.append(
+                    (match.end(), _reference_jaccard(question_words, _reference_content_words(sentence)))
+                )
+            start = match.end()
+        sentence_scores[paragraph.paragraph_id] = boundaries
+    paragraph_spans = {p.paragraph_id: _reference_word_spans(p.text) for p in context.paragraphs}
+
+    units = []
+    for text, origin in reference_context_units(question.text, context):
+        if isinstance(origin, ev.QuestionWord):
+            probability = 0.0
+        elif isinstance(origin, ev.CellWord):
+            probability = smooth(cell_scores[(origin.row, origin.col)])
+        else:
+            word_start = paragraph_spans[origin.paragraph_id][origin.word][0]
+            score = 0.0
+            for boundary, sentence_score in sentence_scores[origin.paragraph_id]:
+                if word_start < boundary:
+                    score = sentence_score
+                    break
+            probability = smooth(score)
+        units.append(ev.TagUnit(text, origin, probability))
+    return ev.TaggedSequence(tuple(units))

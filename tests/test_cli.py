@@ -113,6 +113,74 @@ class TestRunAndEval:
         assert "not in the gold dataset" in capsys.readouterr().err
 
 
+class TestEvalRejectsMalformedPredictions:
+    """Each malformed prediction file exits 1 with one ``error:`` line
+    naming the file and the JSON location, and no traceback."""
+
+    def run_eval(self, corpus_path, preds, capsys):
+        code = run_cli("eval", "--dataset", corpus_path, "--pred", preds)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {preds}: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_invalid_json(self, corpus_path, tmp_path, capsys):
+        preds = tmp_path / "broken.json"
+        preds.write_text('{"q-rev-span": ["x", ""],\n oops}', encoding="utf-8")
+        err = self.run_eval(corpus_path, preds, capsys)
+        assert "line 2 column 2: invalid JSON" in err
+
+    def test_not_utf8(self, corpus_path, tmp_path, capsys):
+        preds = tmp_path / "latin1.json"
+        preds.write_bytes('{"q-rev-span": ["caf\u00e9", ""]}'.encode("latin-1"))
+        err = self.run_eval(corpus_path, preds, capsys)
+        assert "byte 20: not UTF-8 text" in err
+
+    def test_top_level_not_an_object(self, corpus_path, tmp_path, capsys):
+        preds = tmp_path / "list.json"
+        preds.write_text(json.dumps([["x", ""]]), encoding="utf-8")
+        err = self.run_eval(corpus_path, preds, capsys)
+        assert ": $: top level must be an object" in err
+
+    def test_unknown_scale_word(self, corpus_path, tmp_path, capsys):
+        preds = tmp_path / "scale.json"
+        preds.write_text(json.dumps({"q-rev-span": ["x", "zillion"]}), encoding="utf-8")
+        err = self.run_eval(corpus_path, preds, capsys)
+        assert '$["q-rev-span"][1]: unknown scale word: \'zillion\'' in err
+
+
+class TestPipelineArgumentRanges:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--threshold", "1.5"),
+            ("--threshold", "1"),
+            ("--threshold", "-0.1"),
+            ("--threshold", "nan"),
+            ("--threshold", "high"),
+            ("--workers", "0"),
+            ("--workers", "-2"),
+            ("--workers", "two"),
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, corpus_path, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("run", "--dataset", corpus_path, "--out", out, flag, value)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_bounds_are_accepted(self, corpus_path, tmp_path, command):
+        out = tmp_path / "x.json"
+        assert run_cli(
+            command, "--dataset", corpus_path, "--out", out,
+            "--threshold", "0", "--workers", "1",
+        ) == 0
+
+
 class TestAblate:
     def test_grid_monotone_and_full_row_matches_run(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "grid.json"

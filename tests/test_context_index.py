@@ -1,0 +1,205 @@
+"""The per-context index and the derivation memo against the per-question
+loops they replaced (``oracles.reference_*``)."""
+
+import json
+import sys
+import threading
+from dataclasses import replace
+
+import pytest
+
+from oracles import (
+    reference_context_units,
+    reference_lexical_tags,
+    reference_oracle_tags,
+    reference_supervision,
+)
+from tatqa_symbolic.corpus import load_dataset
+from tatqa_symbolic.derivation import _NUMBER_TOKEN_RE, parsed_derivation
+from tatqa_symbolic.errors import DerivationParseError
+from tatqa_symbolic.evidence import (
+    CellOrigin,
+    LexicalTagger,
+    OracleTagger,
+    _context_index,
+    build_supervision,
+    context_units,
+)
+
+# Duplicate paragraph ids, an empty paragraph, empty cells, a word past
+# the last sentence end, negatives in both notations, an operand found
+# only by magnitude, a parse error and an unlocatable operand.
+EDGE_DOC = {
+    "table": {
+        "uid": "ctx-edge",
+        "table": [
+            ["", "2019", "2018"],
+            ["Revenue", "1,200", "(300)"],
+            ["Cost", "", "300"],
+            ["Net income", "900", "-1,200"],
+        ],
+    },
+    "paragraphs": [
+        {"uid": "p-a", "order": 1, "text": "Net income was 900 thousand!  Other items were flat."},
+        {"uid": "p-a", "order": 2, "text": "Revenue rose to 1,200 in 2019. Costs fell; net income was 900."},
+        {"uid": "p-b", "order": 3, "text": ""},
+        {"uid": "p-c", "order": 4, "text": "Costs of 300 were -300 before. Trailing words without a stop"},
+    ],
+    "questions": [
+        {"uid": "e-diff", "question": "What is the change in net income?", "answer": 300,
+         "derivation": "1,200 - 900", "answer_type": "arithmetic", "answer_from": "table",
+         "scale": "thousand"},
+        {"uid": "e-diff-text", "question": "How did net income compare with revenue?",
+         "answer": -300, "derivation": "900 - 1,200", "answer_type": "arithmetic",
+         "answer_from": "text", "scale": ""},
+        {"uid": "e-span", "question": "What was net income?", "answer": ["net income was 900"],
+         "derivation": "", "answer_type": "span", "answer_from": "text", "scale": ""},
+        {"uid": "e-count", "question": "How many rows are there?", "answer": 2,
+         "derivation": "Revenue ## Cost", "answer_type": "count", "answer_from": "table",
+         "scale": ""},
+        {"uid": "e-spans", "question": "Which rows are listed?", "answer": ["Revenue", "Cost"],
+         "derivation": "", "answer_type": "multi-span", "answer_from": "table", "scale": ""},
+        {"uid": "e-ratio", "question": "What is cost as a ratio of revenue?", "answer": 0.25,
+         "derivation": "300 / 1,200", "answer_type": "arithmetic", "answer_from": "table-text",
+         "scale": ""},
+        {"uid": "e-sign", "question": "What is the total with the sign flipped?", "answer": 300,
+         "derivation": "-900 + 1,200", "answer_type": "arithmetic", "answer_from": "table",
+         "scale": ""},
+        {"uid": "e-parse", "question": "Bad derivation", "answer": 1,
+         "derivation": "1,200 ? 3", "answer_type": "arithmetic", "answer_from": "table",
+         "scale": ""},
+        {"uid": "e-lost", "question": "Unlocatable operand", "answer": 5554,
+         "derivation": "5,555 - 1", "answer_type": "arithmetic", "answer_from": "table",
+         "scale": ""},
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def dataset(corpus, tmp_path_factory):
+    path = tmp_path_factory.mktemp("edge") / "edge.json"
+    path.write_text(json.dumps([EDGE_DOC]), encoding="utf-8")
+    return list(corpus) + load_dataset(path)
+
+
+def interleaved(dataset):
+    """(context, question) pairs, one question per context in turn, so
+    consecutive questions almost always change context (A, B, C, A, ...)."""
+    pairs = []
+    for round_index in range(max(len(questions) for _, questions in dataset)):
+        for context, questions in dataset:
+            if round_index < len(questions):
+                pairs.append((context, questions[round_index]))
+    return pairs
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+
+
+def test_visit_order_returns_to_earlier_contexts(dataset):
+    contexts = [context.context_id for context, _ in interleaved(dataset)]
+    runs = sum(1 for i in range(len(contexts)) if i == 0 or contexts[i] != contexts[i - 1])
+    assert runs > 2 * len(dataset)
+
+
+def test_index_matches_per_question_loops(dataset):
+    checked = 0
+    for context, question in interleaved(dataset):
+        assert context_units(question.text, context) == reference_context_units(
+            question.text, context
+        )
+        for floor in (0.01, 0.2):
+            assert LexicalTagger(floor).tag(question, context) == reference_lexical_tags(
+                question, context, floor
+            )
+        labels = outcome(build_supervision, question, context)
+        assert labels == outcome(reference_supervision, question, context)
+        if isinstance(labels, tuple):
+            assert outcome(OracleTagger().tag, question, context) == labels
+        else:
+            assert OracleTagger().tag(question, context) == reference_oracle_tags(
+                question, context, labels
+            )
+        checked += 1
+    assert checked == sum(len(questions) for _, questions in dataset)
+
+
+def test_shared_taggers_agree_across_threads(dataset):
+    """Threads share the one-slot caches; each result must still match the
+    single-threaded one, whichever context another thread moved them to."""
+    pairs = interleaved(dataset)
+    taggers = [OracleTagger(), LexicalTagger(0.01), LexicalTagger(0.2)]
+    expected = [[outcome(t.tag, q, c) for t in taggers] for c, q in pairs]
+    mismatches = []
+
+    def work(offset):
+        for round_index in range(4):
+            for i in range(len(pairs)):
+                j = (i + offset) % len(pairs)
+                k = (j + offset + round_index) % len(taggers)
+                context, question = pairs[j]
+                if outcome(taggers[k].tag, question, context) != expected[j][k]:
+                    mismatches.append((j, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_edge_questions_cover_both_outcomes(dataset):
+    context, questions = dataset[-1]
+    results = {q.question_id: outcome(build_supervision, q, context) for q in questions}
+    assert results["e-parse"][0] is DerivationParseError
+    assert "not locatable" in results["e-lost"][1]
+    assert results["e-diff-text"].g_order is not None
+    assert results["e-sign"].g_tag == {CellOrigin(3, 1), CellOrigin(1, 1)}  # 900 by magnitude
+    # the duplicate paragraph id is tagged wherever it occurs
+    tags = OracleTagger().tag(questions[2], context)
+    assert {u.origin.paragraph_id for u in tags.units if u.probability == 1.0} == {"p-a"}
+
+
+def test_index_is_built_once_per_context_and_slot_holds_one(corpus):
+    (first, _), (second, _) = corpus[0], corpus[1]
+    index = _context_index(first)
+    assert _context_index(first) is index
+    assert index.skeleton is _context_index(first).skeleton
+    assert _context_index(second) is not index
+    assert _context_index(first) is not index  # the slot moved on: rebuilt
+
+
+def test_parsed_derivation_memo(questions):
+    arithmetic = questions["q-rev-diff"][1]
+    ast = parsed_derivation(arithmetic)
+    assert parsed_derivation(arithmetic) is ast
+
+    copy = replace(arithmetic)
+    assert parsed_derivation(copy) == ast and parsed_derivation(copy) is not ast
+
+    broken = replace(arithmetic, derivation="1,200 ? 3")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(DerivationParseError) as excinfo:
+            parsed_derivation(broken)
+        errors.append(excinfo.value)
+    assert errors[0] is not errors[1]
+    assert str(errors[0]) == str(errors[1]) == "unexpected character '?' at offset 6 in '1,200 ? 3'"
+    assert (errors[1].text, errors[1].offset) == ("1,200 ? 3", 6)
+
+
+def test_number_token_pattern_is_built_from_numerics():
+    assert _NUMBER_TOKEN_RE.pattern == (
+        r"[$£€¥]?\s*((?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+)\s*(%)?"
+    )
