@@ -278,17 +278,31 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
     if not isinstance(raw_paragraphs, list):
         raise DatasetParseError("paragraphs must be an array", f"{location}.paragraphs")
     seen_orders: set[int] = set()
+    seen_ids: set[str] = set()
     for p_index, raw_p in enumerate(raw_paragraphs):
         p_loc = f"{location}.paragraphs[{p_index}]"
         if not isinstance(raw_p, dict):
             raise DatasetParseError("paragraph must be an object", p_loc)
-        order = int(raw_p.get("order", p_index + 1))
+        raw_order = raw_p.get("order", p_index + 1)
+        try:
+            order = int(raw_order)
+        except (TypeError, ValueError, OverflowError):
+            order = None
+        # int() would also turn 1.5 into 1 and true into 1
+        if order is None or isinstance(raw_order, bool) or (
+            not isinstance(raw_order, str) and order != raw_order
+        ):
+            raise DatasetParseError("paragraph order must be an integer", f"{p_loc}.order")
         if order in seen_orders:
             _problem(f"duplicate paragraph order {order}", p_loc, strict)
         seen_orders.add(order)
+        paragraph_id = str(raw_p.get("uid", f"{context_id}-p{p_index}"))
+        if paragraph_id in seen_ids:
+            _problem(f"duplicate paragraph uid {paragraph_id}", p_loc, strict)
+        seen_ids.add(paragraph_id)
         paragraphs.append(
             Paragraph(
-                paragraph_id=str(raw_p.get("uid", f"{context_id}-p{p_index}")),
+                paragraph_id=paragraph_id,
                 order=order,
                 text=str(raw_p.get("text", "")),
                 extras={k: v for k, v in raw_p.items() if k not in _KNOWN_PARAGRAPH_FIELDS},

@@ -9,19 +9,26 @@ departures make the metric finance-safe: a leading minus on a number is
 preserved (so "-1,657" and "1,657" differ), and a gold numeric answer
 scores 1 only when the predicted number times the predicted scale
 equals the gold number times the gold scale under the rounding policy.
+
+The span alignment is solved in pure Python: an exact maximum-score
+assignment by the Hungarian method (shortest augmenting paths with dual
+potentials), run over the shorter side of the gold x predicted score
+matrix, followed by a mean in numpy's summation order.  Both follow the
+published evaluator's ``scipy``/``numpy`` calls operation for operation,
+so tied alignments pick the same pairs and every F1 is bit-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 from typing import Mapping
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .corpus import AnswerSource, AnswerType, Dataset, QuestionRecord, iter_questions
 from .errors import ScoringError
@@ -139,6 +146,83 @@ def _gated_f1(pred_bag: frozenset[str], gold_bag: frozenset[str]) -> float:
     return _bag_f1(pred_bag, gold_bag)
 
 
+def _max_assignment(scores: list[list[float]]) -> list[tuple[int, int]]:
+    """(row, column) pairs of a one-to-one assignment of maximum total
+    score, covering every row or every column, whichever is fewer.
+
+    The Hungarian method with dual potentials in its shortest augmenting
+    path form (Crouse 2016), O(n²m) over the shorter side, transposing
+    a tall matrix.  Its float operations and tie-breaking follow
+    ``scipy.optimize.linear_sum_assignment`` step for step, so tied
+    alignments resolve to the same pairs as in the published evaluator.
+    """
+    transpose = len(scores) > len(scores[0])
+    if transpose:
+        scores = [list(column) for column in zip(*scores)]
+    cost = [[-score for score in row] for row in scores]
+    n_cols = len(cost[0])
+    u = [0.0] * len(cost)
+    v = [0.0] * n_cols
+    col4row = [-1] * len(cost)
+    row4col = [-1] * n_cols
+    path = [-1] * n_cols
+    for current in range(len(cost)):
+        dist = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        row, low, sink = current, 0.0, -1
+        while sink == -1:
+            seen_rows.append(row)
+            index, lowest = -1, math.inf
+            for k, col in enumerate(remaining):
+                reduced = low + cost[row][col] - u[row] - v[col]
+                if reduced < dist[col]:
+                    path[col], dist[col] = row, reduced
+                # on a tie prefer a free column: it ends the path
+                if dist[col] < lowest or (dist[col] == lowest and row4col[col] == -1):
+                    index, lowest = k, dist[col]
+            low = lowest
+            col = remaining[index]
+            if row4col[col] == -1:
+                sink = col
+            else:
+                row = row4col[col]
+            seen_cols.append(col)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[current] += low
+        for row in seen_rows[1:]:
+            u[row] += low - dist[col4row[row]]
+        for col in seen_cols:
+            v[col] -= low - dist[col]
+        col = sink
+        while True:
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == current:
+                break
+    return [(col, row) if transpose else (row, col) for row, col in enumerate(col4row)]
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum in numpy's order for a contiguous float64 array, the order of
+    the published evaluator's ``np.mean``: left to right below 8 values,
+    eight strided partial sums up to 128, halves above.  The means then
+    agree to the last bit, which ``round(·, 2)`` can expose.  Python's
+    ``sum`` is not used because from 3.12 it compensates rounding."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    if n < 8:
+        return reduce(operator.add, values, 0.0)
+    blocks = n - n % 8
+    r = [reduce(operator.add, values[j + 8 : blocks : 8], values[j]) for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(operator.add, values[blocks:], total)
+
+
 def align_spans_f1(pred_spans: list[str], gold_spans: list[str]) -> float:
     """Mean F1 under the optimal one-to-one span alignment.
 
@@ -149,15 +233,11 @@ def align_spans_f1(pred_spans: list[str], gold_spans: list[str]) -> float:
     gold_bags = [_bag(normalize_answer(span)) for span in gold_spans]
     if not pred_bags or not gold_bags:
         return float(not pred_bags and not gold_bags)
-    scores = np.zeros((len(gold_bags), len(pred_bags)))
-    for g, gold_bag in enumerate(gold_bags):
-        for p, pred_bag in enumerate(pred_bags):
-            scores[g, p] = _gated_f1(pred_bag, gold_bag)
-    rows, cols = linear_sum_assignment(-scores)
-    per_span = np.zeros(max(len(gold_bags), len(pred_bags)))
-    for row, col in zip(rows, cols):
-        per_span[row] = scores[row, col]
-    return float(np.mean(per_span))
+    scores = [[_gated_f1(pred_bag, gold_bag) for pred_bag in pred_bags] for gold_bag in gold_bags]
+    per_span = [0.0] * max(len(gold_bags), len(pred_bags))
+    for row, col in _max_assignment(scores):
+        per_span[row] = scores[row][col]
+    return _pairwise_sum(per_span) / len(per_span)
 
 
 def drop_em_f1(pred_spans: list[str], gold_spans: list[str]) -> tuple[float, float]:
@@ -384,32 +464,46 @@ def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
     def error(location: str, message: str) -> ScoringError:
         return ScoringError(f"{path}: {location}: {message}")
 
-    def reject_duplicates(pairs):
-        seen = {}
-        for key, value in pairs:
-            if key in seen:
-                raise error("$", f"duplicate prediction id: {key}")
-            seen[key] = value
-        return seen
+    top_level_pairs: list = []
+
+    def keep_pairs(pairs):
+        # objects are completed innermost first, so the top level is last
+        nonlocal top_level_pairs
+        top_level_pairs = pairs
+        return dict(pairs)
 
     try:
         with Path(path).open("r", encoding="utf-8") as handle:
-            raw = json.load(handle, object_pairs_hook=reject_duplicates)
+            raw = json.load(handle, object_pairs_hook=keep_pairs)
     except json.JSONDecodeError as exc:
         raise error(f"line {exc.lineno} column {exc.colno}", f"invalid JSON: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"byte {exc.start}", "not UTF-8 text") from exc
     if not isinstance(raw, dict):
         raise error("$", "top level must be an object of {question id: [answer, scale word]}")
+    if len(raw) < len(top_level_pairs):
+        seen = set()
+        for key, _ in top_level_pairs:
+            if key in seen:
+                raise error("$", f"duplicate prediction id: {key}")
+            seen.add(key)
     predictions: dict[str, tuple[object, Scale]] = {}
     for question_id, entry in raw.items():
         location = f"$[{json.dumps(question_id)}]"
         if not isinstance(entry, list) or len(entry) != 2:
             raise error(location, f"prediction for {question_id} must be [answer, scale word]")
         value, scale_word = entry
+        if not _is_answer(value):
+            raise error(f"{location}[0]", "answer must be a string, a number or a list of strings")
         try:
             scale = Scale.from_word(str(scale_word))
         except ValueError as exc:
             raise error(f"{location}[1]", str(exc)) from exc
         predictions[question_id] = (value, scale)
     return predictions
+
+
+def _is_answer(value) -> bool:
+    if isinstance(value, list):
+        return all(isinstance(item, str) for item in value)
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)

@@ -236,18 +236,24 @@ class _ContextIndex:
         return ranges
 
     @cached_property
+    def paragraph_positions(self) -> tuple[range, ...]:
+        """Skeleton positions of each paragraph's words, in paragraph order."""
+        lengths = [len(_words(p.text)) for p in self.context.paragraphs]
+        position = len(self.skeleton) - sum(lengths)
+        positions = []
+        for n_words in lengths:
+            positions.append(range(position, position + n_words))
+            position += n_words
+        return tuple(positions)
+
+    @cached_property
     def paragraph_ranges(self) -> dict[str, list[range]]:
         """Skeleton positions of each paragraph's words, by paragraph id.
         Ids are not guaranteed unique, so an id maps to all its
         paragraphs, in order."""
-        lengths = [len(_words(p.text)) for p in self.context.paragraphs]
-        position = len(self.skeleton) - sum(lengths)
         ranges: dict[str, list[range]] = {}
-        for paragraph, n_words in zip(self.context.paragraphs, lengths):
-            ranges.setdefault(paragraph.paragraph_id, []).append(
-                range(position, position + n_words)
-            )
-            position += n_words
+        for paragraph, words in zip(self.context.paragraphs, self.paragraph_positions):
+            ranges.setdefault(paragraph.paragraph_id, []).append(words)
         return ranges
 
     def positions(self, origin: CandidateOrigin) -> Iterator[int]:
@@ -300,12 +306,11 @@ class _ContextIndex:
             cell_slots[(cell.row, cell.col)] = len(cells)
             cells.append((_content_words(cell.text), header_words))
 
-        # paragraph id -> (word spans, [(sentence end, slot)]); a word's
-        # sentence is looked up by paragraph id, so a repeated id
-        # resolves to its last paragraph
+        # a paragraph word belongs to the first sentence ending after its
+        # start; paragraphs are walked by position, as ids may repeat
         sentences: list[frozenset[str]] = []
-        by_paragraph: dict[str, tuple[list[tuple[int, int]], list[tuple[int, int]]]] = {}
-        for entry in self.paragraphs:
+        slot_positions: list[list[int]] = [[] for _ in cells]
+        for entry, positions in zip(self.paragraphs, self.paragraph_positions):
             text = entry.paragraph.text
             boundaries = []
             start = 0
@@ -314,20 +319,15 @@ class _ContextIndex:
                 if sentence.strip():
                     boundaries.append((match.end(), len(cells) + len(sentences)))
                     sentences.append(_content_words(sentence))
+                    slot_positions.append([])
                 start = match.end()
-            by_paragraph[entry.paragraph.paragraph_id] = (entry.word_spans, boundaries)
-
-        slot_positions: list[list[int]] = [[] for _ in range(len(cells) + len(sentences))]
-        for position, (_, origin) in enumerate(self.skeleton):
-            if isinstance(origin, CellWord):
-                slot_positions[cell_slots[(origin.row, origin.col)]].append(position)
-            else:
-                spans, boundaries = by_paragraph[origin.paragraph_id]
-                word_start = spans[origin.word][0]
+            for position, (word_start, _) in zip(positions, entry.word_spans):
                 for end, slot in boundaries:
                     if word_start < end:
                         slot_positions[slot].append(position)
                         break
+        for (row, col), positions in self.cell_ranges.items():
+            slot_positions[cell_slots[(row, col)]].extend(positions)
         return _LexicalIndex(
             tuple(cells), tuple(sentences), tuple(map(tuple, slot_positions))
         )

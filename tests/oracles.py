@@ -469,7 +469,8 @@ def reference_lexical_tags(question, context, floor=0.01):
             score = max(score, _reference_jaccard(question_words, frozenset(header_words)))
         cell_scores[(cell.row, cell.col)] = score
 
-    sentence_scores = {}
+    # one probability per paragraph word, in paragraph order
+    paragraph_probabilities = []
     for paragraph in context.paragraphs:
         boundaries = []
         start = 0
@@ -480,8 +481,14 @@ def reference_lexical_tags(question, context, floor=0.01):
                     (match.end(), _reference_jaccard(question_words, _reference_content_words(sentence)))
                 )
             start = match.end()
-        sentence_scores[paragraph.paragraph_id] = boundaries
-    paragraph_spans = {p.paragraph_id: _reference_word_spans(p.text) for p in context.paragraphs}
+        for word_start, _ in _reference_word_spans(paragraph.text):
+            score = 0.0
+            for boundary, sentence_score in boundaries:
+                if word_start < boundary:
+                    score = sentence_score
+                    break
+            paragraph_probabilities.append(smooth(score))
+    paragraph_probabilities = iter(paragraph_probabilities)
 
     units = []
     for text, origin in reference_context_units(question.text, context):
@@ -490,12 +497,6 @@ def reference_lexical_tags(question, context, floor=0.01):
         elif isinstance(origin, ev.CellWord):
             probability = smooth(cell_scores[(origin.row, origin.col)])
         else:
-            word_start = paragraph_spans[origin.paragraph_id][origin.word][0]
-            score = 0.0
-            for boundary, sentence_score in sentence_scores[origin.paragraph_id]:
-                if word_start < boundary:
-                    score = sentence_score
-                    break
-            probability = smooth(score)
+            probability = next(paragraph_probabilities)
         units.append(ev.TagUnit(text, origin, probability))
     return ev.TaggedSequence(tuple(units))

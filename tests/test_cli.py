@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from conftest import REVENUE_DOC
 from tatqa_symbolic.cli import main
 
 
@@ -29,6 +33,54 @@ class TestValidate:
 
     def test_unreadable_input(self, tmp_path, capsys):
         assert run_cli("validate", "--dataset", tmp_path / "missing.json") == 1
+
+    def revenue_with_order(self, tmp_path, order):
+        doc = json.loads(json.dumps(REVENUE_DOC))
+        doc["paragraphs"][1]["order"] = order
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps([doc]), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("order", ["first", 1.5, True, None, [2]])
+    def test_non_integer_paragraph_order(self, tmp_path, capsys, order):
+        path = self.revenue_with_order(tmp_path, order)
+        assert run_cli("validate", "--dataset", path) == 1
+        err = capsys.readouterr().err
+        assert err == "error: $[0].paragraphs[1].order: paragraph order must be an integer\n"
+
+    @pytest.mark.parametrize("order", [3, 3.0, "3"])
+    def test_integer_paragraph_order(self, tmp_path, order):
+        path = self.revenue_with_order(tmp_path, order)
+        assert run_cli("validate", "--dataset", path, "--strict") == 0
+
+
+def repeated_paragraph_uid(tmp_path):
+    """The revenue document with both paragraphs under one uid, the
+    shorter one last."""
+    doc = json.loads(json.dumps(REVENUE_DOC))
+    first, second = doc["paragraphs"]
+    second["uid"] = first["uid"]
+    assert first["order"] < second["order"]
+    assert len(first["text"].split()) > len(second["text"].split())
+    path = tmp_path / "repeated-uid.json"
+    path.write_text(json.dumps([doc]), encoding="utf-8")
+    return path
+
+
+class TestRepeatedParagraphUid:
+    def test_strict_validate_rejects(self, tmp_path, capsys):
+        path = repeated_paragraph_uid(tmp_path)
+        assert run_cli("validate", "--dataset", path, "--strict") == 1
+        assert "duplicate paragraph uid rev-p1" in capsys.readouterr().err
+
+    def test_lexical_run_answers(self, tmp_path):
+        out = tmp_path / "preds.json"
+        assert run_cli(
+            "run", "--dataset", repeated_paragraph_uid(tmp_path), "--out", out,
+            "--tagger", "lexical", "--operator", "keyword",
+            "--order", "positional", "--scale", "heuristic",
+        ) == 0
+        assert len(json.loads(out.read_text(encoding="utf-8"))) == len(REVENUE_DOC["questions"])
 
 
 class TestStats:
@@ -149,6 +201,24 @@ class TestEvalRejectsMalformedPredictions:
         err = self.run_eval(corpus_path, preds, capsys)
         assert '$["q-rev-span"][1]: unknown scale word: \'zillion\'' in err
 
+    @pytest.mark.parametrize(
+        "answer",
+        ['{"a": 1, "a": 2}', '{"a": 1}', "{}", "null", "true", '["x", 1]', '[["x"]]'],
+    )
+    def test_answer_of_wrong_type(self, corpus_path, tmp_path, capsys, answer):
+        preds = tmp_path / "answer.json"
+        preds.write_text(f'{{"q-rev-span": [{answer}, ""]}}', encoding="utf-8")
+        err = self.run_eval(corpus_path, preds, capsys)
+        assert err.endswith(
+            '$["q-rev-span"][0]: answer must be a string, a number or a list of strings\n'
+        )
+
+    @pytest.mark.parametrize("answer", ['"x"', "3", "2.5", '["x", "y"]', "[]"])
+    def test_answer_of_each_accepted_type(self, corpus_path, tmp_path, answer):
+        preds = tmp_path / "answer.json"
+        preds.write_text(f'{{"q-rev-span": [{answer}, ""]}}', encoding="utf-8")
+        assert run_cli("eval", "--dataset", corpus_path, "--pred", preds) == 0
+
 
 class TestPipelineArgumentRanges:
     @pytest.mark.parametrize(
@@ -218,3 +288,36 @@ class TestExportSupervision:
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         record = json.loads(lines[0])
         assert set(record) == {"question_id", "g_op", "g_scale", "g_order", "g_tag"}
+
+
+class TestWithoutNumpyOrScipy:
+    """The package needs neither at run time; they are test dependencies."""
+
+    def python(self, code, *argv):
+        # the child finds the package wherever this process found it
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        return subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+
+    def test_import_leaves_them_unloaded(self):
+        result = self.python(
+            "import sys, tatqa_symbolic.cli;"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+    def test_run_and_eval_with_both_blocked(self, corpus_path, tmp_path):
+        preds = tmp_path / "preds.json"
+        result = self.python(
+            "import sys; sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+            "from tatqa_symbolic.cli import main\n"
+            "dataset, preds = sys.argv[1:]\n"
+            "assert main(['run', '--dataset', dataset, '--out', preds, '--workers', '1']) == 0\n"
+            "assert main(['eval', '--dataset', dataset, '--pred', preds]) == 0\n",
+            corpus_path, preds,
+        )
+        assert result.returncode == 0, result.stderr
+        assert f"EM {100 * 14 / 17:.1f}" in result.stdout

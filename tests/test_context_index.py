@@ -26,7 +26,8 @@ from tatqa_symbolic.evidence import (
     context_units,
 )
 
-# Duplicate paragraph ids, an empty paragraph, empty cells, a word past
+# Duplicate paragraph ids (also with the shorter paragraph last, see
+# ``shorter_last``), an empty paragraph, empty cells, a word past
 # the last sentence end, negatives in both notations, an operand found
 # only by magnitude, a parse error and an unlocatable operand.
 EDGE_DOC = {
@@ -75,10 +76,23 @@ EDGE_DOC = {
 }
 
 
+def shorter_last(doc):
+    """``doc`` with its two ``p-a`` paragraphs in the other order, so the
+    last paragraph with the repeated id is the shorter one."""
+    doc = json.loads(json.dumps(doc))
+    doc["table"]["uid"] += "-shorter-last"
+    first, second = doc["paragraphs"][:2]
+    first["order"], second["order"] = second["order"], first["order"]
+    assert len(first["text"].split()) < len(second["text"].split())
+    for question in doc["questions"]:
+        question["uid"] += "-shorter-last"
+    return doc
+
+
 @pytest.fixture(scope="module")
 def dataset(corpus, tmp_path_factory):
     path = tmp_path_factory.mktemp("edge") / "edge.json"
-    path.write_text(json.dumps([EDGE_DOC]), encoding="utf-8")
+    path.write_text(json.dumps([shorter_last(EDGE_DOC), EDGE_DOC]), encoding="utf-8")
     return list(corpus) + load_dataset(path)
 
 

@@ -9,6 +9,8 @@ from tatqa_symbolic.corpus import AnswerSource, AnswerType, QuestionRecord
 from tatqa_symbolic.errors import ScoringError
 from tatqa_symbolic.evaluation import (
     RoundingPolicy,
+    _max_assignment,
+    _pairwise_sum,
     align_spans_f1,
     drop_em_f1,
     evaluate,
@@ -244,6 +246,29 @@ class TestAlignment:
                 brute_force_alignment_f1(pred, gold)
             )
 
+    def test_assignment_and_mean_match_scipy_and_numpy(self):
+        """Same pairs as ``linear_sum_assignment`` on tie-heavy rectangular
+        matrices, and the same mean to the last bit as ``np.mean``, whose
+        pairwise summation starts at 8 spans."""
+        np = pytest.importorskip("numpy")
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(8080)
+        values = [0.0, 0.25, 1 / 3, 0.4, 0.5, 2 / 3, 0.8, 1.0]
+        for _ in range(3000):
+            n_gold, n_pred = rng.randint(1, 8), rng.randint(1, 8)
+            palette = values[: rng.randint(2, len(values))]
+            scores = [[rng.choice(palette) for _ in range(n_pred)] for _ in range(n_gold)]
+            rows, cols = optimize.linear_sum_assignment(-np.array(scores))
+            pairs = sorted(_max_assignment(scores))
+            assert pairs == sorted(zip(rows.tolist(), cols.tolist())), scores
+            per_span = [0.0] * max(n_gold, n_pred)
+            for row, col in pairs:
+                per_span[row] = scores[row][col]
+            assert _pairwise_sum(per_span) / len(per_span) == float(np.mean(per_span))
+        for n in range(1, 300):
+            summands = [rng.random() for _ in range(n)]
+            assert _pairwise_sum(summands) == float(np.sum(summands))
+
 
 class TestEvaluate:
     @pytest.fixture()
@@ -296,7 +321,7 @@ class TestEvaluate:
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dupes.json"
         path.write_text('{"q": ["1", ""], "q": ["2", ""]}', encoding="utf-8")
-        with pytest.raises(ScoringError):
+        with pytest.raises(ScoringError, match=r": \$: duplicate prediction id: q$"):
             read_predictions(path)
 
     def test_malformed_entry_rejected(self, tmp_path):
