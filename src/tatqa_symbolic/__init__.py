@@ -76,7 +76,6 @@ from .reasoning import (
     answer_question,
     assemble_prediction,
     execute_operator,
-    oracle_order,
     rank_candidates,
     run_pipeline,
 )

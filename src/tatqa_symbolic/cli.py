@@ -46,25 +46,13 @@ from .reasoning import (
 from .validation import format_validation, schema_deviations, validate_dataset
 
 
-def _add_dataset_arg(parser: argparse.ArgumentParser, multiple: bool = False) -> None:
-    if multiple:
-        parser.add_argument(
-            "--dataset", nargs="+", required=True, help="dataset JSON file(s)"
-        )
-        parser.add_argument(
-            "--split",
-            nargs="*",
-            default=[],
-            help="split name per dataset file (train/dev/test), for reference deltas",
-        )
-    else:
-        parser.add_argument("--dataset", required=True, help="dataset JSON file")
-        parser.add_argument(
-            "--split", default="", help="split name, for reference deltas"
-        )
-    parser.add_argument(
-        "--strict", action="store_true", help="fail on any schema deviation"
-    )
+def _add_strict_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--strict", action="store_true", help="fail on any schema deviation")
+
+
+def _add_dataset_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dataset", required=True, help="dataset JSON file")
+    _add_strict_arg(parser)
 
 
 def _threshold(text: str) -> float:
@@ -112,7 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stats", help="corpus statistics with published deltas")
-    _add_dataset_arg(p, multiple=True)
+    p.add_argument("--dataset", nargs="+", required=True, help="dataset JSON file(s)")
+    p.add_argument(
+        "--split",
+        nargs="*",
+        default=[],
+        help="split name per dataset file (train/dev/test), for reference deltas",
+    )
+    _add_strict_arg(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("run", help="answer every question with configured components")

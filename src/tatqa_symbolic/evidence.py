@@ -47,6 +47,7 @@ from .derivation import (
     ItemSet,
     Operator,
     classify_operator,
+    classify_question,
     operand_sequence,
     parsed_derivation,
 )
@@ -359,92 +360,66 @@ def context_units(question_text: str, context: HybridContext) -> list[tuple[str,
     return units
 
 
+def _in_cell(origin: UnitOrigin, row: int, col: int) -> bool:
+    return isinstance(origin, CellWord) and origin.row == row and origin.col == col
+
+
 def decode_evidence(
     tags: TaggedSequence, threshold: float = 0.5
 ) -> list[EvidenceCandidate]:
     """Turn tagged units into evidence candidates, in input-sequence order.
 
     A cell is a candidate when any of its units exceeds the threshold;
-    consecutive positive paragraph words merge into one span.  Candidate
-    probability is the maximum over its positive units, and the numeric
-    field is filled when the candidate text parses as a single number.
+    consecutive positive paragraph words merge into one span, where
+    consecutive means adjacent in the sequence, in the same paragraph and
+    one word apart.  Candidate probability is the maximum over its
+    positive units, and the numeric field is filled when the candidate
+    text parses as a single number.  Question words are never evidence.
     """
+    units = tags.units
+    n_units = len(units)
+    positive = [index for index, unit in enumerate(units) if unit.probability > threshold]
     candidates: list[EvidenceCandidate] = []
-
-    cell_key: tuple[int, int] | None = None
-    cell_words: list[str] = []
-    cell_best = 0.0
-    cell_position = 0
-
-    span_key: tuple[str, int] | None = None  # (paragraph, expected next word)
-    span_start = 0
-    span_words: list[str] = []
-    span_best = 0.0
-    span_position = 0
-
-    def flush_cell() -> None:
-        nonlocal cell_key
-        if cell_key is not None and cell_best > threshold:
-            text = " ".join(cell_words)
-            candidates.append(
-                EvidenceCandidate(
-                    text=text,
-                    probability=cell_best,
-                    origin=CellOrigin(*cell_key),
-                    numeric=parse_number(text),
-                    position=cell_position,
-                )
-            )
-        cell_key = None
-
-    def flush_span() -> None:
-        nonlocal span_key
-        if span_key is not None:
-            text = " ".join(span_words)
-            candidates.append(
-                EvidenceCandidate(
-                    text=text,
-                    probability=span_best,
-                    origin=SpanOrigin(span_key[0], span_start, span_key[1]),
-                    numeric=parse_number(text),
-                    position=span_position,
-                )
-            )
-        span_key = None
-
-    for index, unit in enumerate(tags.units):
-        origin = unit.origin  # question words fall through: never evidence
-        if isinstance(origin, ParagraphWord):
-            if cell_key is not None:
-                flush_cell()
-            probability = unit.probability
-            if not probability > threshold:
-                if span_key is not None:
-                    flush_span()
-            elif span_key == (origin.paragraph_id, origin.word):
-                span_key = (origin.paragraph_id, origin.word + 1)
-                span_words.append(unit.text)
-                span_best = max(span_best, probability)
-            else:
-                flush_span()
-                span_key = (origin.paragraph_id, origin.word + 1)
-                span_start = origin.word
-                span_words = [unit.text]
-                span_best = probability
-                span_position = index
-        elif isinstance(origin, CellWord):
-            key = (origin.row, origin.col)
-            if key != cell_key:
-                flush_cell()
-                cell_key = key
-                cell_words = []
-                cell_best = 0.0
-                cell_position = index
-            cell_words.append(unit.text)
-            if unit.probability > threshold:
-                cell_best = max(cell_best, unit.probability)
-    flush_cell()
-    flush_span()
+    stop = 0  # units before ``stop`` belong to the last candidate
+    for index in positive:
+        if index < stop:
+            continue
+        origin = units[index].origin
+        if isinstance(origin, CellWord):
+            row, col = origin.row, origin.col
+            start = index
+            while start and _in_cell(units[start - 1].origin, row, col):
+                start -= 1
+            stop = index + 1
+            while stop < n_units and _in_cell(units[stop].origin, row, col):
+                stop += 1
+            candidate_origin: CandidateOrigin = CellOrigin(row, col)
+        elif isinstance(origin, ParagraphWord):
+            paragraph_id, word = origin.paragraph_id, origin.word
+            start, stop = index, index + 1
+            while stop < n_units:
+                unit = units[stop]
+                following = unit.origin
+                if not (
+                    unit.probability > threshold
+                    and isinstance(following, ParagraphWord)
+                    and following.word == word + 1
+                    and following.paragraph_id == paragraph_id
+                ):
+                    break
+                word += 1
+                stop += 1
+            candidate_origin = SpanOrigin(paragraph_id, origin.word, word + 1)
+        else:
+            continue  # question words are never evidence
+        members = units[start:stop]
+        text = " ".join([unit.text for unit in members])
+        # a positive unit outscores every other, so this is the maximum
+        # over the positive units
+        probability = max([unit.probability for unit in members])
+        candidates.append(
+            EvidenceCandidate(text, probability, candidate_origin, parse_number(text), start)
+        )
     return candidates
 
 
@@ -627,9 +602,7 @@ def build_supervision(
     if missing:
         raise UnlocatableEvidenceError(question.question_id, missing)
 
-    operator = classify_operator(
-        _try_parse(question), question.answer_type, question.answer_source
-    )
+    operator = classify_question(question)
 
     def position_of_value(value: Fraction) -> int:
         for item, origin in located.items():
@@ -659,15 +632,6 @@ def build_supervision(
         g_scale=question.gold_scale,
         g_order=g_order,
     )
-
-
-def _try_parse(question: QuestionRecord):
-    if question.answer_type not in (AnswerType.COUNTING, AnswerType.ARITHMETIC):
-        return None
-    try:
-        return parsed_derivation(question)
-    except DerivationParseError:
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .evidence import (
     OracleTagger,
     SpanOrigin,
     TaggedSequence,
-    build_supervision,
     decode_evidence,
     origin_to_json,
 )
@@ -288,16 +287,6 @@ class OracleOrder:
         if (v1, v2) == (b, a) and a != b:
             return 1
         return 0
-
-
-def oracle_order(question: QuestionRecord, context: HybridContext) -> int:
-    """Gold order flag for an order-sensitive question (via supervision)."""
-    labels = build_supervision(question, context)
-    if labels.g_order is None:
-        raise ValueError(
-            f"question {question.question_id} has no order-sensitive gold operator"
-        )
-    return labels.g_order
 
 
 class OracleScale:

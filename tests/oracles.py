@@ -5,10 +5,12 @@ expression evaluator, a faithful transcription of the published DROP
 metric, a brute-force span-alignment scorer, and a random expression
 generator.  Keep them boring and obviously correct.
 
-The one exception is the evidence section at the end: the per-question
+The one exception is the evidence sections at the end: the per-question
 unit loops and gold-label search that the evidence module ran before it
-kept a per-context index.  They use the library's data types and its
-number and derivation parsers, but none of its tagging or lookup code.
+kept a per-context index, and the unit-by-unit decoder it ran before it
+decoded from the positive units.  They use the library's data types and
+its number and derivation parsers, but none of its tagging, lookup or
+decoding code.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ import random
 import re
 import string
 from fractions import Fraction
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from tatqa_symbolic import derivation
 from tatqa_symbolic import evidence as ev
@@ -206,7 +205,14 @@ def _drop_match_numbers(gold_bag: set[str], pred_bag: set[str]) -> bool:
 
 
 def drop_metrics(predicted, gold) -> tuple[float, float]:
-    """(EM, F1) exactly as the published numeracy-focused evaluator."""
+    """(EM, F1) exactly as the published numeracy-focused evaluator.
+
+    Needs numpy and scipy, the evaluator's own dependencies, which the
+    package does not; they are imported here so the other oracles load
+    without them."""
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
     pred_strings, pred_bags = _drop_bags(predicted)
     gold_strings, gold_bags = _drop_bags(gold)
     em = float(
@@ -500,3 +506,98 @@ def reference_lexical_tags(question, context, floor=0.01):
             probability = next(paragraph_probabilities)
         units.append(ev.TagUnit(text, origin, probability))
     return ev.TaggedSequence(tuple(units))
+
+
+# ---------------------------------------------------------------------------
+# Evidence decoding, unit by unit, as it ran before it started from the
+# positive units
+# ---------------------------------------------------------------------------
+
+
+def reference_decode(tags, threshold=0.5):
+    """The unit-by-unit decoder that ran before decoding started from the
+    positive units.  It agrees with ``decode_evidence`` on sequences laid
+    out as ``context_units`` lays them out.
+
+    A cell is a candidate when any of its units exceeds the threshold;
+    consecutive positive paragraph words merge into one span.  Candidate
+    probability is the maximum over its positive units, and the numeric
+    field is filled when the candidate text parses as a single number.
+    """
+    candidates: list[ev.EvidenceCandidate] = []
+
+    cell_key: tuple[int, int] | None = None
+    cell_words: list[str] = []
+    cell_best = 0.0
+    cell_position = 0
+
+    span_key: tuple[str, int] | None = None  # (paragraph, expected next word)
+    span_start = 0
+    span_words: list[str] = []
+    span_best = 0.0
+    span_position = 0
+
+    def flush_cell() -> None:
+        nonlocal cell_key
+        if cell_key is not None and cell_best > threshold:
+            text = " ".join(cell_words)
+            candidates.append(
+                ev.EvidenceCandidate(
+                    text=text,
+                    probability=cell_best,
+                    origin=ev.CellOrigin(*cell_key),
+                    numeric=parse_number(text),
+                    position=cell_position,
+                )
+            )
+        cell_key = None
+
+    def flush_span() -> None:
+        nonlocal span_key
+        if span_key is not None:
+            text = " ".join(span_words)
+            candidates.append(
+                ev.EvidenceCandidate(
+                    text=text,
+                    probability=span_best,
+                    origin=ev.SpanOrigin(span_key[0], span_start, span_key[1]),
+                    numeric=parse_number(text),
+                    position=span_position,
+                )
+            )
+        span_key = None
+
+    for index, unit in enumerate(tags.units):
+        origin = unit.origin  # question words fall through: never evidence
+        if isinstance(origin, ev.ParagraphWord):
+            if cell_key is not None:
+                flush_cell()
+            probability = unit.probability
+            if not probability > threshold:
+                if span_key is not None:
+                    flush_span()
+            elif span_key == (origin.paragraph_id, origin.word):
+                span_key = (origin.paragraph_id, origin.word + 1)
+                span_words.append(unit.text)
+                span_best = max(span_best, probability)
+            else:
+                flush_span()
+                span_key = (origin.paragraph_id, origin.word + 1)
+                span_start = origin.word
+                span_words = [unit.text]
+                span_best = probability
+                span_position = index
+        elif isinstance(origin, ev.CellWord):
+            key = (origin.row, origin.col)
+            if key != cell_key:
+                flush_cell()
+                cell_key = key
+                cell_words = []
+                cell_best = 0.0
+                cell_position = index
+            cell_words.append(unit.text)
+            if unit.probability > threshold:
+                cell_best = max(cell_best, unit.probability)
+    flush_cell()
+    flush_span()
+    return candidates

@@ -99,6 +99,14 @@ class TestStats:
         assert "published" in text
         assert "delta" in text
 
+    def test_split_belongs_to_stats_only(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("run", "--dataset", corpus_path, "--out", out, "--split", "dev")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --split dev" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunAndEval:
     def test_oracle_run_then_eval(self, corpus_path, tmp_path, capsys):
@@ -308,6 +316,23 @@ class TestWithoutNumpyOrScipy:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_suite_collects_with_both_blocked(self):
+        # a finder that refuses them behaves like an environment without
+        # them; ``sys.modules[name] = None`` would also send hypothesis
+        # after ``numpy.random``
+        result = self.python(
+            "import sys\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] in ('numpy', 'scipy'):\n"
+            "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "import pytest\n"
+            "sys.exit(pytest.main(['--collect-only', '-q', '-p', 'no:cacheprovider', sys.argv[1]]))\n",
+            os.path.dirname(os.path.abspath(__file__)),
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
 
     def test_run_and_eval_with_both_blocked(self, corpus_path, tmp_path):
         preds = tmp_path / "preds.json"

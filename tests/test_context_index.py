@@ -1,7 +1,8 @@
-"""The per-context index and the derivation memo against the per-question
-loops they replaced (``oracles.reference_*``)."""
+"""The per-context index, the derivation memo and the positive-unit
+decoder against the loops they replaced (``oracles.reference_*``)."""
 
 import json
+import random
 import sys
 import threading
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 
 from oracles import (
     reference_context_units,
+    reference_decode,
     reference_lexical_tags,
     reference_oracle_tags,
     reference_supervision,
@@ -21,9 +23,13 @@ from tatqa_symbolic.evidence import (
     CellOrigin,
     LexicalTagger,
     OracleTagger,
+    SpanOrigin,
+    TaggedSequence,
+    TagUnit,
     _context_index,
     build_supervision,
     context_units,
+    decode_evidence,
 )
 
 # Duplicate paragraph ids (also with the shorter paragraph last, see
@@ -140,6 +146,30 @@ def test_index_matches_per_question_loops(dataset):
             )
         checked += 1
     assert checked == sum(len(questions) for _, questions in dataset)
+
+
+def test_decode_matches_unit_by_unit_decoder(dataset):
+    """Decoding from the positive units agrees with the decoder that
+    walked every unit, on sequences laid out as ``context_units`` lays
+    them out, at random probabilities and thresholds (ties included)."""
+    rng = random.Random(20261018)
+    levels = [0.05, 0.3, 0.5, 0.7, 1.0]
+    multi_word = {CellOrigin: 0, SpanOrigin: 0}
+    for context, question in interleaved(dataset):
+        units = context_units(question.text, context)
+        for _ in range(20):
+            density = rng.random()
+            tags = TaggedSequence(tuple(
+                TagUnit(text, origin, rng.choice(levels + [rng.random()]))
+                if rng.random() < density else TagUnit(text, origin, 0.0)
+                for text, origin in units
+            ))
+            threshold = rng.choice([0.0, 0.05, 0.5, rng.random()])
+            candidates = decode_evidence(tags, threshold)
+            assert candidates == reference_decode(tags, threshold)
+            for candidate in candidates:
+                multi_word[type(candidate.origin)] += " " in candidate.text
+    assert min(multi_word.values()) > 100
 
 
 def test_shared_taggers_agree_across_threads(dataset):

@@ -76,6 +76,19 @@ class TestDecode:
         origins = [c.origin for c in decode_evidence(tags)]
         assert origins == [SpanOrigin("p1", 5, 6), SpanOrigin("p2", 0, 1)]
 
+    def test_candidates_in_input_sequence_order(self):
+        # a cell between two words of one paragraph ends the span
+        tags = sequence(
+            ("a", ParagraphWord("p1", 0), 0.9),
+            ("5", CellWord(0, 0, 0), 0.9),
+            ("b", ParagraphWord("p1", 1), 0.9),
+        )
+        assert [(c.text, c.origin, c.position) for c in decode_evidence(tags)] == [
+            ("a", SpanOrigin("p1", 0, 1), 0),
+            ("5", CellOrigin(0, 0), 1),
+            ("b", SpanOrigin("p1", 1, 2), 2),
+        ]
+
     def test_threshold_is_strict(self):
         tags = sequence(("x", CellWord(0, 0, 0), 0.5))
         assert decode_evidence(tags, threshold=0.5) == []

@@ -11,7 +11,12 @@ from tatqa_symbolic.errors import (
     UnlocatableEvidenceError,
     UnsupportedOperatorError,
 )
-from tatqa_symbolic.evidence import CellOrigin, EvidenceCandidate, SpanOrigin
+from tatqa_symbolic.evidence import (
+    CellOrigin,
+    EvidenceCandidate,
+    SpanOrigin,
+    build_supervision,
+)
 from tatqa_symbolic.numerics import Scale, parse_number
 from tatqa_symbolic.reasoning import (
     HeuristicScale,
@@ -22,7 +27,6 @@ from tatqa_symbolic.reasoning import (
     answer_question,
     assemble_prediction,
     execute_operator,
-    oracle_order,
     rank_candidates,
     run_pipeline,
 )
@@ -215,7 +219,7 @@ class TestOrderDeciders:
             ("q-text-arith", 1),
         ]:
             context, question = questions[qid]
-            assert oracle_order(question, context) == expected, qid
+            assert build_supervision(question, context).g_order == expected, qid
             # the decider sees ranked candidates and agrees with G^order
             from tatqa_symbolic.evidence import decode_evidence
             from tatqa_symbolic.reasoning import TAGGERS
@@ -224,15 +228,14 @@ class TestOrderDeciders:
             top_two = rank_candidates(candidates)[:2]
             assert decider.decide(question, top_two) == expected, qid
 
-    def test_oracle_order_single_operand_errors(self, contexts):
+    def test_single_operand_has_no_gold_order(self, contexts):
         question = make_question(
             "What is it?",
             answer_type=AnswerType.ARITHMETIC,
             derivation="5,134",
             answer=5134,
         )
-        with pytest.raises(ValueError):
-            oracle_order(question, contexts["ctx-revenue"])
+        assert build_supervision(question, contexts["ctx-revenue"]).g_order is None
 
 
 class TestHeuristicScale:
