@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 from dataclasses import asdict
+from itertools import zip_longest
 from pathlib import Path
 
 from . import reference
@@ -27,6 +28,7 @@ from .corpus import (
 from .derivation import Operator, operator_distribution
 from .errors import PipelineError
 from .evaluation import (
+    CellScore,
     RoundingPolicy,
     evaluate,
     format_report,
@@ -179,14 +181,25 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _delta(computed: float, published: float) -> str:
-    return f"{computed - published:+.1f}"
+def _print_distributions(title, datasets, distribution, labels, width, published) -> None:
+    for label, dataset in datasets:
+        ref = published.get(label)
+        print(f"== gold {title} distribution: {label} (%) ==")
+        for key, share in distribution(dataset).items():
+            line = f"  {labels[key]:<{width}} {share:6.1f}"
+            if ref:
+                line += f"   published {ref[key]:6.1f}   delta {share - ref[key]:+.1f}"
+            print(line)
+        print()
 
 
 def cmd_stats(args) -> int:
-    names = list(args.split) + [""] * (len(args.dataset) - len(args.split))
+    if len(args.split) > len(args.dataset):
+        names, files = len(args.split), len(args.dataset)
+        print(f"error: --split: {names} split names for {files} --dataset file(s)", file=sys.stderr)
+        return 2
     datasets = []
-    for path, name in zip(args.dataset, names):
+    for path, name in zip_longest(args.dataset, args.split, fillvalue=""):
         label = name or Path(path).stem
         datasets.append((label, load_dataset(path, strict=args.strict)))
 
@@ -229,27 +242,10 @@ def cmd_stats(args) -> int:
         print(f"  total delta {matrix.total - reference.TOTAL_QUESTIONS:+d}")
     print()
 
-    for label, dataset in datasets:
-        ops = operator_distribution(dataset)
-        published_ops = reference.OPERATOR_PROPORTIONS.get(label)
-        print(f"== gold operator distribution: {label} (%) ==")
-        for op in (*Operator.ALL, Operator.OTHER):
-            line = f"  {Operator.LABELS[op]:<16} {ops[op]:6.1f}"
-            if published_ops:
-                line += f"   published {published_ops[op]:6.1f}   delta {_delta(ops[op], published_ops[op])}"
-            print(line)
-        print()
-
-    for label, dataset in datasets:
-        scales = scale_distribution(dataset)
-        published_scales = reference.SCALE_PROPORTIONS.get(label)
-        print(f"== gold scale distribution: {label} (%) ==")
-        for scale in Scale:
-            line = f"  {scale.label:<10} {scales[scale]:6.1f}"
-            if published_scales:
-                line += f"   published {published_scales[scale]:6.1f}   delta {_delta(scales[scale], published_scales[scale])}"
-            print(line)
-        print()
+    _print_distributions("operator", datasets, operator_distribution, Operator.LABELS, 16,
+                         reference.OPERATOR_PROPORTIONS)
+    _print_distributions("scale", datasets, scale_distribution,
+                         {scale: scale.label for scale in Scale}, 10, reference.SCALE_PROPORTIONS)
     return 0
 
 
@@ -329,28 +325,30 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from .reasoning import abstained as make_abstained
-
     dataset = load_dataset(args.dataset, strict=args.strict)
-    config = _pipeline_config(args)
-    policy = RoundingPolicy(places=args.rounding)
-    predictions = run_pipeline(dataset, config, workers=args.workers)
+    predictions = run_pipeline(dataset, _pipeline_config(args), workers=args.workers)
+    report = evaluate(
+        {qid: (p.value, p.scale) for qid, p in predictions.items()},
+        dataset,
+        RoundingPolicy(places=args.rounding),
+    )
+    operators = [predictions[qid].trace.operator for qid, _, _ in report.questions]
 
     rows = []
     print(f"{'enabled operators':<22}{'EM':>8}{'F1':>8}")
-    for k in range(1, len(Operator.ALL) + 1):
-        enabled = set(Operator.ALL[:k])
-        routed = {
-            qid: (p if (p.trace.operator is None or p.trace.operator in enabled)
-                  else make_abstained("operator disabled in ablation"))
-            for qid, p in predictions.items()
-        }
-        report = evaluate(
-            {qid: (p.value, p.scale) for qid, p in routed.items()}, dataset, policy
-        )
-        label = f"+ {Operator.LABELS[Operator.ALL[k - 1]]}"
-        rows.append({"row": label, "em": report.em, "f1": report.f1})
-        print(f"{label:<22}{report.em:>8.1f}{report.f1:>8.1f}")
+    for k, newest in enumerate(Operator.ALL, 1):
+        # a question whose predicted operator is not enabled yet abstains,
+        # and an abstention scores (0, 0)
+        enabled = {None, *Operator.ALL[:k]}
+        row = CellScore()
+        for operator, (_, em, f1) in zip(operators, report.questions):
+            if operator in enabled:
+                row.add(em, f1)
+            else:
+                row.add(0.0, 0.0)
+        label = f"+ {Operator.LABELS[newest]}"
+        rows.append({"row": label, "em": row.em, "f1": row.f1})
+        print(f"{label:<22}{row.em:>8.1f}{row.f1:>8.1f}")
     if args.out:
         Path(args.out).write_text(json.dumps(rows, indent=1), encoding="utf-8")
     return 0

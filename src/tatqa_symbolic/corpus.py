@@ -45,7 +45,7 @@ class AnswerType:
     ALL = (SPAN, SPANS, COUNTING, ARITHMETIC)
     LABELS = {SPAN: "Span", SPANS: "Spans", COUNTING: "Counting", ARITHMETIC: "Arithmetic"}
 
-    _ALIASES = {
+    ALIASES = {
         "span": SPAN,
         "multi-span": SPANS,
         "spans": SPANS,
@@ -54,17 +54,6 @@ class AnswerType:
         "counting": COUNTING,
         "arithmetic": ARITHMETIC,
     }
-
-    @classmethod
-    def parse(cls, raw: str, strict: bool = False) -> str:
-        key = raw.strip().lower()
-        if strict:
-            if key not in cls.ALL:
-                raise ValueError(f"unknown answer_type: {raw!r}")
-            return key
-        if key not in cls._ALIASES:
-            raise ValueError(f"unknown answer_type: {raw!r}")
-        return cls._ALIASES[key]
 
 
 class AnswerSource:
@@ -77,7 +66,7 @@ class AnswerSource:
     ALL = (TABLE, TEXT, TABLE_TEXT)
     LABELS = {TABLE: "Table", TEXT: "Text", TABLE_TEXT: "Table-text"}
 
-    _ALIASES = {
+    ALIASES = {
         "table": TABLE,
         "text": TEXT,
         "table-text": TABLE_TEXT,
@@ -85,16 +74,16 @@ class AnswerSource:
         "tabletext": TABLE_TEXT,
     }
 
-    @classmethod
-    def parse(cls, raw: str, strict: bool = False) -> str:
-        key = raw.strip().lower()
-        if strict:
-            if key not in cls.ALL:
-                raise ValueError(f"unknown answer_from: {raw!r}")
-            return key
-        if key not in cls._ALIASES:
-            raise ValueError(f"unknown answer_from: {raw!r}")
-        return cls._ALIASES[key]
+
+def _parse_label(field_name: str, raw: str, aliases: dict[str, str], strict: bool) -> str:
+    """Canonical spelling of a label read from ``field_name``.  Every
+    canonical spelling is an alias of itself; strict mode accepts only
+    those."""
+    key = raw.strip().lower()
+    canonical = aliases.get(key)
+    if canonical is None or (strict and key != canonical):
+        raise ValueError(f"unknown {field_name}: {raw!r}")
+    return canonical
 
 
 AnswerValue = Union[str, list, Fraction]
@@ -346,8 +335,12 @@ def _parse_questions(
         seen_question_ids.add(question_id)
 
         try:
-            answer_type = AnswerType.parse(str(raw_q.get("answer_type", "")), strict)
-            answer_source = AnswerSource.parse(str(raw_q.get("answer_from", "")), strict)
+            answer_type = _parse_label(
+                "answer_type", str(raw_q.get("answer_type", "")), AnswerType.ALIASES, strict
+            )
+            answer_source = _parse_label(
+                "answer_from", str(raw_q.get("answer_from", "")), AnswerSource.ALIASES, strict
+            )
             gold_scale = Scale.from_word(str(raw_q.get("scale", "")))
         except ValueError as exc:
             raise DatasetValidationError(
@@ -531,16 +524,19 @@ def type_source_matrix(dataset: Dataset) -> TypeSourceMatrix:
     )
 
 
+def percent_tally(keys, observed) -> dict:
+    """Share in percent of each of ``keys`` among the ``observed`` values,
+    in the order of ``keys``; all 0.0 when nothing is observed."""
+    counts = dict.fromkeys(keys, 0)
+    for value in observed:
+        counts[value] += 1
+    total = sum(counts.values())
+    return {key: 100.0 * count / total if total else 0.0 for key, count in counts.items()}
+
+
 def scale_distribution(dataset: Dataset) -> dict[Scale, float]:
     """Proportion (in percent) of gold scales over the dataset."""
-    counts = {scale: 0 for scale in Scale}
-    total = 0
-    for _, question in iter_questions(dataset):
-        counts[question.gold_scale] += 1
-        total += 1
-    if total == 0:
-        return {scale: 0.0 for scale in Scale}
-    return {scale: 100.0 * count / total for scale, count in counts.items()}
+    return percent_tally(Scale, (question.gold_scale for _, question in iter_questions(dataset)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .corpus import AnswerSource, AnswerType, Dataset, iter_questions
+from .corpus import AnswerSource, AnswerType, Dataset, iter_questions, percent_tally
 from .errors import DerivationParseError, ExecutionError
 from .numerics import _CURRENCY, _NUMBER_CORE, ParsedNumber, parse_number
 
@@ -441,11 +441,7 @@ def classify_question(question) -> str:
 
 def operator_distribution(dataset: Dataset) -> dict[str, float]:
     """Proportion (in percent) of gold operators over a dataset."""
-    counts = {op: 0 for op in (*Operator.ALL, Operator.OTHER)}
-    total = 0
-    for _, question in iter_questions(dataset):
-        counts[classify_question(question)] += 1
-        total += 1
-    if total == 0:
-        return {op: 0.0 for op in counts}
-    return {op: 100.0 * count / total for op, count in counts.items()}
+    return percent_tally(
+        (*Operator.ALL, Operator.OTHER),
+        (classify_question(question) for _, question in iter_questions(dataset)),
+    )

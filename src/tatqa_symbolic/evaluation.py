@@ -330,6 +330,20 @@ class CellScore:
     em_sum: float = 0.0
     f1_sum: float = 0.0
 
+    def add(self, em: float, f1: float, n: int = 1) -> None:
+        """Count ``n`` questions scoring ``em`` and ``f1`` in total."""
+        self.n += n
+        self.em_sum += em
+        self.f1_sum += f1
+
+    @classmethod
+    def merged(cls, cells) -> CellScore:
+        """One cell holding ``cells``' questions, summed in the given order."""
+        total = cls()
+        for cell in cells:
+            total.add(cell.em_sum, cell.f1_sum, cell.n)
+        return total
+
     @property
     def em(self) -> float:
         return 100.0 * self.em_sum / self.n if self.n else 0.0
@@ -389,10 +403,8 @@ def evaluate(
         else:
             missing.append(gold.question_id)
             em, f1 = 0.0, 0.0
-        for bucket in (overall, cells[(gold.answer_type, gold.answer_source)]):
-            bucket.n += 1
-            bucket.em_sum += em
-            bucket.f1_sum += f1
+        overall.add(em, f1)
+        cells[(gold.answer_type, gold.answer_source)].add(em, f1)
         questions.append((gold.question_id, em, f1))
     return EvalReport(overall=overall, cells=cells, questions=questions, missing=missing)
 
@@ -402,27 +414,15 @@ def format_report(report: EvalReport) -> str:
     headers = [AnswerSource.LABELS[s] for s in AnswerSource.ALL] + ["Total"]
     lines = [f"{'':<12}" + "".join(f"{h:>16}" for h in headers)]
     for answer_type in AnswerType.ALL:
-        row = [AnswerType.LABELS[answer_type].ljust(12)]
-        type_bucket = CellScore()
-        for source in AnswerSource.ALL:
-            cell = report.cells[(answer_type, source)]
-            row.append(_fmt_cell(cell))
-            type_bucket.n += cell.n
-            type_bucket.em_sum += cell.em_sum
-            type_bucket.f1_sum += cell.f1_sum
-        row.append(_fmt_cell(type_bucket))
-        lines.append("".join(row))
-    totals = ["Total".ljust(12)]
-    for source in AnswerSource.ALL:
-        source_bucket = CellScore()
-        for answer_type in AnswerType.ALL:
-            cell = report.cells[(answer_type, source)]
-            source_bucket.n += cell.n
-            source_bucket.em_sum += cell.em_sum
-            source_bucket.f1_sum += cell.f1_sum
-        totals.append(_fmt_cell(source_bucket))
-    totals.append(_fmt_cell(report.overall))
-    lines.append("".join(totals))
+        row = [report.cells[(answer_type, source)] for source in AnswerSource.ALL]
+        row.append(CellScore.merged(row))
+        lines.append(AnswerType.LABELS[answer_type].ljust(12) + "".join(map(_fmt_cell, row)))
+    totals = [
+        CellScore.merged(report.cells[(answer_type, source)] for answer_type in AnswerType.ALL)
+        for source in AnswerSource.ALL
+    ]
+    totals.append(report.overall)
+    lines.append("Total".ljust(12) + "".join(map(_fmt_cell, totals)))
     return "\n".join(lines)
 
 

@@ -327,17 +327,17 @@ class HeuristicScale:
 
         table = context.table
         ordered = sorted(candidates, key=lambda c: (-c.probability, c.position))
+        header_and_captions = [table.cell(0, c).text for c in range(table.n_cols)]
+        for r in range(table.n_rows):  # caption rows: single filled leading cell
+            cells = [table.cell(r, c).text.strip() for c in range(table.n_cols)]
+            if cells[0] and not any(cells[1:]):
+                header_and_captions.append(cells[0])
         for candidate in ordered:
             if not isinstance(candidate.origin, CellOrigin):
                 continue
             row, col = candidate.origin.row, candidate.origin.col
-            governing: list[str] = [table.cell(0, c).text for c in range(table.n_cols)]
-            for r in range(table.n_rows):  # caption rows: single filled leading cell
-                cells = [table.cell(r, c).text.strip() for c in range(table.n_cols)]
-                if cells[0] and not any(cells[1:]):
-                    governing.append(cells[0])
-            governing.extend(table.cell(r, col).text for r in range(row))
-            governing.extend(table.cell(row, c).text for c in range(col))
+            governing = header_and_captions + [table.cell(r, col).text for r in range(row)]
+            governing += [table.cell(row, c).text for c in range(col)]
             for text in governing:
                 scale = _scale_in_text(text)
                 if scale is not None:

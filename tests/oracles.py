@@ -5,12 +5,15 @@ expression evaluator, a faithful transcription of the published DROP
 metric, a brute-force span-alignment scorer, and a random expression
 generator.  Keep them boring and obviously correct.
 
-The one exception is the evidence sections at the end: the per-question
-unit loops and gold-label search that the evidence module ran before it
-kept a per-context index, and the unit-by-unit decoder it ran before it
-decoded from the positive units.  They use the library's data types and
-its number and derivation parsers, but none of its tagging, lookup or
-decoding code.
+The exceptions are the sections at the end.  The evidence sections keep
+the per-question unit loops and gold-label search that the evidence
+module ran before it kept a per-context index, and the unit-by-unit
+decoder it ran before it decoded from the positive units.  They use the
+library's data types and its number and derivation parsers, but none of
+its tagging, lookup or decoding code.  The aggregation section keeps the
+ablation that scored the dataset once per row and the report grid whose
+margins were summed by hand; they call the library's ``evaluate`` and
+cell formatting, but not the row and margin sums they are compared with.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from tatqa_symbolic import derivation
 from tatqa_symbolic import evidence as ev
 from tatqa_symbolic.corpus import AnswerSource, AnswerType
 from tatqa_symbolic.errors import DerivationParseError, UnlocatableEvidenceError
+from tatqa_symbolic.evaluation import CellScore, _fmt_cell, evaluate
 from tatqa_symbolic.numerics import extract_numbers, parse_number
+from tatqa_symbolic.reasoning import abstained as make_abstained
 
 # ---------------------------------------------------------------------------
 # Shunting-yard arithmetic oracle
@@ -601,3 +606,58 @@ def reference_decode(tags, threshold=0.5):
     flush_cell()
     flush_span()
     return candidates
+
+
+# ---------------------------------------------------------------------------
+# Aggregation, as it ran before one scoring pass fed every row and margin
+# ---------------------------------------------------------------------------
+
+
+def reference_ablation(dataset, predictions, policy):
+    """The cumulative operator ablation with one ``evaluate`` per row: a
+    prediction whose operator is not enabled yet is replaced by an
+    abstention before scoring.  Returns the ``ablate --out`` rows."""
+    rows = []
+    for k in range(1, len(derivation.Operator.ALL) + 1):
+        enabled = set(derivation.Operator.ALL[:k])
+        routed = {
+            qid: (p if (p.trace.operator is None or p.trace.operator in enabled)
+                  else make_abstained("operator disabled in ablation"))
+            for qid, p in predictions.items()
+        }
+        report = evaluate(
+            {qid: (p.value, p.scale) for qid, p in routed.items()}, dataset, policy
+        )
+        label = f"+ {derivation.Operator.LABELS[derivation.Operator.ALL[k - 1]]}"
+        rows.append({"row": label, "em": report.em, "f1": report.f1})
+    return rows
+
+
+def reference_margins(report):
+    """The per-type/source grid with its row and column margins summed
+    cell by cell, as ``format_report`` rendered it."""
+    headers = [AnswerSource.LABELS[s] for s in AnswerSource.ALL] + ["Total"]
+    lines = [f"{'':<12}" + "".join(f"{h:>16}" for h in headers)]
+    for answer_type in AnswerType.ALL:
+        row = [AnswerType.LABELS[answer_type].ljust(12)]
+        type_bucket = CellScore()
+        for source in AnswerSource.ALL:
+            cell = report.cells[(answer_type, source)]
+            row.append(_fmt_cell(cell))
+            type_bucket.n += cell.n
+            type_bucket.em_sum += cell.em_sum
+            type_bucket.f1_sum += cell.f1_sum
+        row.append(_fmt_cell(type_bucket))
+        lines.append("".join(row))
+    totals = ["Total".ljust(12)]
+    for source in AnswerSource.ALL:
+        source_bucket = CellScore()
+        for answer_type in AnswerType.ALL:
+            cell = report.cells[(answer_type, source)]
+            source_bucket.n += cell.n
+            source_bucket.em_sum += cell.em_sum
+            source_bucket.f1_sum += cell.f1_sum
+        totals.append(_fmt_cell(source_bucket))
+    totals.append(_fmt_cell(report.overall))
+    lines.append("".join(totals))
+    return "\n".join(lines)

@@ -1,0 +1,67 @@
+"""The benchmark's trace hooks, checked against the package they trace.
+
+``bench/tracing.py`` names package functions by module and qualified
+name, and its profile hook reads some of their locals and arguments.
+This module reads that file by path and runs it without writing
+anything under ``bench/`` or putting it on ``sys.path``, so a renamed
+hook target, or a change to what the hook reads (the ``question``
+argument's ``question_id``, the ``tags`` units' ``probability``, the
+``threshold``), fails here as well as in a traced benchmark run.
+"""
+
+import types
+from pathlib import Path
+
+import pytest
+
+import tatqa_symbolic
+from tatqa_symbolic.reasoning import PipelineConfig, answer_question
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    module = types.ModuleType("bench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_hook_target_resolves(tracing):
+    hooks, missing = tracing.resolve_hooks(tatqa_symbolic)
+    assert missing == []
+    assert sorted(target for target, _ in hooks.values()) == sorted(tracing.HOOKS)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PipelineConfig(),
+        PipelineConfig(tagger="lexical", operator="keyword", order="positional",
+                       scale="heuristic", threshold=0.05),
+    ],
+    ids=["oracle", "lexical"],
+)
+def test_hooked_answer_is_traced(tracing, corpus, config):
+    context, questions = corpus[0]
+    [question] = [q for q in questions if q.question_id == "q-rev-diff"]
+    components = config.build()
+    tags = components[0].tag(question, context)
+    positive = sum(1 for unit in tags.units if unit.probability > config.threshold)
+
+    tracer = tracing.Tracer(tracing.resolve_hooks(tatqa_symbolic)[0])
+    with tracer.hooked():
+        prediction = answer_question(question, context, *components, threshold=config.threshold)
+
+    assert tracer.calls["reasoning:answer_question"] == 1
+    assert tracer.calls["evidence:decode_evidence"] == 1
+    assert tracer.stack == []
+    [answer] = [span for span in tracer.spans if span[0] == "reasoning.answer"]
+    assert answer[4] == "q-rev-diff"
+    assert {"evidence.tag", "evidence.decode", "reasoning.operator"} <= {
+        span[0] for span in tracer.spans
+    }
+    assert positive > 0
+    assert tracer.positive_units == positive
+    assert tracer.candidates == len(prediction.trace.candidates) > 0

@@ -2,15 +2,32 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from conftest import REVENUE_DOC
+from oracles import reference_ablation, reference_margins
+from tatqa_symbolic import cli, evaluation
 from tatqa_symbolic.cli import main
+from tatqa_symbolic.evaluation import RoundingPolicy, evaluate, read_predictions
+from tatqa_symbolic.reasoning import PipelineConfig, run_pipeline
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+# (command-line arguments, the same configuration in process)
+CONFIGS = {
+    "oracle": ((), PipelineConfig()),
+    "lexical": (
+        ("--tagger", "lexical", "--operator", "keyword", "--order", "positional",
+         "--scale", "heuristic", "--threshold", "0.05"),
+        PipelineConfig(tagger="lexical", operator="keyword", order="positional",
+                       scale="heuristic", threshold=0.05),
+    ),
+}
 
 
 class TestValidate:
@@ -99,6 +116,20 @@ class TestStats:
         assert "published" in text
         assert "delta" in text
 
+    def test_more_split_names_than_files_is_usage_error(self, corpus_path, capsys):
+        assert run_cli("stats", "--dataset", corpus_path, "--split", "dev", "train") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --split: 2 split names for 1 --dataset file(s)\n"
+        assert captured.out == ""
+
+    def test_files_without_a_split_name_use_their_stem(self, corpus_path, tmp_path, capsys):
+        other = tmp_path / "second-file.json"
+        other.write_bytes(corpus_path.read_bytes())
+        assert run_cli("stats", "--dataset", corpus_path, other, "--split", "dev") == 0
+        text = capsys.readouterr().out
+        assert "== corpus shape: dev ==" in text
+        assert "== corpus shape: second-file ==" in text
+
     def test_split_belongs_to_stats_only(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "x.json"
         with pytest.raises(SystemExit) as excinfo:
@@ -127,9 +158,6 @@ class TestRunAndEval:
         assert f"EM {100 * 14 / 17:.1f}" in text
 
     def test_file_boundary_matches_in_process(self, corpus, corpus_path, tmp_path):
-        from tatqa_symbolic.evaluation import evaluate, read_predictions
-        from tatqa_symbolic.reasoning import PipelineConfig, run_pipeline
-
         preds_path = tmp_path / "preds.json"
         run_cli("run", "--dataset", corpus_path, "--out", preds_path)
         file_report = evaluate(read_predictions(preds_path), corpus)
@@ -165,6 +193,17 @@ class TestRunAndEval:
             run_cli("run", "--dataset", corpus_path, "--out", tmp_path / "x.json",
                     "--tagger", "transformer")
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_eval_grid_margins_match_cell_by_cell_sums(
+        self, corpus, corpus_path, tmp_path, capsys, config
+    ):
+        preds = tmp_path / "preds.json"
+        assert run_cli("run", "--dataset", corpus_path, "--out", preds, *CONFIGS[config][0]) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--dataset", corpus_path, "--pred", preds) == 0
+        report = evaluate(read_predictions(preds), corpus)
+        assert capsys.readouterr().out.endswith("\n\n" + reference_margins(report) + "\n")
 
     def test_eval_id_mismatch(self, corpus_path, tmp_path, capsys):
         preds = tmp_path / "bad.json"
@@ -277,6 +316,34 @@ class TestAblate:
         rows = json.loads(out.read_text(encoding="utf-8"))
         # only the two text-span questions can score in row 1
         assert rows[0]["em"] == pytest.approx(100 * 2 / 17, abs=0.05)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_rows_match_one_evaluate_per_row(self, corpus, corpus_path, tmp_path, capsys, config):
+        argv, pipeline_config = CONFIGS[config]
+        out = tmp_path / "grid.json"
+        assert run_cli("ablate", "--dataset", corpus_path, "--out", out, *argv) == 0
+        rows = reference_ablation(corpus, run_pipeline(corpus, pipeline_config), RoundingPolicy())
+        assert out.read_text(encoding="utf-8") == json.dumps(rows, indent=1)
+        printed = capsys.readouterr().out.splitlines()[1:]
+        assert printed == [f"{r['row']:<22}{r['em']:>8.1f}{r['f1']:>8.1f}" for r in rows]
+
+    def test_scores_each_question_once(self, corpus, corpus_path, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "evaluate")
+        counted(evaluation, "score_question")
+        assert run_cli("ablate", "--dataset", corpus_path) == 0
+        predicted = run_pipeline(corpus, PipelineConfig())
+        assert calls == {"evaluate": 1, "score_question": len(predicted)}
 
 
 class TestSchemaReport:

@@ -76,6 +76,30 @@ class TestLoad:
         with pytest.raises(DatasetValidationError) as excinfo:
             load_dataset(path)
         assert "q-rev-span" in str(excinfo.value)
+        assert "unknown answer_type: 'essay'" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "field, raw, parsed, canonical",
+        [
+            ("answer_type", " Span ", AnswerType.SPAN, True),
+            ("answer_type", "multispan", AnswerType.SPANS, False),
+            ("answer_from", "TEXT", AnswerSource.TEXT, True),
+            ("answer_from", "table_text", AnswerSource.TABLE_TEXT, False),
+        ],
+    )
+    def test_label_aliases_outside_strict_mode(self, tmp_path, field, raw, parsed, canonical):
+        doc = json.loads(json.dumps(REVENUE_DOC))
+        doc["questions"][0][field] = raw
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps([doc]), encoding="utf-8")
+        question = load_dataset(path)[0][1][0]
+        attr = "answer_type" if field == "answer_type" else "answer_source"
+        assert getattr(question, attr) == parsed
+        if canonical:
+            assert getattr(load_dataset(path, strict=True)[0][1][0], attr) == parsed
+        else:
+            with pytest.raises(DatasetValidationError, match=f"unknown {field}: {raw!r}"):
+                load_dataset(path, strict=True)
 
     def test_small_table_warns_but_loads(self, tmp_path, caplog):
         doc = {
