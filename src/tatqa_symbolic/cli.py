@@ -20,6 +20,8 @@ from .corpus import (
     AnswerSource,
     AnswerType,
     load_dataset,
+    parse_documents,
+    read_documents,
     scale_distribution,
     schema_report,
     split_stats,
@@ -45,7 +47,7 @@ from .reasoning import (
     PipelineConfig,
     run_pipeline,
 )
-from .validation import format_validation, schema_deviations, validate_dataset
+from .validation import field_deviations, format_validation, validate_dataset
 
 
 def _add_strict_arg(parser: argparse.ArgumentParser) -> None:
@@ -67,14 +69,22 @@ def _threshold(text: str) -> float:
     return value
 
 
-def _workers(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+def _integer_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return value
+
+    return parse
+
+
+_workers = _integer_at_least(1)
+# a negative number of places would round to tens, hundreds, ...
+_rounding = _integer_at_least(0)
 
 
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
@@ -97,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check dataset consistency and report")
     _add_dataset_arg(p)
-    p.add_argument("--rounding", type=int, default=4, help="comparison decimal places")
+    p.add_argument(
+        "--rounding", type=_rounding, default=4, help="comparison decimal places, at least 0"
+    )
     p.add_argument("--out", help="write the machine-readable report here")
     p.set_defaults(func=cmd_validate)
 
@@ -122,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a predictions file against gold")
     _add_dataset_arg(p)
     p.add_argument("--pred", required=True, help="predictions file")
-    p.add_argument("--rounding", type=int, default=4)
+    p.add_argument("--rounding", type=_rounding, default=4)
     p.add_argument("--out", help="write the machine-readable report here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="cumulative operator ablation grid")
     _add_dataset_arg(p)
     _add_pipeline_args(p)
-    p.add_argument("--rounding", type=int, default=4)
+    p.add_argument("--rounding", type=_rounding, default=4)
     p.add_argument("--out", help="write the grid as JSON here")
     p.set_defaults(func=cmd_ablate)
 
@@ -151,9 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    dataset = load_dataset(args.dataset, strict=args.strict)
+    documents = read_documents(args.dataset)
+    dataset = parse_documents(documents, strict=args.strict)
+    deviations = field_deviations(documents)
+    del documents  # the checks below need only the records
     report = validate_dataset(dataset, RoundingPolicy(places=args.rounding))
-    deviations = schema_deviations(args.dataset)
     print(format_validation(report))
     print()
     print(f"schema: {len(deviations['missing'])} expected field(s) missing, "

@@ -188,21 +188,31 @@ def _problem(message: str, location: str, strict: bool) -> None:
     logger.warning("%s: %s", location, message)
 
 
-def load_dataset(path: str | Path, strict: bool = False) -> Dataset:
-    """Load a dataset file into validated, immutable records.
-
-    Floats are parsed as decimals so that gold numeric answers stay
-    exact.  In tolerant mode (the default) recoverable deviations are
-    logged as warnings; ``strict=True`` turns every deviation into an
-    error.
-    """
-    path = Path(path)
+def read_documents(path: str | Path) -> Any:
+    """Decode a dataset file's JSON, with floats as ``Decimal`` so that
+    gold numeric answers stay exact.  Text that is not UTF-8 or not JSON
+    raises ``DatasetParseError``."""
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            raw = json.load(handle, parse_float=Decimal)
+        with Path(path).open("r", encoding="utf-8") as handle:
+            return json.load(handle, parse_float=Decimal)
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"invalid JSON: {exc}", "$") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError("not UTF-8 text", f"byte {exc.start}") from exc
 
+
+def load_dataset(path: str | Path, strict: bool = False) -> Dataset:
+    """Load a dataset file into validated, immutable records."""
+    return parse_documents(read_documents(path), strict)
+
+
+def parse_documents(raw: Any, strict: bool = False) -> Dataset:
+    """Build validated, immutable records from decoded documents
+    (:func:`read_documents`).
+
+    In tolerant mode (the default) recoverable deviations are logged as
+    warnings; ``strict=True`` turns every deviation into an error.
+    """
     if not isinstance(raw, list):
         raise DatasetParseError("top level must be an array of documents", "$")
 
@@ -551,15 +561,19 @@ def schema_report(path: str | Path) -> dict[str, dict]:
     new dataset release can be diffed against the expected schema before
     anything is loaded.
     """
-    with Path(path).open("r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    return field_inventory(read_documents(path))
 
+
+def field_inventory(raw: Any) -> dict[str, dict]:
+    """:func:`schema_report` of documents already decoded by
+    :func:`read_documents`."""
     inventory: dict[str, dict] = {}
 
     def record(json_path: str, value: Any) -> None:
         entry = inventory.setdefault(json_path, {"count": 0, "types": set()})
         entry["count"] += 1
-        entry["types"].add(type(value).__name__)
+        # the reader decodes JSON floats as Decimal
+        entry["types"].add("float" if isinstance(value, Decimal) else type(value).__name__)
 
     def walk(value: Any, json_path: str) -> None:
         if isinstance(value, dict):

@@ -88,6 +88,18 @@ _FULL_NUMBER_RE = re.compile(
 _SCAN_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?")
 
 
+def _exact(digits: str) -> Fraction:
+    """The exact value of an unsigned decimal such as "1,033.25" or ".5".
+
+    Built from integers: ``Fraction(str)`` gives the same reduced value
+    but runs its own regex over the text first.
+    """
+    whole, _, decimals = digits.replace(",", "").partition(".")
+    if decimals:
+        return Fraction(int(whole + decimals), 10 ** len(decimals))
+    return Fraction(int(whole))
+
+
 def parse_number(text: str) -> ParsedNumber | None:
     """Parse a whole string as one financial number, or return None.
 
@@ -103,7 +115,7 @@ def parse_number(text: str) -> ParsedNumber | None:
     match = _FULL_NUMBER_RE.fullmatch(body)
     if match is None:
         return None
-    value = Fraction(match.group("core").replace(",", ""))
+    value = _exact(match.group("core"))
     if match.group("sign") in ("-", "−"):
         value = -value
     if negative_wrap:
@@ -130,7 +142,7 @@ def extract_numbers(text: str) -> list[tuple[ParsedNumber, tuple[int, int]]]:
     found: list[tuple[ParsedNumber, tuple[int, int]]] = []
     for match in _SCAN_RE.finditer(text):
         start, end = match.span()
-        value = Fraction(match.group().replace(",", ""))
+        value = _exact(match.group())
         if start > 0 and text[start - 1] in "-−":
             before = text[start - 2] if start >= 2 else " "
             if not (before.isdigit() or before.isalpha()):

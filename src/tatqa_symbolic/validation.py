@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
-from .corpus import AnswerType, Dataset, iter_questions, schema_report
+from .corpus import AnswerType, Dataset, field_inventory, iter_questions, read_documents
 from .derivation import eval_derivation, parsed_derivation
 from .errors import (
     DerivationParseError,
@@ -164,7 +165,13 @@ def schema_deviations(path: str | Path) -> dict[str, list[str]]:
     Extra fields are informational (the loader preserves and ignores
     them); missing expected fields usually mean a format revision.
     """
-    observed = set(schema_report(path))
+    return field_deviations(read_documents(path))
+
+
+def field_deviations(raw: Any) -> dict[str, list[str]]:
+    """:func:`schema_deviations` of documents already decoded by
+    :func:`~.corpus.read_documents`."""
+    observed = set(field_inventory(raw))
     return {
         "missing": sorted(EXPECTED_FIELDS - observed),
         "unexpected": sorted(

@@ -14,6 +14,8 @@ its tagging, lookup or decoding code.  The aggregation section keeps the
 ablation that scored the dataset once per row and the report grid whose
 margins were summed by hand; they call the library's ``evaluate`` and
 cell formatting, but not the row and margin sums they are compared with.
+The number section keeps ``parse_number`` and ``extract_numbers`` as they
+were when every value was built by ``Fraction(str)``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import itertools
 import random
 import re
 import string
+from dataclasses import dataclass
 from fractions import Fraction
 
 from tatqa_symbolic import derivation
@@ -661,3 +664,82 @@ def reference_margins(report):
     totals.append(_fmt_cell(report.overall))
     lines.append("".join(totals))
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Surface numbers, as parsed before values were built from integers
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceParsedNumber:
+    value: Fraction
+    had_percent_sign: bool = False
+    source_text: str = ""
+
+
+_CURRENCY = "$£€¥"
+# Either comma-grouped digits or a plain run, with an optional decimal part.
+_NUMBER_CORE = r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+"
+
+_FULL_NUMBER_RE = re.compile(
+    rf"[{_CURRENCY}]?\s*(?P<sign>[+\-−])?\s*[{_CURRENCY}]?\s*"
+    rf"(?P<core>{_NUMBER_CORE})\s*(?P<pct>%)?"
+)
+
+_SCAN_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?")
+
+
+def reference_parse_number(text: str) -> ReferenceParsedNumber | None:
+    """Parse a whole string as one financial number, or return None.
+
+    Recognizes currency symbols, thousands separators, decimal points,
+    leading minus (ASCII or U+2212), trailing percent signs, and
+    accountant's parenthesized negatives like "(1,033)".
+    """
+    stripped = text.strip()
+    if not stripped:
+        return None
+    negative_wrap = stripped.startswith("(") and stripped.endswith(")")
+    body = stripped[1:-1].strip() if negative_wrap else stripped
+    match = _FULL_NUMBER_RE.fullmatch(body)
+    if match is None:
+        return None
+    value = Fraction(match.group("core").replace(",", ""))
+    if match.group("sign") in ("-", "−"):
+        value = -value
+    if negative_wrap:
+        value = -value
+    return ReferenceParsedNumber(
+        value=value,
+        had_percent_sign=match.group("pct") is not None,
+        source_text=text,
+    )
+
+
+def reference_extract_numbers(text: str) -> list[tuple[ReferenceParsedNumber, tuple[int, int]]]:
+    """Find all numeric tokens in running text, left to right.
+
+    Returns (parsed number, (start, end)) pairs with strictly increasing,
+    non-overlapping character offsets.  A hyphen directly between two
+    digits ("2018-2019") is a range separator, not a minus sign.
+    """
+    found: list[tuple[ReferenceParsedNumber, tuple[int, int]]] = []
+    for match in _SCAN_RE.finditer(text):
+        start, end = match.span()
+        value = Fraction(match.group().replace(",", ""))
+        if start > 0 and text[start - 1] in "-−":
+            before = text[start - 2] if start >= 2 else " "
+            if not (before.isdigit() or before.isalpha()):
+                start -= 1
+                value = -value
+        had_percent = end < len(text) and text[end] == "%"
+        if had_percent:
+            end += 1
+        found.append(
+            (
+                ReferenceParsedNumber(value, had_percent, text[start:end]),
+                (start, end),
+            )
+        )
+    return found

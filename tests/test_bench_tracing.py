@@ -6,7 +6,10 @@ This module reads that file by path and runs it without writing
 anything under ``bench/`` or putting it on ``sys.path``, so a renamed
 hook target, or a change to what the hook reads (the ``question``
 argument's ``question_id``, the ``tags`` units' ``probability``, the
-``threshold``), fails here as well as in a traced benchmark run.
+``threshold``), fails here as well as in a traced benchmark run.  So
+does a change to what its counters count (one ``parse_number`` call per
+table cell on load) or to how its traced validate job calls the package
+(``schema_deviations`` with a path).
 """
 
 import types
@@ -15,7 +18,9 @@ from pathlib import Path
 import pytest
 
 import tatqa_symbolic
+from tatqa_symbolic.corpus import load_dataset
 from tatqa_symbolic.reasoning import PipelineConfig, answer_question
+from tatqa_symbolic.validation import schema_deviations
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -65,3 +70,19 @@ def test_hooked_answer_is_traced(tracing, corpus, config):
     assert positive > 0
     assert tracer.positive_units == positive
     assert tracer.candidates == len(prediction.trace.candidates) > 0
+
+
+def test_load_parses_each_cell_once(tracing, corpus_path):
+    tracer = tracing.Tracer(tracing.resolve_hooks(tatqa_symbolic)[0])
+    with tracer.hooked():
+        dataset = load_dataset(corpus_path)
+    cells = sum(1 for context, _ in dataset for _ in context.table.iter_cells())
+    assert cells > 0
+    assert tracer.calls["numerics:parse_number"] == cells
+
+
+def test_schema_deviations_takes_a_path(corpus_path):
+    assert schema_deviations(corpus_path) == {
+        "missing": [],
+        "unexpected": ["$[].questions[].order"],
+    }

@@ -6,12 +6,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import REVENUE_DOC
+from conftest import CORPUS_DOCS, REVENUE_DOC
 from oracles import reference_ablation, reference_margins
 from tatqa_symbolic import cli, evaluation
 from tatqa_symbolic.cli import main
 from tatqa_symbolic.evaluation import RoundingPolicy, evaluate, read_predictions
 from tatqa_symbolic.reasoning import PipelineConfig, run_pipeline
+from tatqa_symbolic.validation import schema_deviations
 
 
 def run_cli(*argv):
@@ -50,6 +51,49 @@ class TestValidate:
 
     def test_unreadable_input(self, tmp_path, capsys):
         assert run_cli("validate", "--dataset", tmp_path / "missing.json") == 1
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('[{"table": "caf\u00e9"}]'.encode("latin-1"))
+        assert run_cli("validate", "--dataset", path) == 1
+        assert capsys.readouterr().err == "error: byte 15: not UTF-8 text\n"
+
+    def test_decodes_the_file_once(self, corpus_path, monkeypatch):
+        decoded = []
+        load = json.load
+
+        def counted(*args, **kwargs):
+            decoded.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counted)
+        assert run_cli("validate", "--dataset", corpus_path) == 0
+        assert len(decoded) == 1
+
+    def test_deviations_match_schema_deviations(self, tmp_path, capsys):
+        # no paragraph has an "order", and the questions have an extra one
+        docs = json.loads(json.dumps(CORPUS_DOCS))
+        for doc in docs:
+            for paragraph in doc["paragraphs"]:
+                del paragraph["order"]
+        path = tmp_path / "deviating.json"
+        path.write_text(json.dumps(docs), encoding="utf-8")
+        expected = schema_deviations(path)
+        assert expected == {
+            "missing": ["$[].paragraphs[].order"],
+            "unexpected": ["$[].questions[].order"],
+        }
+
+        out = tmp_path / "validation.json"
+        assert run_cli("validate", "--dataset", path, "--out", out) == 0
+        text = capsys.readouterr().out
+        assert text.endswith(
+            "schema: 1 expected field(s) missing, 1 unexpected\n"
+            "  missing    $[].paragraphs[].order\n"
+            "  unexpected $[].questions[].order\n"
+        )
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["schema_deviations"] == expected
 
     def revenue_with_order(self, tmp_path, order):
         doc = json.loads(json.dumps(REVENUE_DOC))
@@ -289,6 +333,30 @@ class TestPipelineArgumentRanges:
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-3", "-1", "2.5", "four"])
+    @pytest.mark.parametrize("command", ["eval", "validate", "ablate"])
+    def test_rounding_out_of_range_is_usage_error(
+        self, corpus_path, tmp_path, capsys, command, value
+    ):
+        out = tmp_path / "x.json"
+        argv = [command, "--dataset", corpus_path, "--out", out, "--rounding", value]
+        if command == "eval":
+            argv += ["--pred", tmp_path / "preds.json"]
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        assert excinfo.value.code == 2
+        assert "argument --rounding" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "validate", "ablate"])
+    def test_rounding_zero_is_accepted(self, corpus_path, tmp_path, command):
+        preds = tmp_path / "preds.json"
+        preds.write_text("{}", encoding="utf-8")
+        argv = [command, "--dataset", corpus_path, "--rounding", "0"]
+        if command == "eval":
+            argv += ["--pred", preds]
+        assert run_cli(*argv) == 0
+
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_bounds_are_accepted(self, corpus_path, tmp_path, command):
         out = tmp_path / "x.json"
@@ -352,6 +420,17 @@ class TestSchemaReport:
         text = capsys.readouterr().out
         assert "$[].table.uid" in text
         assert "$[].questions[].answer_type" in text
+        # the reader decodes floats as Decimal; the inventory names the JSON type
+        [answer] = [line for line in text.splitlines() if line.startswith("$[].questions[].answer ")]
+        assert answer.endswith("  float, int, list")
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("[1,\n", encoding="utf-8")
+        assert run_cli("schema-report", "--dataset", path) == 1
+        assert capsys.readouterr().err == (
+            "error: $: invalid JSON: Expecting value: line 2 column 1 (char 4)\n"
+        )
 
 
 class TestExportSupervision:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,9 @@ from tatqa_symbolic.numerics import (
     render_decimal,
     round_fraction,
 )
+
+from conftest import CORPUS_DOCS
+from oracles import reference_extract_numbers, reference_parse_number
 
 
 class TestParseNumber:
@@ -142,6 +146,66 @@ def test_parse_render_round_trip(numerator, places, comma, percent, parens):
     assert parsed is not None
     assert parsed.value == value
     assert parsed.had_percent_sign == percent
+
+
+def _fields(parsed):
+    """A parsed number as plain fields; the reference copy has its own class."""
+    if parsed is None:
+        return None
+    value = parsed.value
+    return value.numerator, value.denominator, parsed.had_percent_sign, parsed.source_text
+
+
+def _extracted(found):
+    return [(_fields(parsed), span) for parsed, span in found]
+
+
+class TestAgainstStringBuiltFractions:
+    """Values built from integers equal the ``Fraction(str)`` values of the
+    reference copies, with the same flags, source texts and offsets."""
+
+    ALPHABET = "0123456789,.$-−()% "
+    # digits and commas weigh more, so that many draws are numbers, some
+    # comma-grouped, some with decimals, signs, parentheses or a leading ".5"
+    WEIGHTS = [4] * 11 + [1] * 8
+
+    def assert_same(self, texts):
+        for text in texts:
+            assert _fields(parse_number(text)) == _fields(reference_parse_number(text)), text
+            assert _extracted(extract_numbers(text)) == _extracted(
+                reference_extract_numbers(text)
+            ), text
+
+    def test_random_strings(self):
+        rng = random.Random(20211)
+        texts = [
+            "".join(rng.choices(self.ALPHABET, self.WEIGHTS, k=rng.randint(1, 14)))
+            for _ in range(20_000)
+        ]
+        self.assert_same(texts)
+        # the draws reach every branch of the construction
+        parsed = [p for p in map(parse_number, texts) if p is not None]
+        assert sum(p.value.denominator > 1 for p in parsed) > 100
+        assert sum("," in p.source_text for p in parsed) > 50
+        assert sum(p.had_percent_sign for p in parsed) > 50
+        assert sum(p.source_text.lstrip("(−-$ ").startswith(".") for p in parsed) > 50
+        assert any("(" in p.source_text and p.value < 0 for p in parsed)
+        assert any("−" in p.source_text and p.value < 0 for p in parsed)
+        found = [n for text in texts for n, _ in extract_numbers(text)]
+        assert sum("," in n.source_text and n.value.denominator > 1 for n in found) > 10
+        assert sum(n.source_text.startswith("−") for n in found) > 100
+
+    def test_fixture_cells_and_paragraphs(self):
+        texts = [
+            text
+            for doc in CORPUS_DOCS
+            for text in [
+                *(cell for row in doc["table"]["table"] for cell in row),
+                *(paragraph["text"] for paragraph in doc["paragraphs"]),
+            ]
+        ]
+        assert sum(parse_number(text) is not None for text in texts) > 20
+        self.assert_same(texts)
 
 
 class TestRounding:
