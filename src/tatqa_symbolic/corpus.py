@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Iterator, Union
 
 from .errors import DatasetParseError, DatasetValidationError
-from .numerics import ParsedNumber, Scale, parse_number, render_decimal
+from .numerics import ParsedNumber, Scale, json_decimal, parse_number, render_decimal
 
 logger = logging.getLogger(__name__)
 
@@ -190,15 +190,17 @@ def _problem(message: str, location: str, strict: bool) -> None:
 
 def read_documents(path: str | Path) -> Any:
     """Decode a dataset file's JSON, with floats as ``Decimal`` so that
-    gold numeric answers stay exact.  Text that is not UTF-8 or not JSON
-    raises ``DatasetParseError``."""
+    gold numeric answers stay exact.  Text that is not UTF-8 or not JSON,
+    or a number too long to read exactly, raises ``DatasetParseError``."""
     try:
         with Path(path).open("r", encoding="utf-8") as handle:
-            return json.load(handle, parse_float=Decimal)
+            return json.load(handle, parse_float=json_decimal)
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"invalid JSON: {exc}", "$") from exc
     except UnicodeDecodeError as exc:
         raise DatasetParseError("not UTF-8 text", f"byte {exc.start}") from exc
+    except ValueError as exc:  # a number past the digit limit
+        raise DatasetParseError(f"unreadable number: {exc}", "$") from exc
 
 
 def load_dataset(path: str | Path, strict: bool = False) -> Dataset:
@@ -257,7 +259,13 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
         row = []
         for c in range(n_cols):
             text = str(raw_row[c]) if c < len(raw_row) else ""
-            row.append(Cell(text=text, row=r, col=c, numeric=parse_number(text)))
+            try:
+                numeric = parse_number(text)
+            except ValueError as exc:  # a number past the digit limit
+                raise DatasetParseError(
+                    f"unreadable number: {exc}", f"{location}.table.table[{r}][{c}]"
+                ) from exc
+            row.append(Cell(text=text, row=r, col=c, numeric=numeric))
         rows.append(tuple(row))
     table = Table(cells=tuple(rows))
 

@@ -10,6 +10,11 @@ preserved (so "-1,657" and "1,657" differ), and a gold numeric answer
 scores 1 only when the predicted number times the predicted scale
 equals the gold number times the gold scale under the rounding policy.
 
+Each span is normalized once, and its EM string and its F1 bag are
+built from the same tokens; each bag's numbers are found once, not once
+per aligned pair.  A bag is never rebuilt from an EM string, because
+normalizing is not idempotent: "1.5." gives "15", and "15" gives "15.0".
+
 The span alignment is solved in pure Python: an exact maximum-score
 assignment by the Hungarian method (shortest augmenting paths with dual
 potentials), run over the shorter side of the gold x predicted score
@@ -25,6 +30,7 @@ import math
 import operator
 import string
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -32,7 +38,7 @@ from typing import Mapping
 
 from .corpus import AnswerSource, AnswerType, Dataset, QuestionRecord, iter_questions
 from .errors import ScoringError
-from .numerics import Scale, parse_number, render_decimal, round_fraction
+from .numerics import Scale, json_decimal, parse_number, render_decimal, round_fraction
 
 # ---------------------------------------------------------------------------
 # Rounding policy and numeric comparison
@@ -66,7 +72,7 @@ def numbers_match(
 # Token normalization (DROP-compatible, sign-preserving)
 # ---------------------------------------------------------------------------
 
-_PUNCT = set(string.punctuation)
+_DELETE_PUNCT = str.maketrans("", "", string.punctuation)
 _ARTICLES = {"a", "an", "the"}
 
 
@@ -110,18 +116,10 @@ def normalize_answer(text: str) -> list[str]:
             if numeric is not None:
                 token = "-" + numeric if token.startswith("-") and float(numeric) != 0 else numeric
             else:
-                token = "".join(ch for ch in token if ch not in _PUNCT)
+                token = token.translate(_DELETE_PUNCT)
             if token and token not in _ARTICLES:
                 tokens.append(token)
     return tokens
-
-
-def _span_string(tokens: list[str]) -> str:
-    return " ".join(tokens)
-
-
-def _bag(tokens: list[str]) -> frozenset[str]:
-    return frozenset(tokens)
 
 
 def _bag_f1(pred_bag: frozenset[str], gold_bag: frozenset[str]) -> float:
@@ -135,13 +133,17 @@ def _bag_f1(pred_bag: frozenset[str], gold_bag: frozenset[str]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _numbers_in_bag(bag: frozenset[str]) -> frozenset[str]:
-    return frozenset(token for token in bag if _is_float(token))
+_Bag = tuple[frozenset[str], frozenset[str]]  # (tokens, the tokens that are numbers)
 
 
-def _gated_f1(pred_bag: frozenset[str], gold_bag: frozenset[str]) -> float:
-    gold_numbers = _numbers_in_bag(gold_bag)
-    if gold_numbers and not (gold_numbers & _numbers_in_bag(pred_bag)):
+def _bag(tokens: list[str]) -> _Bag:
+    bag = frozenset(tokens)
+    return bag, frozenset(token for token in bag if _is_float(token))
+
+
+def _gated_f1(pred: _Bag, gold: _Bag) -> float:
+    (pred_bag, pred_numbers), (gold_bag, gold_numbers) = pred, gold
+    if gold_numbers and not (gold_numbers & pred_numbers):
         return 0.0
     return _bag_f1(pred_bag, gold_bag)
 
@@ -223,14 +225,7 @@ def _pairwise_sum(values: list[float]) -> float:
     return reduce(operator.add, values[blocks:], total)
 
 
-def align_spans_f1(pred_spans: list[str], gold_spans: list[str]) -> float:
-    """Mean F1 under the optimal one-to-one span alignment.
-
-    Solved exactly as an assignment problem; unmatched spans on either
-    side score 0.  Equal to brute-force enumeration over alignments.
-    """
-    pred_bags = [_bag(normalize_answer(span)) for span in pred_spans]
-    gold_bags = [_bag(normalize_answer(span)) for span in gold_spans]
+def _align_bags(pred_bags: list[_Bag], gold_bags: list[_Bag]) -> float:
     if not pred_bags or not gold_bags:
         return float(not pred_bags and not gold_bags)
     scores = [[_gated_f1(pred_bag, gold_bag) for pred_bag in pred_bags] for gold_bag in gold_bags]
@@ -240,16 +235,30 @@ def align_spans_f1(pred_spans: list[str], gold_spans: list[str]) -> float:
     return _pairwise_sum(per_span) / len(per_span)
 
 
+def align_spans_f1(pred_spans: list[str], gold_spans: list[str]) -> float:
+    """Mean F1 under the optimal one-to-one span alignment.
+
+    Solved exactly as an assignment problem; unmatched spans on either
+    side score 0.  Equal to brute-force enumeration over alignments.
+    """
+    return _align_bags(
+        [_bag(normalize_answer(span)) for span in pred_spans],
+        [_bag(normalize_answer(span)) for span in gold_spans],
+    )
+
+
 def drop_em_f1(pred_spans: list[str], gold_spans: list[str]) -> tuple[float, float]:
     """Span-bag EM and F1 exactly as the published numeracy-focused
     evaluator computes them (per-question F1 rounded to 2 decimals)."""
-    pred_strings = [_span_string(normalize_answer(span)) for span in pred_spans]
-    gold_strings = [_span_string(normalize_answer(span)) for span in gold_spans]
+    pred_tokens = [normalize_answer(span) for span in pred_spans]
+    gold_tokens = [normalize_answer(span) for span in gold_spans]
+    pred_strings = [" ".join(tokens) for tokens in pred_tokens]
+    gold_strings = [" ".join(tokens) for tokens in gold_tokens]
     em = float(
         set(pred_strings) == set(gold_strings)
         and len(pred_strings) == len(gold_strings)
     )
-    f1 = round(align_spans_f1(pred_spans, gold_spans), 2)
+    f1 = round(_align_bags([_bag(t) for t in pred_tokens], [_bag(t) for t in gold_tokens]), 2)
     return em, f1
 
 
@@ -268,7 +277,7 @@ def _as_fraction(value) -> Fraction | None:
     value = _single_answer(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Decimal)):
         return Fraction(value)
     if isinstance(value, str):
         parsed = parse_number(value)
@@ -399,7 +408,10 @@ def evaluate(
     for _, gold in iter_questions(dataset):
         if gold.question_id in predictions:
             value, scale = predictions[gold.question_id]
-            em, f1 = score_question(value, scale, gold, policy)
+            try:
+                em, f1 = score_question(value, scale, gold, policy)
+            except ValueError as exc:  # a number past the digit limit
+                raise ScoringError(f"{gold.question_id}: unreadable number: {exc}") from exc
         else:
             missing.append(gold.question_id)
             em, f1 = 0.0, 0.0
@@ -458,8 +470,9 @@ def write_predictions(predictions: Mapping[str, tuple[object, Scale]], path: str
 
 
 def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
-    """Read a prediction file.  Every malformation raises ``ScoringError``
-    naming the file and the JSON location."""
+    """Read a prediction file, with JSON numbers as exact ``int`` or
+    ``Decimal``.  Every malformation raises ``ScoringError`` naming the
+    file and the JSON location."""
 
     def error(location: str, message: str) -> ScoringError:
         return ScoringError(f"{path}: {location}: {message}")
@@ -474,11 +487,13 @@ def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
 
     try:
         with Path(path).open("r", encoding="utf-8") as handle:
-            raw = json.load(handle, object_pairs_hook=keep_pairs)
+            raw = json.load(handle, object_pairs_hook=keep_pairs, parse_float=json_decimal)
     except json.JSONDecodeError as exc:
         raise error(f"line {exc.lineno} column {exc.colno}", f"invalid JSON: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"byte {exc.start}", "not UTF-8 text") from exc
+    except ValueError as exc:  # a number past the digit limit
+        raise error("$", f"unreadable number: {exc}") from exc
     if not isinstance(raw, dict):
         raise error("$", "top level must be an object of {question id: [answer, scale word]}")
     if len(raw) < len(top_level_pairs):
@@ -506,4 +521,5 @@ def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
 def _is_answer(value) -> bool:
     if isinstance(value, list):
         return all(isinstance(item, str) for item in value)
-    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+    # JSON numbers are read as int or Decimal; NaN and Infinity come as float
+    return isinstance(value, (str, int, Decimal)) and not isinstance(value, bool)

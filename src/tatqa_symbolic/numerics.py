@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -125,6 +126,24 @@ def parse_number(text: str) -> ParsedNumber | None:
         had_percent_sign=match.group("pct") is not None,
         source_text=text,
     )
+
+
+def json_decimal(text: str) -> Decimal:
+    """A JSON number with a fraction or exponent as an exact ``Decimal``
+    (``json.load``'s ``parse_float``).
+
+    Raises ``ValueError`` when the exact value would take more than 4,300
+    digits, the default limit of ``int()`` on a digit string and so on a
+    JSON integer: "1e999999999" is refused, not expanded.
+    """
+    value = Decimal(text)
+    _, digits, exponent = value.as_tuple()
+    if len(digits) + abs(exponent) > 4300:
+        raise ValueError(
+            f"Exceeds the limit (4300 digits) for an exact number: "
+            f"value has {len(digits) + abs(exponent)} digits"
+        )
+    return value
 
 
 def apply_scale(value: Fraction, scale: Scale) -> Fraction:

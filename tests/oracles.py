@@ -15,7 +15,11 @@ ablation that scored the dataset once per row and the report grid whose
 margins were summed by hand; they call the library's ``evaluate`` and
 cell formatting, but not the row and margin sums they are compared with.
 The number section keeps ``parse_number`` and ``extract_numbers`` as they
-were when every value was built by ``Fraction(str)``.
+were when every value was built by ``Fraction(str)``.  The span-scoring
+section keeps ``drop_em_f1`` and ``align_spans_f1`` as they were when
+every span was normalized once for EM and again for F1 and each number
+set was built per pair; it calls the library's assignment solver and
+pairwise mean, but none of its normalization or gating.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from tatqa_symbolic import derivation
 from tatqa_symbolic import evidence as ev
 from tatqa_symbolic.corpus import AnswerSource, AnswerType
 from tatqa_symbolic.errors import DerivationParseError, UnlocatableEvidenceError
-from tatqa_symbolic.evaluation import CellScore, _fmt_cell, evaluate
+from tatqa_symbolic.evaluation import CellScore, _fmt_cell, _max_assignment, _pairwise_sum, evaluate
 from tatqa_symbolic.numerics import extract_numbers, parse_number
 from tatqa_symbolic.reasoning import abstained as make_abstained
 
@@ -743,3 +747,101 @@ def reference_extract_numbers(text: str) -> list[tuple[ReferenceParsedNumber, tu
             )
         )
     return found
+
+
+# ---------------------------------------------------------------------------
+# Span scoring, as it ran when each span was normalized twice
+# ---------------------------------------------------------------------------
+
+_REFERENCE_PUNCT = set(string.punctuation)
+_REFERENCE_ARTICLES = {"a", "an", "the"}
+
+
+def _reference_is_float(text: str) -> bool:
+    try:
+        float(text)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _reference_numeric_form(token: str) -> str | None:
+    t = token.lstrip("$£€¥").replace(",", "")
+    if t.endswith("%"):
+        t = t[:-1]
+    if t and _reference_is_float(t):
+        return str(float(t))
+    return None
+
+
+def _reference_split_token(piece: str) -> list[str]:
+    if piece.startswith(("-", "−")) and _reference_numeric_form(piece[1:]) is not None:
+        return [piece]
+    return piece.split("-")
+
+
+def reference_normalize_answer(text: str) -> list[str]:
+    tokens: list[str] = []
+    for piece in str(text).lower().split():
+        for token in _reference_split_token(piece):
+            if not token:
+                continue
+            if token.startswith("−"):
+                token = "-" + token[1:]
+            numeric = (
+                _reference_numeric_form(token.lstrip("-"))
+                if token.startswith("-")
+                else _reference_numeric_form(token)
+            )
+            if numeric is not None:
+                token = "-" + numeric if token.startswith("-") and float(numeric) != 0 else numeric
+            else:
+                token = "".join(ch for ch in token if ch not in _REFERENCE_PUNCT)
+            if token and token not in _REFERENCE_ARTICLES:
+                tokens.append(token)
+    return tokens
+
+
+def _reference_bag_f1(pred_bag: frozenset[str], gold_bag: frozenset[str]) -> float:
+    intersection = len(pred_bag & gold_bag)
+    if not pred_bag and not gold_bag:
+        return 1.0
+    precision = intersection / len(pred_bag) if pred_bag else 1.0
+    recall = intersection / len(gold_bag) if gold_bag else 1.0
+    if precision == 0.0 and recall == 0.0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+def _reference_numbers_in_bag(bag: frozenset[str]) -> frozenset[str]:
+    return frozenset(token for token in bag if _reference_is_float(token))
+
+
+def _reference_gated_f1(pred_bag: frozenset[str], gold_bag: frozenset[str]) -> float:
+    gold_numbers = _reference_numbers_in_bag(gold_bag)
+    if gold_numbers and not (gold_numbers & _reference_numbers_in_bag(pred_bag)):
+        return 0.0
+    return _reference_bag_f1(pred_bag, gold_bag)
+
+
+def reference_align_spans_f1(pred_spans: list[str], gold_spans: list[str]) -> float:
+    pred_bags = [frozenset(reference_normalize_answer(span)) for span in pred_spans]
+    gold_bags = [frozenset(reference_normalize_answer(span)) for span in gold_spans]
+    if not pred_bags or not gold_bags:
+        return float(not pred_bags and not gold_bags)
+    scores = [[_reference_gated_f1(pred_bag, gold_bag) for pred_bag in pred_bags] for gold_bag in gold_bags]
+    per_span = [0.0] * max(len(gold_bags), len(pred_bags))
+    for row, col in _max_assignment(scores):
+        per_span[row] = scores[row][col]
+    return _pairwise_sum(per_span) / len(per_span)
+
+
+def reference_drop_em_f1(pred_spans: list[str], gold_spans: list[str]) -> tuple[float, float]:
+    pred_strings = [" ".join(reference_normalize_answer(span)) for span in pred_spans]
+    gold_strings = [" ".join(reference_normalize_answer(span)) for span in gold_spans]
+    em = float(
+        set(pred_strings) == set(gold_strings)
+        and len(pred_strings) == len(gold_strings)
+    )
+    f1 = round(reference_align_spans_f1(pred_spans, gold_spans), 2)
+    return em, f1

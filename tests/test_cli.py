@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -294,7 +295,8 @@ class TestEvalRejectsMalformedPredictions:
 
     @pytest.mark.parametrize(
         "answer",
-        ['{"a": 1, "a": 2}', '{"a": 1}', "{}", "null", "true", '["x", 1]', '[["x"]]'],
+        ['{"a": 1, "a": 2}', '{"a": 1}', "{}", "null", "true", '["x", 1]', '[["x"]]',
+         "NaN", "Infinity", "-Infinity"],
     )
     def test_answer_of_wrong_type(self, corpus_path, tmp_path, capsys, answer):
         preds = tmp_path / "answer.json"
@@ -309,6 +311,82 @@ class TestEvalRejectsMalformedPredictions:
         preds = tmp_path / "answer.json"
         preds.write_text(f'{{"q-rev-span": [{answer}, ""]}}', encoding="utf-8")
         assert run_cli("eval", "--dataset", corpus_path, "--pred", preds) == 0
+
+
+class TestJsonNumberPredictions:
+    def test_scored_like_decimal_strings(self, corpus_path, tmp_path, capsys):
+        preds = tmp_path / "preds.json"
+        assert run_cli("run", "--dataset", corpus_path, "--out", preds) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--dataset", corpus_path, "--pred", preds) == 0
+        from_strings = capsys.readouterr().out
+
+        # the same predictions with every decimal string written as a JSON number
+        payload = json.loads(preds.read_text(encoding="utf-8"))
+        numbers = {
+            question_id: value
+            for question_id, (value, _) in payload.items()
+            if isinstance(value, str) and re.fullmatch(r"-?\d+(\.\d+)?", value)
+        }
+        assert {"105226", "1203.5"} <= set(numbers.values())
+        numbers["q-rev-diff"] = "1.05226e5"
+        text = json.dumps({
+            question_id: [f"@{numbers[question_id]}@" if question_id in numbers else value, scale]
+            for question_id, (value, scale) in payload.items()
+        })
+        preds.write_text(re.sub(r'"@(.*?)@"', r"\1", text), encoding="utf-8")
+        assert run_cli("eval", "--dataset", corpus_path, "--pred", preds) == 0
+        assert capsys.readouterr().out == from_strings
+
+
+class TestNumbersPastTheDigitLimit:
+    """A number too long to read exactly ends in one ``error:`` line and
+    exit 1, not a traceback."""
+
+    BIG = "1" * 5000
+
+    def assert_error(self, argv, capsys, location, digits=5000):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {location}: unreadable number: ")
+        assert f"value has {digits} digits" in err
+        assert err.count("\n") == 1
+
+    def write_dataset(self, tmp_path, text):
+        path = tmp_path / "dataset.json"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_cell(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(REVENUE_DOC))
+        doc["table"]["table"][2][1] = self.BIG
+        path = self.write_dataset(tmp_path, json.dumps([doc]))
+        self.assert_error(("validate", "--dataset", path), capsys, "$[0].table.table[2][1]")
+
+    @pytest.mark.parametrize(
+        "literal,digits",
+        [(BIG, 5000), (BIG + ".5", 5002), ("1e5000", 5001)],
+        ids=["integer", "decimal", "exponent"],
+    )
+    def test_dataset_number_literal(self, tmp_path, capsys, literal, digits):
+        text = json.dumps([REVENUE_DOC]).replace('"answer": 105226', f'"answer": {literal}')
+        path = self.write_dataset(tmp_path, text)
+        self.assert_error(("validate", "--dataset", path), capsys, "$", digits)
+
+    def test_prediction_string(self, corpus_path, tmp_path, capsys):
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps({"q-rev-diff": [self.BIG, "million"]}), encoding="utf-8")
+        self.assert_error(("eval", "--dataset", corpus_path, "--pred", preds), capsys, "q-rev-diff")
+
+    @pytest.mark.parametrize(
+        "literal,digits", [(BIG, 5000), ("1e5000", 5001)], ids=["integer", "exponent"]
+    )
+    def test_prediction_number_literal(self, corpus_path, tmp_path, capsys, literal, digits):
+        preds = tmp_path / "preds.json"
+        preds.write_text(f'{{"q-rev-diff": [{literal}, "million"]}}', encoding="utf-8")
+        self.assert_error(
+            ("eval", "--dataset", corpus_path, "--pred", preds), capsys, f"{preds}: $", digits
+        )
 
 
 class TestPipelineArgumentRanges:

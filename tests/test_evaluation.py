@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_alignment_f1, drop_metrics
+from oracles import (
+    brute_force_alignment_f1,
+    drop_metrics,
+    reference_align_spans_f1,
+    reference_drop_em_f1,
+)
+from tatqa_symbolic import evaluation
 from tatqa_symbolic.corpus import AnswerSource, AnswerType, QuestionRecord
 from tatqa_symbolic.errors import ScoringError
 from tatqa_symbolic.evaluation import (
@@ -270,6 +276,58 @@ class TestAlignment:
         for n in range(1, 300):
             summands = [rng.random() for _ in range(n)]
             assert _pairwise_sum(summands) == float(np.sum(summands))
+
+
+class TestOneNormalizationPerSpan:
+    """EM and F1 scored from one normalization per span equal the scoring
+    that normalized every span twice and built number sets per pair."""
+
+    # "1.5." normalizes to "15", which normalizes again to "15.0"; the
+    # rest are signs, non-finite floats, hyphens, money, percentages,
+    # accountant's negatives and articles
+    TOKENS = [
+        "1.5.", "15", "-0", "−5", "-5", "nan", "inf.", "Inf", "pre-tax", "$1,033",
+        "1,033", "12%", "(5,678)", "5,678", "-1.5.", "0.0", "the", "a", "an",
+        "net", "income", "tax", "u.s.",
+    ]
+
+    def spans(self, rng, like=()):
+        if like and rng.random() < 0.5:
+            spans = rng.sample(list(like), len(like))
+            if rng.random() < 0.5:
+                spans[rng.randrange(len(spans))] = rng.choice(self.TOKENS)
+        else:
+            spans = [
+                " ".join(rng.choices(self.TOKENS, k=rng.randint(0, 3)))
+                for _ in range(rng.randint(0, 6))
+            ]
+        if 0 < len(spans) < 6 and rng.random() < 0.2:
+            spans.append(rng.choice(spans))
+        return spans
+
+    def test_matches_two_pass_reference(self):
+        rng = random.Random(20261018)
+        exact = 0
+        for _ in range(20_000):
+            gold = self.spans(rng)
+            pred = self.spans(rng, like=gold)
+            em_f1 = drop_em_f1(pred, gold)
+            assert em_f1 == reference_drop_em_f1(pred, gold), (pred, gold)
+            assert align_spans_f1(pred, gold) == reference_align_spans_f1(pred, gold), (pred, gold)
+            exact += em_f1[0] == 1.0
+        assert 2_000 < exact < 18_000
+
+    def test_each_span_is_normalized_once(self, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return normalize_answer(text)
+
+        monkeypatch.setattr(evaluation, "normalize_answer", counted)
+        gold = make_gold(["Singapore", "Germany", "Japan"], AnswerType.SPANS)
+        assert score_question(["Japan", "Germany"], Scale.NONE, gold) == (0.0, 0.67)
+        assert sorted(calls) == ["Germany", "Germany", "Japan", "Japan", "Singapore"]
 
 
 class TestEvaluate:
