@@ -29,6 +29,7 @@ from .errors import (
     DerivationParseError,
     ExecutionError,
     InsufficientEvidenceError,
+    NumberTooLongError,
     PipelineError,
     ScoringError,
     UnlocatableEvidenceError,

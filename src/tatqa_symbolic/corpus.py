@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Union
 
-from .errors import DatasetParseError, DatasetValidationError
+from .errors import DatasetParseError, DatasetValidationError, NumberTooLongError
 from .numerics import ParsedNumber, Scale, json_decimal, parse_number, render_decimal
 
 logger = logging.getLogger(__name__)
@@ -199,7 +199,7 @@ def read_documents(path: str | Path) -> Any:
         raise DatasetParseError(f"invalid JSON: {exc}", "$") from exc
     except UnicodeDecodeError as exc:
         raise DatasetParseError("not UTF-8 text", f"byte {exc.start}") from exc
-    except ValueError as exc:  # a number past the digit limit
+    except ValueError as exc:  # a number past the digit limit, JSON integers included
         raise DatasetParseError(f"unreadable number: {exc}", "$") from exc
 
 
@@ -261,7 +261,7 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
             text = str(raw_row[c]) if c < len(raw_row) else ""
             try:
                 numeric = parse_number(text)
-            except ValueError as exc:  # a number past the digit limit
+            except NumberTooLongError as exc:
                 raise DatasetParseError(
                     f"unreadable number: {exc}", f"{location}.table.table[{r}][{c}]"
                 ) from exc

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Union
 
 from .corpus import AnswerSource, AnswerType, Dataset, iter_questions, percent_tally
-from .errors import DerivationParseError, ExecutionError
+from .errors import DerivationParseError, ExecutionError, NumberTooLongError
 from .numerics import _CURRENCY, _NUMBER_CORE, ParsedNumber, parse_number
 
 
@@ -429,12 +429,13 @@ def classify_operator(
 
 
 def classify_question(question) -> str:
-    """Classify one question record, treating unparseable derivations as Other."""
+    """Classify one question record, treating unparseable derivations, and
+    those holding a number too long to read, as Other."""
     ast = None
     if question.answer_type in (AnswerType.COUNTING, AnswerType.ARITHMETIC):
         try:
             ast = parsed_derivation(question)
-        except DerivationParseError:
+        except (DerivationParseError, NumberTooLongError):
             ast = None
     return classify_operator(ast, question.answer_type, question.answer_source)
 

@@ -35,6 +35,20 @@ class DerivationParseError(PipelineError):
         self.offset = offset
 
 
+class NumberTooLongError(PipelineError, ValueError):
+    """A number has more digits than can be read exactly: more than
+    4,300, the default limit of ``int()`` on a digit string."""
+
+    LIMIT = 4300
+
+    def __init__(self, n_digits: int):
+        super().__init__(
+            f"Exceeds the limit ({self.LIMIT} digits) for an exact number: "
+            f"value has {n_digits} digits"
+        )
+        self.n_digits = n_digits
+
+
 class ExecutionError(PipelineError):
     """Arithmetic could not be carried out (e.g. division by zero)."""
 

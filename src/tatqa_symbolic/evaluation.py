@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .corpus import AnswerSource, AnswerType, Dataset, QuestionRecord, iter_questions
-from .errors import ScoringError
+from .errors import NumberTooLongError, ScoringError
 from .numerics import Scale, json_decimal, parse_number, render_decimal, round_fraction
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ def evaluate(
             value, scale = predictions[gold.question_id]
             try:
                 em, f1 = score_question(value, scale, gold, policy)
-            except ValueError as exc:  # a number past the digit limit
+            except NumberTooLongError as exc:
                 raise ScoringError(f"{gold.question_id}: unreadable number: {exc}") from exc
         else:
             missing.append(gold.question_id)
@@ -492,7 +492,7 @@ def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
         raise error(f"line {exc.lineno} column {exc.colno}", f"invalid JSON: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"byte {exc.start}", "not UTF-8 text") from exc
-    except ValueError as exc:  # a number past the digit limit
+    except ValueError as exc:  # a number past the digit limit, JSON integers included
         raise error("$", f"unreadable number: {exc}") from exc
     if not isinstance(raw, dict):
         raise error("$", "top level must be an object of {question id: [answer, scale word]}")

@@ -7,19 +7,22 @@ decoding turns positive units into candidates: a cell is a candidate if
 any of its units is positive, and maximal runs of consecutive positive
 paragraph words form one span each.
 
+A tagged sequence holds the question's words, a tuple of probabilities
+and its context's layout: the unit texts after the question, and one
+segment (positions, and a cell's number) per non-empty cell and per
+paragraph.  Decoding builds an origin only for a candidate it emits.
+
 Two deterministic taggers are provided: an oracle that realizes the
 gold tag labels exactly, and a lexical-overlap baseline that needs no
 gold annotation.
 
-What does not depend on the question (the unit skeleton, units at the
-oracle's zero or the lexical floor, origin positions, paragraph word
-spans and numbers, cell value lookups, content words and sentence
-boundaries) is kept in a private per-context index.  Each part is
-built once per context object, on first use, and the index of the most
-recent context is held in a one-slot cache, so memory stays bounded to
-one context.  The taggers keep no state of their own and stay safe to
-share across threads: a race on the cache can only build an index
-twice, never mix two.
+What does not depend on the question (the layout, paragraph word spans
+and numbers, cell value lookups, content words and sentence boundaries)
+is kept in a private per-context index, each part built on first use.
+The index of the most recent context is held in a one-slot cache, so
+memory stays bounded to one context.  The taggers keep no state and are
+safe to share across threads: a race on the cache can only build an
+index twice, never mix two.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, groupby, repeat
+from operator import lt
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Union
 
 from .corpus import (
     AnswerSource,
@@ -51,7 +56,7 @@ from .derivation import (
     operand_sequence,
     parsed_derivation,
 )
-from .errors import DerivationParseError, UnlocatableEvidenceError
+from .errors import DerivationParseError, NumberTooLongError, UnlocatableEvidenceError
 from .numerics import ParsedNumber, Scale, extract_numbers, parse_number
 
 # ---------------------------------------------------------------------------
@@ -87,16 +92,119 @@ class TagUnit:
     probability: float
 
 
-@dataclass(frozen=True)
-class TaggedSequence:
-    units: tuple[TagUnit, ...]
+@dataclass(frozen=True, slots=True)
+class _CellSegment:
+    """A non-empty cell's positions, words joined by spaces, and number."""
 
-    def __post_init__(self) -> None:
-        for unit in self.units:
-            if not 0.0 <= unit.probability <= 1.0:
-                raise ValueError(
-                    f"probability {unit.probability} out of [0, 1] for {unit.origin}"
-                )
+    row: int
+    col: int
+    positions: range
+    text: str
+    numeric: ParsedNumber | None
+
+
+@dataclass(frozen=True, slots=True)
+class _ParagraphSegment:
+    """A paragraph's positions; ``first_word`` is 0 but in hand-built units."""
+
+    paragraph_id: str
+    positions: range
+    first_word: int = 0
+
+
+class _Layout:
+    """Unit texts and segments, and the segment owning each position
+    (None for a question word among hand-built units)."""
+
+    __slots__ = ("texts", "cells", "paragraphs", "owners")
+
+    def __init__(self, texts: tuple[str, ...], cells: tuple, paragraphs: tuple):
+        self.texts, self.cells, self.paragraphs = texts, cells, paragraphs
+        owners: list = [None] * len(texts)
+        for segment in cells + paragraphs:
+            positions = segment.positions
+            owners[positions.start : positions.stop] = repeat(segment, len(positions))
+        self.owners = tuple(owners)
+
+    def sequence(self, words) -> list[tuple[str, UnitOrigin]]:
+        """(text, origin) of ``words`` as question words, then of the
+        layout's units (each owned by a segment)."""
+        units = [(word, QuestionWord(index)) for index, word in enumerate(words)]
+        for position, (text, segment) in enumerate(zip(self.texts, self.owners)):
+            word = position - segment.positions.start
+            if type(segment) is _CellSegment:
+                units.append((text, CellWord(segment.row, segment.col, word)))
+            else:
+                units.append((text, ParagraphWord(segment.paragraph_id, segment.first_word + word)))
+        return units
+
+
+def _unit_layout(units: tuple[TagUnit, ...]) -> _Layout:
+    """The layout of hand-built units, by the adjacency rules of decoding:
+    a cell segment per run of units of one cell, a paragraph segment per
+    run of consecutive words of one paragraph."""
+
+    def run_of(position: int) -> tuple:
+        origin = units[position].origin
+        if isinstance(origin, CellWord):
+            return CellWord, origin.row, origin.col
+        if isinstance(origin, ParagraphWord):
+            return ParagraphWord, origin.paragraph_id, origin.word - position
+        return (None,)
+
+    texts = tuple(unit.text for unit in units)
+    cells, paragraphs = [], []
+    for (kind, *key), run in groupby(range(len(units)), run_of):
+        run = list(run)
+        positions = range(run[0], run[-1] + 1)
+        if kind is CellWord:
+            text = " ".join(texts[positions.start : positions.stop])
+            cells.append(_CellSegment(*key, positions, text, parse_number(text)))
+        elif kind is ParagraphWord:
+            paragraph_id, first_word = key
+            paragraphs.append(_ParagraphSegment(paragraph_id, positions, first_word + run[0]))
+    return _Layout(texts, tuple(cells), tuple(paragraphs))
+
+
+class TaggedSequence:
+    """One probability per unit of the input sequence: the question's
+    ``words``, then the ``layout``'s units.  Taggers pass all three;
+    ``TaggedSequence(units)`` takes hand-built units and derives their
+    layout.  ``units`` gives the units either way."""
+
+    __slots__ = ("words", "layout", "probabilities", "_units")
+
+    def __init__(self, units=(), *, words=(), layout: _Layout | None = None, probabilities=()):
+        if layout is None:
+            units = tuple(units)
+            layout, probabilities = _unit_layout(units), tuple(u.probability for u in units)
+        else:
+            units = None
+        self.words, self.layout, self.probabilities, self._units = (
+            words, layout, probabilities, units
+        )
+        total = sum(probabilities)  # NaN, which min and max can pass over, makes it NaN
+        if probabilities and not (
+            0.0 <= min(probabilities) and max(probabilities) <= 1.0 and total == total
+        ):
+            unit = next(u for u in self.units if not 0.0 <= u.probability <= 1.0)
+            raise ValueError(f"probability {unit.probability} out of [0, 1] for {unit.origin}")
+
+    @property
+    def units(self) -> tuple[TagUnit, ...]:
+        """The sequence as ``TagUnit``s, built on each call."""
+        if self._units is not None:
+            return self._units
+        pairs = self.layout.sequence(self.words)
+        return tuple(TagUnit(t, o, p) for (t, o), p in zip(pairs, self.probabilities))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TaggedSequence):
+            return NotImplemented
+        return self.units == other.units
+
+    def __repr__(self) -> str:
+        return f"TaggedSequence(units={self.units!r})"
 
 
 @dataclass(frozen=True)
@@ -132,21 +240,15 @@ class SupervisionLabels:
     g_op: str
     g_scale: Scale
     g_order: int | None
-
-
-def _words(text: str) -> list[str]:
-    return text.split()
+    # each located evidence and the number of the paragraph it was found
+    # in (None for a cell): ``g_tag`` names a paragraph by id, which may repeat
+    located: tuple[tuple[CandidateOrigin, int | None], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
 
 def _word_spans(text: str) -> list[tuple[int, int]]:
     return [match.span() for match in re.finditer(r"\S+", text)]
-
-
-def _question_units(question_text: str) -> list[TagUnit]:
-    return [
-        TagUnit(word, QuestionWord(index), 0.0)
-        for index, word in enumerate(_words(question_text))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +275,6 @@ class _ParagraphIndex:
         return self.paragraph.text.casefold()
 
 
-@dataclass(frozen=True)
-class _LexicalIndex:
-    """The question-independent half of the lexical tagger.
-
-    A question scores one slot per cell, then one per sentence.
-    ``slot_positions`` lists the skeleton units of each slot; a word past
-    its paragraph's last sentence end belongs to none and scores 0.
-    """
-
-    cells: tuple[tuple[frozenset[str], frozenset[str] | None], ...]
-    sentences: tuple[frozenset[str], ...]
-    slot_positions: tuple[tuple[int, ...], ...]
-
-
 _SENTENCE_END_RE = re.compile(r"[.!?;]\s+|\Z")
 
 
@@ -200,70 +288,40 @@ class _ContextIndex:
     def __init__(self, context: HybridContext):
         self.context = context
         self.paragraphs = tuple(_ParagraphIndex(p) for p in context.paragraphs)
-        self._uniform: tuple[float, tuple[TagUnit, ...]] | None = None
 
     @cached_property
-    def skeleton(self) -> tuple[tuple[str, UnitOrigin], ...]:
+    def layout(self) -> _Layout:
         """Cell and paragraph units of the input sequence, in order."""
-        units: list[tuple[str, UnitOrigin]] = []
+        texts: list[str] = []
+        cells = []
         for cell in self.context.table.iter_cells():
-            for word_index, word in enumerate(_words(cell.text)):
-                units.append((word, CellWord(cell.row, cell.col, word_index)))
+            words = cell.text.split()
+            if words:
+                text = " ".join(words)
+                # the loader parsed the cell's own text, which is the
+                # candidate text unless its words are not single-spaced
+                numeric = cell.numeric if text == cell.text else parse_number(text)
+                positions = range(len(texts), len(texts) + len(words))
+                cells.append(_CellSegment(cell.row, cell.col, positions, text, numeric))
+                texts += words
+        paragraphs = []
         for paragraph in self.context.paragraphs:
-            for word_index, word in enumerate(_words(paragraph.text)):
-                units.append((word, ParagraphWord(paragraph.paragraph_id, word_index)))
-        return tuple(units)
-
-    def uniform_units(self, probability: float) -> tuple[TagUnit, ...]:
-        """Every skeleton unit at one probability: the oracle's zeros or
-        the lexical tagger's floor.  The tuple last asked for is kept, so
-        it is built once per context."""
-        cached = self._uniform  # read once: another thread may replace it
-        if cached is None or cached[0] != probability:
-            units = tuple(TagUnit(text, origin, probability) for text, origin in self.skeleton)
-            cached = self._uniform = (probability, units)
-        return cached[1]
+            words = paragraph.text.split()
+            positions = range(len(texts), len(texts) + len(words))
+            paragraphs.append(_ParagraphSegment(paragraph.paragraph_id, positions))
+            texts += words
+        return _Layout(tuple(texts), tuple(cells), tuple(paragraphs))
 
     @cached_property
-    def cell_ranges(self) -> dict[tuple[int, int], range]:
-        """Skeleton positions of each cell's words; empty cells are absent."""
-        ranges: dict[tuple[int, int], range] = {}
-        position = 0
-        for cell in self.context.table.iter_cells():
-            n_words = len(_words(cell.text))
-            if n_words:
-                ranges[(cell.row, cell.col)] = range(position, position + n_words)
-            position += n_words
-        return ranges
+    def cell_positions(self) -> dict[tuple[int, int], range]:
+        return {(cell.row, cell.col): cell.positions for cell in self.layout.cells}
 
-    @cached_property
-    def paragraph_positions(self) -> tuple[range, ...]:
-        """Skeleton positions of each paragraph's words, in paragraph order."""
-        lengths = [len(_words(p.text)) for p in self.context.paragraphs]
-        position = len(self.skeleton) - sum(lengths)
-        positions = []
-        for n_words in lengths:
-            positions.append(range(position, position + n_words))
-            position += n_words
-        return tuple(positions)
-
-    @cached_property
-    def paragraph_ranges(self) -> dict[str, list[range]]:
-        """Skeleton positions of each paragraph's words, by paragraph id.
-        Ids are not guaranteed unique, so an id maps to all its
-        paragraphs, in order."""
-        ranges: dict[str, list[range]] = {}
-        for paragraph, words in zip(self.context.paragraphs, self.paragraph_positions):
-            ranges.setdefault(paragraph.paragraph_id, []).append(words)
-        return ranges
-
-    def positions(self, origin: CandidateOrigin) -> Iterator[int]:
-        """Skeleton positions of the units an origin covers, in order."""
-        if isinstance(origin, CellOrigin):
-            yield from self.cell_ranges.get((origin.row, origin.col), ())
-        else:
-            for words in self.paragraph_ranges.get(origin.paragraph_id, ()):
-                yield from words[origin.start : origin.stop]
+    def positions(self, origin: CandidateOrigin, paragraph: int | None) -> range:
+        """Layout positions of a located origin; a span's paragraph is
+        given by its number, as ids may repeat."""
+        if paragraph is None:
+            return self.cell_positions.get((origin.row, origin.col), range(0))
+        return self.layout.paragraphs[paragraph].positions[origin.start : origin.stop]
 
     def _first_numeric_cells(self, key) -> dict[Fraction, CellOrigin]:
         found: dict[Fraction, CellOrigin] = {}
@@ -291,10 +349,13 @@ class _ContextIndex:
         )
 
     @cached_property
-    def lexical(self) -> _LexicalIndex:
+    def lexical(self) -> tuple[tuple[frozenset[str], frozenset[str] | None, range], ...]:
+        """The question-independent half of the lexical tagger: one slot
+        per cell, then one per sentence, each with its content words, a
+        numeric cell's header words, and its layout positions.  A word
+        past its paragraph's last sentence end belongs to no slot."""
         table = self.context.table
-        cells = []
-        cell_slots: dict[tuple[int, int], int] = {}
+        slots = []
         for cell in table.iter_cells():
             header_words = None
             if cell.numeric is not None:
@@ -304,34 +365,24 @@ class _ContextIndex:
                 if cell.col > 0:
                     words |= _content_words(table.cell(cell.row, 0).text)
                 header_words = frozenset(words)
-            cell_slots[(cell.row, cell.col)] = len(cells)
-            cells.append((_content_words(cell.text), header_words))
+            positions = self.cell_positions.get((cell.row, cell.col), range(0))
+            slots.append((_content_words(cell.text), header_words, positions))
 
         # a paragraph word belongs to the first sentence ending after its
-        # start; paragraphs are walked by position, as ids may repeat
-        sentences: list[frozenset[str]] = []
-        slot_positions: list[list[int]] = [[] for _ in cells]
-        for entry, positions in zip(self.paragraphs, self.paragraph_positions):
+        # start, so each sentence holds a run of its paragraph's positions
+        for entry, segment in zip(self.paragraphs, self.layout.paragraphs):
             text = entry.paragraph.text
-            boundaries = []
-            start = 0
+            word_spans = entry.word_spans
+            word = start = 0
             for match in _SENTENCE_END_RE.finditer(text):
                 sentence = text[start : match.end()]
                 if sentence.strip():
-                    boundaries.append((match.end(), len(cells) + len(sentences)))
-                    sentences.append(_content_words(sentence))
-                    slot_positions.append([])
+                    first = word
+                    while word < len(word_spans) and word_spans[word][0] < match.end():
+                        word += 1
+                    slots.append((_content_words(sentence), None, segment.positions[first:word]))
                 start = match.end()
-            for position, (word_start, _) in zip(positions, entry.word_spans):
-                for end, slot in boundaries:
-                    if word_start < end:
-                        slot_positions[slot].append(position)
-                        break
-        for (row, col), positions in self.cell_ranges.items():
-            slot_positions[cell_slots[(row, col)]].extend(positions)
-        return _LexicalIndex(
-            tuple(cells), tuple(sentences), tuple(map(tuple, slot_positions))
-        )
+        return tuple(slots)
 
 
 _current_index: _ContextIndex | None = None
@@ -352,21 +403,11 @@ def _context_index(context: HybridContext) -> _ContextIndex:
 
 
 def context_units(question_text: str, context: HybridContext) -> list[tuple[str, UnitOrigin]]:
-    """Skeleton of the input sequence: (unit text, origin) in order."""
-    units: list[tuple[str, UnitOrigin]] = [
-        (word, QuestionWord(index)) for index, word in enumerate(_words(question_text))
-    ]
-    units.extend(_context_index(context).skeleton)
-    return units
+    """The input sequence as (unit text, origin), in order."""
+    return _context_index(context).layout.sequence(question_text.split())
 
 
-def _in_cell(origin: UnitOrigin, row: int, col: int) -> bool:
-    return isinstance(origin, CellWord) and origin.row == row and origin.col == col
-
-
-def decode_evidence(
-    tags: TaggedSequence, threshold: float = 0.5
-) -> list[EvidenceCandidate]:
+def decode_evidence(tags: TaggedSequence, threshold: float = 0.5) -> list[EvidenceCandidate]:
     """Turn tagged units into evidence candidates, in input-sequence order.
 
     A cell is a candidate when any of its units exceeds the threshold;
@@ -376,49 +417,37 @@ def decode_evidence(
     positive units, and the numeric field is filled when the candidate
     text parses as a single number.  Question words are never evidence.
     """
-    units = tags.units
-    n_units = len(units)
-    positive = [index for index, unit in enumerate(units) if unit.probability > threshold]
+    probabilities = tags.probabilities
+    texts = tags.layout.texts
+    owners = tags.layout.owners
+    offset = len(tags.words)  # layout position 0 in the sequence
+    positive = compress(range(len(probabilities)), map(lt, repeat(threshold), probabilities))
     candidates: list[EvidenceCandidate] = []
-    stop = 0  # units before ``stop`` belong to the last candidate
+    stop = offset  # units before ``stop`` are question words or the last candidate's
     for index in positive:
         if index < stop:
             continue
-        origin = units[index].origin
-        if isinstance(origin, CellWord):
-            row, col = origin.row, origin.col
-            start = index
-            while start and _in_cell(units[start - 1].origin, row, col):
-                start -= 1
-            stop = index + 1
-            while stop < n_units and _in_cell(units[stop].origin, row, col):
-                stop += 1
-            candidate_origin: CandidateOrigin = CellOrigin(row, col)
-        elif isinstance(origin, ParagraphWord):
-            paragraph_id, word = origin.paragraph_id, origin.word
-            start, stop = index, index + 1
-            while stop < n_units:
-                unit = units[stop]
-                following = unit.origin
-                if not (
-                    unit.probability > threshold
-                    and isinstance(following, ParagraphWord)
-                    and following.word == word + 1
-                    and following.paragraph_id == paragraph_id
-                ):
-                    break
-                word += 1
-                stop += 1
-            candidate_origin = SpanOrigin(paragraph_id, origin.word, word + 1)
+        segment = owners[index - offset]
+        if segment is None:
+            continue  # a question word in a hand-built sequence
+        first = segment.positions.start + offset
+        end = segment.positions.stop + offset
+        # a positive unit outscores every other, so each maximum below is
+        # the maximum over the candidate's positive units
+        if type(segment) is _CellSegment:
+            stop = end
+            origin: CandidateOrigin = CellOrigin(segment.row, segment.col)
+            text, numeric, start = segment.text, segment.numeric, first
         else:
-            continue  # question words are never evidence
-        members = units[start:stop]
-        text = " ".join([unit.text for unit in members])
-        # a positive unit outscores every other, so this is the maximum
-        # over the positive units
-        probability = max([unit.probability for unit in members])
+            stop = index + 1
+            while stop < end and probabilities[stop] > threshold:
+                stop += 1
+            word = segment.first_word + index - first
+            origin = SpanOrigin(segment.paragraph_id, word, word + stop - index)
+            text = " ".join(texts[index - offset : stop - offset])
+            numeric, start = parse_number(text), index
         candidates.append(
-            EvidenceCandidate(text, probability, candidate_origin, parse_number(text), start)
+            EvidenceCandidate(text, max(probabilities[start:stop]), origin, numeric, start)
         )
     return candidates
 
@@ -511,8 +540,9 @@ def _char_to_word_range(
 
 def _find_in_paragraphs(
     index: _ContextIndex, item: _EvidenceItem, loose: bool
-) -> SpanOrigin | None:
-    for entry in index.paragraphs:
+) -> tuple[SpanOrigin, int] | None:
+    """A span and the number of the paragraph holding it."""
+    for number, entry in enumerate(index.paragraphs):
         paragraph_id = entry.paragraph.paragraph_id
         if item.value is not None:
             for parsed, (start, end) in entry.numbers:
@@ -521,7 +551,7 @@ def _find_in_paragraphs(
                 ):
                     word_range = _char_to_word_range(entry.word_spans, start, end)
                     if word_range:
-                        return SpanOrigin(paragraph_id, *word_range)
+                        return SpanOrigin(paragraph_id, *word_range), number
         else:
             found = entry.folded.find(item.surface.casefold())
             if found >= 0:
@@ -529,17 +559,18 @@ def _find_in_paragraphs(
                     entry.word_spans, found, found + len(item.surface)
                 )
                 if word_range:
-                    return SpanOrigin(paragraph_id, *word_range)
+                    return SpanOrigin(paragraph_id, *word_range), number
     return None
 
 
 def _locate(
     index: _ContextIndex, item: _EvidenceItem, table_first: bool
-) -> CandidateOrigin | None:
+) -> tuple[CandidateOrigin, int | None] | None:
     """First occurrence in input-sequence order, preferring the table for
-    table-sourced answers.  Within each region an exact pass runs before
-    a loose one (absolute-value match for numbers, cell-substring match
-    for text), so the preferred region is exhausted before falling back."""
+    table-sourced answers, with the number of its paragraph (None for a
+    cell).  Within each region an exact pass runs before a loose one
+    (absolute-value match for numbers, cell-substring match for text), so
+    the preferred region is exhausted before falling back."""
     finders = (
         (_find_in_table, _find_in_paragraphs)
         if table_first
@@ -547,9 +578,11 @@ def _locate(
     )
     for finder in finders:
         for loose in (False, True):
-            origin = finder(index, item, loose)
-            if origin is not None:
-                return origin
+            found = finder(index, item, loose)
+            if isinstance(found, CellOrigin):
+                return found, None
+            if found is not None:
+                return found
     return None
 
 
@@ -591,28 +624,28 @@ def build_supervision(
     table_first = question.answer_source in (AnswerSource.TABLE, AnswerSource.TABLE_TEXT)
     index = _context_index(context)
 
-    located: dict[_EvidenceItem, CandidateOrigin] = {}
+    located: dict[_EvidenceItem, tuple[CandidateOrigin, int | None]] = {}
     missing: list[str] = []
     for item in items:
-        origin = _locate(index, item, table_first)
-        if origin is None:
+        found = _locate(index, item, table_first)
+        if found is None:
             missing.append(item.surface)
         else:
-            located[item] = origin
+            located[item] = found
     if missing:
         raise UnlocatableEvidenceError(question.question_id, missing)
 
     operator = classify_question(question)
 
-    def position_of_value(value: Fraction) -> int:
-        for item, origin in located.items():
+    def position_of_value(value: Fraction) -> tuple:
+        for item, (origin, paragraph) in located.items():
             if item.value == value:
-                # the question words precede every origin, so skeleton
-                # positions order origins as the input sequence does
-                position = next(index.positions(origin), None)
-                if position is None:
-                    raise ValueError(f"origin {origin} not present in the input sequence")
-                return position
+                # cells, row-major, precede the paragraphs' words, and a
+                # located cell is never empty, so this orders origins as
+                # the input sequence does
+                if paragraph is None:
+                    return (0, origin.row, origin.col)
+                return (1, paragraph, origin.start)
         raise ValueError(f"no located evidence with value {value}")
 
     g_order: int | None = None
@@ -623,14 +656,16 @@ def build_supervision(
         position_second = position_of_value(second.value)
         g_order = 0 if position_first <= position_second else 1
 
-    cells = [o for o in located.values() if isinstance(o, CellOrigin)]
-    spans = [o for o in located.values() if isinstance(o, SpanOrigin)]
+    origins = [origin for origin, _ in located.values()]
+    cells = [o for o in origins if isinstance(o, CellOrigin)]
+    spans = [o for o in origins if isinstance(o, SpanOrigin)]
     g_tag = frozenset(cells) | frozenset(_merge_spans(spans))
     return SupervisionLabels(
         g_tag=g_tag,
         g_op=operator,
         g_scale=question.gold_scale,
         g_order=g_order,
+        located=tuple(located.values()),
     )
 
 
@@ -639,19 +674,30 @@ def build_supervision(
 # ---------------------------------------------------------------------------
 
 
+def _tagged(question: QuestionRecord, layout: _Layout, base: float, scored) -> TaggedSequence:
+    """The question's words at 0.0, then the layout's units at ``base``
+    except where ``scored`` gives (positions, probability)."""
+    words = tuple(question.text.split())
+    offset = len(words)
+    probabilities = [0.0] * offset + [base] * len(layout.texts)
+    for positions, probability in scored:
+        probabilities[offset + positions.start : offset + positions.stop] = (
+            [probability] * len(positions)
+        )
+    return TaggedSequence(words=words, layout=layout, probabilities=tuple(probabilities))
+
+
 class OracleTagger:
     """Perfect realization of the gold tag labels: probability 1.0 on
-    gold-positive origins and 0.0 elsewhere."""
+    gold-positive units and 0.0 elsewhere.  A text span is tagged in the
+    paragraph where supervision found it, even when another paragraph
+    shares its id."""
 
     def tag(self, question: QuestionRecord, context: HybridContext) -> TaggedSequence:
         labels = build_supervision(question, context)
         index = _context_index(context)
-        units = list(index.uniform_units(0.0))
-        for origin in labels.g_tag:
-            for position in index.positions(origin):
-                unit = units[position]
-                units[position] = TagUnit(unit.text, unit.origin, 1.0)
-        return TaggedSequence(tuple(_question_units(question.text) + units))
+        tagged = [(index.positions(origin, paragraph), 1.0) for origin, paragraph in labels.located]
+        return _tagged(question, index.layout, 0.0, tagged)
 
 
 _STOPWORDS = frozenset(
@@ -699,25 +745,14 @@ class LexicalTagger:
     def tag(self, question: QuestionRecord, context: HybridContext) -> TaggedSequence:
         question_words = _content_words(question.text)
         index = _context_index(context)
-        lexical = index.lexical
-
-        scores = []
-        for cell_words, header_words in lexical.cells:
-            score = _jaccard(question_words, cell_words)
+        scored = []
+        for words, header_words, positions in index.lexical:
+            score = _jaccard(question_words, words)
             if header_words is not None:
                 score = max(score, _jaccard(question_words, header_words))
-            scores.append(score)
-        scores.extend(_jaccard(question_words, words) for words in lexical.sentences)
-
-        # units of a zero-overlap slot keep the shared floor units
-        units = list(index.uniform_units(self._smooth(0.0)))
-        for score, positions in zip(scores, lexical.slot_positions):
-            if score:
-                probability = self._smooth(score)
-                for position in positions:
-                    unit = units[position]
-                    units[position] = TagUnit(unit.text, unit.origin, probability)
-        return TaggedSequence(tuple(_question_units(question.text) + units))
+            if score:  # units of a zero-overlap slot stay at the floor
+                scored.append((positions, self._smooth(score)))
+        return _tagged(question, index.layout, self._smooth(0.0), scored)
 
 
 # ---------------------------------------------------------------------------
@@ -751,14 +786,15 @@ def export_supervision(dataset: Dataset, path: str | Path) -> SupervisionExport:
     """Write gold labels to a line-delimited file for external training.
 
     Questions whose evidence cannot be located (or whose derivation does
-    not parse) are skipped and reported, not fatal.
+    not parse, or holds a number too long to read) are skipped and
+    reported, not fatal.
     """
     export = SupervisionExport(n_written=0)
     with Path(path).open("w", encoding="utf-8") as handle:
         for context, question in iter_questions(dataset):
             try:
                 labels = build_supervision(question, context)
-            except (UnlocatableEvidenceError, DerivationParseError) as exc:
+            except (UnlocatableEvidenceError, DerivationParseError, NumberTooLongError) as exc:
                 export.failures.append((question.question_id, str(exc)))
                 continue
             record = {

@@ -19,6 +19,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
+from .errors import NumberTooLongError
 
 class Scale(Enum):
     """Magnitude of a numeric answer: none, thousand, million, billion, percent."""
@@ -93,9 +94,13 @@ def _exact(digits: str) -> Fraction:
     """The exact value of an unsigned decimal such as "1,033.25" or ".5".
 
     Built from integers: ``Fraction(str)`` gives the same reduced value
-    but runs its own regex over the text first.
+    but runs its own regex over the text first.  Every number read from
+    text is built here, so this is where one too long to read exactly
+    raises ``NumberTooLongError``.
     """
     whole, _, decimals = digits.replace(",", "").partition(".")
+    if len(whole) + len(decimals) > NumberTooLongError.LIMIT:
+        raise NumberTooLongError(len(whole) + len(decimals))
     if decimals:
         return Fraction(int(whole + decimals), 10 ** len(decimals))
     return Fraction(int(whole))
@@ -132,17 +137,14 @@ def json_decimal(text: str) -> Decimal:
     """A JSON number with a fraction or exponent as an exact ``Decimal``
     (``json.load``'s ``parse_float``).
 
-    Raises ``ValueError`` when the exact value would take more than 4,300
-    digits, the default limit of ``int()`` on a digit string and so on a
-    JSON integer: "1e999999999" is refused, not expanded.
+    Raises ``NumberTooLongError`` when the exact value would take more
+    than 4,300 digits, the default limit of ``int()`` on a digit string
+    and so on a JSON integer: "1e999999999" is refused, not expanded.
     """
     value = Decimal(text)
     _, digits, exponent = value.as_tuple()
-    if len(digits) + abs(exponent) > 4300:
-        raise ValueError(
-            f"Exceeds the limit (4300 digits) for an exact number: "
-            f"value has {len(digits) + abs(exponent)} digits"
-        )
+    if len(digits) + abs(exponent) > NumberTooLongError.LIMIT:
+        raise NumberTooLongError(len(digits) + abs(exponent))
     return value
 
 

@@ -21,6 +21,7 @@ from .derivation import eval_derivation, parsed_derivation
 from .errors import (
     DerivationParseError,
     ExecutionError,
+    NumberTooLongError,
     UnlocatableEvidenceError,
 )
 from .evaluation import DEFAULT_POLICY, RoundingPolicy, _as_fraction
@@ -32,6 +33,7 @@ MISMATCH = "mismatch"
 PARSE_ERROR = "parse_error"
 EXECUTION_ERROR = "execution_error"
 NO_NUMERIC_GOLD = "no_numeric_gold"
+UNREADABLE_NUMBER = "unreadable_number"
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,17 @@ def check_question(question, policy: RoundingPolicy = DEFAULT_POLICY) -> Derivat
         ast = parsed_derivation(question)
     except DerivationParseError as exc:
         return DerivationCheck(question_id, PARSE_ERROR, detail=str(exc))
+    except NumberTooLongError as exc:
+        return DerivationCheck(question_id, UNREADABLE_NUMBER, detail=str(exc))
     try:
         result = Fraction(eval_derivation(ast))
     except ExecutionError as exc:
         return DerivationCheck(question_id, EXECUTION_ERROR, detail=str(exc))
 
-    gold = _as_fraction(question.answer)
+    try:
+        gold = _as_fraction(question.answer)
+    except NumberTooLongError as exc:
+        return DerivationCheck(question_id, UNREADABLE_NUMBER, detail=str(exc))
     if gold is None:
         return DerivationCheck(
             question_id, NO_NUMERIC_GOLD, detail=f"gold answer {question.answer!r}"
@@ -120,13 +127,21 @@ def check_question(question, policy: RoundingPolicy = DEFAULT_POLICY) -> Derivat
 def validate_dataset(
     dataset: Dataset, policy: RoundingPolicy = DEFAULT_POLICY
 ) -> ValidationReport:
-    """Run all consistency checks over a loaded dataset."""
+    """Run all consistency checks over a loaded dataset.
+
+    A number too long to read exactly fails the question's check when
+    its derivation or gold answer holds it; found while locating the
+    evidence (in the gold answer or the paragraphs), it makes the
+    evidence unlocatable.
+    """
     report = ValidationReport()
     for context, question in iter_questions(dataset):
         report.n_questions += 1
+        check = None
         if question.answer_type in (AnswerType.COUNTING, AnswerType.ARITHMETIC):
             report.n_checked += 1
-            report.checks.append(check_question(question, policy))
+            check = check_question(question, policy)
+            report.checks.append(check)
         try:
             build_supervision(question, context)
             report.n_supervised += 1
@@ -134,6 +149,9 @@ def validate_dataset(
             report.unlocatable.append((question.question_id, ", ".join(exc.missing)))
         except DerivationParseError:
             pass  # already reported as a parse failure above
+        except NumberTooLongError as exc:
+            if check is None or check.status != UNREADABLE_NUMBER:
+                report.unlocatable.append((question.question_id, f"unreadable number: {exc}"))
     return report
 
 

@@ -9,6 +9,9 @@ them from this data; keep values and layout stable.
 from __future__ import annotations
 
 import json
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +290,32 @@ TEXT_DOC = {
 }
 
 CORPUS_DOCS = [REVENUE_DOC, EXPENSES_DOC, TEXT_DOC]
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str) -> types.ModuleType:
+    """``bench/<name>.py`` run as a module that is not registered.
+
+    The benchmark's files import each other by bare name, so ``bench/``
+    is on ``sys.path``, and the module in ``sys.modules``, while the file
+    runs.  Both are then put back as they were; the module keeps what it
+    imported in its own namespace.
+    """
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    saved_path, saved_modules = list(sys.path), dict(sys.modules)
+    sys.path.insert(0, str(BENCH))
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        sys.path[:] = saved_path
+        for name in sys.modules.keys() - saved_modules.keys():
+            del sys.modules[name]
+        sys.modules.update(saved_modules)
+    return module
 
 
 @pytest.fixture(scope="session")

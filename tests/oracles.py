@@ -318,6 +318,7 @@ def _reference_word_range(spans, start, end):
 
 
 def _reference_locate(context, item, table_first):
+    """(origin, number of the paragraph it was found in or None), or None."""
     surface, value = item
 
     def in_table(loose):
@@ -329,35 +330,35 @@ def _reference_locate(context, item, table_first):
                 if cell.numeric.value == value or (
                     loose and abs(cell.numeric.value) == abs(value)
                 ):
-                    return ev.CellOrigin(cell.row, cell.col)
+                    return ev.CellOrigin(cell.row, cell.col), None
             else:
                 hay = cell.text.strip().casefold()
                 if hay == needle or (loose and needle and needle in hay):
-                    return ev.CellOrigin(cell.row, cell.col)
+                    return ev.CellOrigin(cell.row, cell.col), None
         return None
 
     def in_paragraphs(loose):
-        for paragraph in context.paragraphs:
+        for number, paragraph in enumerate(context.paragraphs):
             spans = _reference_word_spans(paragraph.text)
             if value is not None:
                 for parsed, (start, end) in extract_numbers(paragraph.text):
                     if parsed.value == value or (loose and abs(parsed.value) == abs(value)):
                         word_range = _reference_word_range(spans, start, end)
                         if word_range:
-                            return ev.SpanOrigin(paragraph.paragraph_id, *word_range)
+                            return ev.SpanOrigin(paragraph.paragraph_id, *word_range), number
             else:
                 index = paragraph.text.casefold().find(surface.casefold())
                 if index >= 0:
                     word_range = _reference_word_range(spans, index, index + len(surface))
                     if word_range:
-                        return ev.SpanOrigin(paragraph.paragraph_id, *word_range)
+                        return ev.SpanOrigin(paragraph.paragraph_id, *word_range), number
         return None
 
     for finder in ((in_table, in_paragraphs) if table_first else (in_paragraphs, in_table)):
         for loose in (False, True):
-            origin = finder(loose)
-            if origin is not None:
-                return origin
+            found = finder(loose)
+            if found is not None:
+                return found
     return None
 
 
@@ -387,11 +388,11 @@ def reference_supervision(question, context):
     )
     located, missing = {}, []
     for item in items:
-        origin = _reference_locate(context, item, table_first)
-        if origin is None:
+        found = _reference_locate(context, item, table_first)
+        if found is None:
             missing.append(item[0])
         else:
-            located[item] = origin
+            located[item] = found[0]
     if missing:
         raise UnlocatableEvidenceError(question.question_id, missing)
 
@@ -429,19 +430,32 @@ def reference_supervision(question, context):
 
 
 def reference_oracle_tags(question, context, labels):
+    """Gold cells at 1.0, and each located text span at 1.0 in the
+    paragraph where it was found (not in others that share its id)."""
     cell_set = {(o.row, o.col) for o in labels.g_tag if isinstance(o, ev.CellOrigin)}
-    span_list = [o for o in labels.g_tag if isinstance(o, ev.SpanOrigin)]
-    units = []
-    for text, origin in reference_context_units(question.text, context):
-        probability = 0.0
-        if isinstance(origin, ev.CellWord) and (origin.row, origin.col) in cell_set:
-            probability = 1.0
-        elif isinstance(origin, ev.ParagraphWord):
-            for span in span_list:
-                if span.paragraph_id == origin.paragraph_id and span.start <= origin.word < span.stop:
-                    probability = 1.0
-                    break
-        units.append(ev.TagUnit(text, origin, probability))
+    table_first = question.answer_source in (AnswerSource.TABLE, AnswerSource.TABLE_TEXT)
+    found_spans = [
+        (number, origin.start, origin.stop)
+        for origin, number in (
+            _reference_locate(context, item, table_first) for item in _reference_items(question)
+        )
+        if number is not None
+    ]
+    units = [
+        ev.TagUnit(word, ev.QuestionWord(index), 0.0)
+        for index, word in enumerate(question.text.split())
+    ]
+    for cell in context.table.iter_cells():
+        probability = 1.0 if (cell.row, cell.col) in cell_set else 0.0
+        for word_index, word in enumerate(cell.text.split()):
+            units.append(ev.TagUnit(word, ev.CellWord(cell.row, cell.col, word_index), probability))
+    for number, paragraph in enumerate(context.paragraphs):
+        for word_index, word in enumerate(paragraph.text.split()):
+            tagged = any(
+                n == number and start <= word_index < stop for n, start, stop in found_spans
+            )
+            origin = ev.ParagraphWord(paragraph.paragraph_id, word_index)
+            units.append(ev.TagUnit(word, origin, 1.0 if tagged else 0.0))
     return ev.TaggedSequence(tuple(units))
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import CORPUS_DOCS, REVENUE_DOC
+from conftest import CORPUS_DOCS, REVENUE_DOC, TEXT_DOC
 from oracles import reference_ablation, reference_margins
 from tatqa_symbolic import cli, evaluation
 from tatqa_symbolic.cli import main
@@ -387,6 +387,61 @@ class TestNumbersPastTheDigitLimit:
         self.assert_error(
             ("eval", "--dataset", corpus_path, "--pred", preds), capsys, f"{preds}: $", digits
         )
+
+    def reported_by_validate(self, tmp_path, dataset, key):
+        """Question id -> detail of each question that ``validate``
+        reports for an unreadable number, as a failed check (``key``
+        "checks") or as unlocatable evidence ("unlocatable")."""
+        out = tmp_path / "validate.json"
+        assert run_cli("validate", "--dataset", dataset, "--out", out) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        if key == "checks":
+            return {c["question_id"]: c["detail"] for c in report["checks"]
+                    if c["status"] == "unreadable_number"}
+        return {u["question_id"]: u["missing"] for u in report["unlocatable"]
+                if u["missing"].startswith("unreadable number: ")}
+
+    def abstained_by_oracle_run(self, tmp_path, dataset):
+        """Question id -> note of each question the oracle ``run``
+        abstains on for an unreadable number."""
+        preds = tmp_path / "preds.json"
+        assert run_cli("run", "--dataset", dataset, "--out", preds) == 0
+        traces = tmp_path / "preds.json.traces.jsonl"
+        notes = [json.loads(line) for line in traces.read_text(encoding="utf-8").splitlines()]
+        return {t["question_id"]: t["note"] for t in notes
+                if (t["note"] or "").startswith("NumberTooLongError: ")}
+
+    def test_number_in_paragraph_text(self, tmp_path):
+        doc = json.loads(json.dumps(TEXT_DOC))
+        doc["paragraphs"][0]["text"] += f" It also reported {self.BIG} units."
+        dataset = self.write_dataset(tmp_path, json.dumps([doc]))
+        reported = self.reported_by_validate(tmp_path, dataset, "unlocatable")
+        assert list(reported) == ["q-text-arith"]
+        assert "value has 5000 digits" in reported["q-text-arith"]
+        notes = self.abstained_by_oracle_run(tmp_path, dataset)
+        assert list(notes) == ["q-text-arith"]
+        assert notes["q-text-arith"].endswith("value has 5000 digits")
+
+    def test_gold_answer_string(self, tmp_path):
+        doc = json.loads(json.dumps(REVENUE_DOC))
+        doc["questions"][2]["answer"] = self.BIG
+        dataset = self.write_dataset(tmp_path, json.dumps([doc]))
+        reported = self.reported_by_validate(tmp_path, dataset, "checks")
+        assert list(reported) == ["q-rev-diff"]
+        assert reported["q-rev-diff"].endswith("value has 5000 digits")
+
+    def test_derivation_operand(self, tmp_path):
+        doc = json.loads(json.dumps(REVENUE_DOC))
+        doc["questions"][2]["derivation"] = f"{self.BIG} - 5,134"
+        dataset = self.write_dataset(tmp_path, json.dumps([doc]))
+        reported = self.reported_by_validate(tmp_path, dataset, "checks")
+        assert list(reported) == ["q-rev-diff"]
+        assert reported["q-rev-diff"].endswith("value has 5000 digits")
+        # reported once: locating the evidence fails on the same operand
+        assert self.reported_by_validate(tmp_path, dataset, "unlocatable") == {}
+        assert list(self.abstained_by_oracle_run(tmp_path, dataset)) == ["q-rev-diff"]
+        # counted as Other, like a derivation that does not parse
+        assert run_cli("stats", "--dataset", dataset) == 0
 
 
 class TestPipelineArgumentRanges:

@@ -5,10 +5,13 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
+from conftest import bench_module
 from oracles import (
     reference_context_units,
     reference_decode,
@@ -16,13 +19,15 @@ from oracles import (
     reference_oracle_tags,
     reference_supervision,
 )
-from tatqa_symbolic.corpus import load_dataset
+from tatqa_symbolic import evidence, reasoning
+from tatqa_symbolic.corpus import iter_questions, load_dataset
 from tatqa_symbolic.derivation import _NUMBER_TOKEN_RE, parsed_derivation
-from tatqa_symbolic.errors import DerivationParseError
+from tatqa_symbolic.errors import DerivationParseError, PipelineError
 from tatqa_symbolic.evidence import (
     CellOrigin,
     LexicalTagger,
     OracleTagger,
+    ParagraphWord,
     SpanOrigin,
     TaggedSequence,
     TagUnit,
@@ -31,6 +36,7 @@ from tatqa_symbolic.evidence import (
     context_units,
     decode_evidence,
 )
+from tatqa_symbolic.reasoning import PipelineConfig, answer_question, run_pipeline
 
 # Duplicate paragraph ids (also with the shorter paragraph last, see
 # ``shorter_last``), an empty paragraph, empty cells, a word past
@@ -172,6 +178,100 @@ def test_decode_matches_unit_by_unit_decoder(dataset):
     assert min(multi_word.values()) > 100
 
 
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """``bench/gen.py`` dense corpora of two seeds, a dozen contexts each."""
+    gen = bench_module("gen")
+    datasets = []
+    for seed in (3, 8):
+        path = tmp_path_factory.mktemp("generated") / f"dense-{seed}.json"
+        path.write_text(gen.dumps(gen.dense_corpus(seed, 12)[0]), encoding="utf-8")
+        datasets.append(load_dataset(path))
+    return datasets
+
+
+LEXICAL = PipelineConfig(tagger="lexical", operator="keyword", order="positional",
+                         scale="heuristic", threshold=0.05)
+
+
+@pytest.mark.parametrize("corpus_index", [None, 0, 1], ids=["fixture", "dense-3", "dense-8"])
+def test_layout_tags_and_decoding_match_the_references(dataset, generated, corpus_index):
+    """Tags built over the layout give the references' units, and decode
+    as the unit-by-unit decoder does, under both taggers."""
+    corpus = dataset if corpus_index is None else generated[corpus_index]
+    tagged = 0
+    for context, question in iter_questions(corpus):
+        pairs = [(LexicalTagger().tag(question, context),
+                  reference_lexical_tags(question, context))]
+        labels = outcome(build_supervision, question, context)
+        if not isinstance(labels, tuple):
+            pairs.append((OracleTagger().tag(question, context),
+                           reference_oracle_tags(question, context, labels)))
+        for tags, reference in pairs:
+            assert tags.units == reference.units
+            for threshold in (0.0, 0.05, 0.5, 0.99):
+                assert decode_evidence(tags, threshold) == reference_decode(tags, threshold)
+            tagged += 1
+    assert tagged > sum(len(questions) for _, questions in corpus)
+
+
+def test_lexical_answers_parse_no_cell_candidate(dataset, generated, monkeypatch):
+    """A cell candidate takes its layout segment's number; only span
+    candidates are parsed, once each."""
+    parsed = []
+    real_parse = evidence.parse_number
+    monkeypatch.setattr(evidence, "parse_number",
+                        lambda text: parsed.append(text) or real_parse(text))
+    decoded = []
+
+    def decode(*args):
+        decoded.append(decode_evidence(*args))
+        return decoded[-1]
+
+    monkeypatch.setattr(reasoning, "decode_evidence", decode)
+    components = LEXICAL.build()
+    n_cells = 0
+    for corpus in [dataset, *generated]:
+        for context, question in iter_questions(corpus):
+            _context_index(context).layout  # parses a cell with runs of whitespace, once
+            parsed.clear()
+            decoded.clear()
+            try:
+                answer_question(question, context, *components, LEXICAL.threshold)
+            except PipelineError:
+                pass  # an abstention; the candidates were decoded first
+            (candidates,) = decoded
+            assert parsed == [c.text for c in candidates if isinstance(c.origin, SpanOrigin)]
+            n_cells += sum(isinstance(c.origin, CellOrigin) for c in candidates)
+    assert n_cells > 1000
+
+
+@pytest.mark.parametrize("config", [PipelineConfig(), LEXICAL], ids=["oracle", "lexical"])
+def test_run_makes_no_units_and_one_layout_per_context(dataset, generated, monkeypatch, config):
+    units = []
+    real_unit = evidence.TagUnit
+    monkeypatch.setattr(evidence, "TagUnit", lambda *args: units.append(args) or real_unit(*args))
+    built = Counter()
+    real_layout = evidence._ContextIndex.layout.func
+
+    def layout(index):
+        built[index.context.context_id] += 1
+        return real_layout(index)
+
+    counted = cached_property(layout)
+    counted.__set_name__(evidence._ContextIndex, "layout")
+    monkeypatch.setattr(evidence._ContextIndex, "layout", counted)
+    monkeypatch.setattr(evidence, "_current_index", None)
+    for corpus in [dataset, *generated]:
+        run_pipeline(corpus, config)
+    assert units == []
+    assert set(built.values()) == {1}
+    assert len(built) == sum(len(corpus) for corpus in [dataset, *generated])
+    # the counters count: the units view makes units
+    context, questions = generated[0][0]
+    assert len(LexicalTagger().tag(questions[0], context).units) == len(units)
+
+
 def test_shared_taggers_agree_across_threads(dataset):
     """Threads share the one-slot caches; each result must still match the
     single-threaded one, whichever context another thread moved them to."""
@@ -210,16 +310,19 @@ def test_edge_questions_cover_both_outcomes(dataset):
     assert "not locatable" in results["e-lost"][1]
     assert results["e-diff-text"].g_order is not None
     assert results["e-sign"].g_tag == {CellOrigin(3, 1), CellOrigin(1, 1)}  # 900 by magnitude
-    # the duplicate paragraph id is tagged wherever it occurs
+    # the span is tagged in the first p-a paragraph, where it was found,
+    # not in the second, which shares its id
     tags = OracleTagger().tag(questions[2], context)
-    assert {u.origin.paragraph_id for u in tags.units if u.probability == 1.0} == {"p-a"}
+    tagged = [u for u in tags.units if u.probability == 1.0]
+    assert [u.text for u in tagged] == ["Net", "income", "was", "900"]
+    assert {u.origin for u in tagged} == {ParagraphWord("p-a", word) for word in range(4)}
 
 
 def test_index_is_built_once_per_context_and_slot_holds_one(corpus):
     (first, _), (second, _) = corpus[0], corpus[1]
     index = _context_index(first)
     assert _context_index(first) is index
-    assert index.skeleton is _context_index(first).skeleton
+    assert index.layout is _context_index(first).layout
     assert _context_index(second) is not index
     assert _context_index(first) is not index  # the slot moved on: rebuilt
 
