@@ -8,6 +8,8 @@ Exit codes: 0 on success, 1 on validation failure or unreadable input,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import logging
 import sys
@@ -157,14 +159,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _loading():
+    """Build a command's long-lived inputs with the cyclic collector
+    paused, then freeze them.
+
+    The loaded records hold no cycles and live until the command ends,
+    so a collector pass over them frees nothing: the pause skips the
+    passes that their allocation would trigger, and the freeze keeps
+    later passes from rescanning them.  The collector is re-enabled only
+    if it was enabled before; ``main`` unfreezes on the way out.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    documents = read_documents(args.dataset)
-    dataset = parse_documents(documents, strict=args.strict)
+    with _loading():
+        documents = read_documents(args.dataset)
+        dataset = parse_documents(documents, strict=args.strict)
     deviations = field_deviations(documents)
     del documents  # the checks below need only the records
     report = validate_dataset(dataset, RoundingPolicy(places=args.rounding))
@@ -213,9 +237,10 @@ def cmd_stats(args) -> int:
         print(f"error: --split: {names} split names for {files} --dataset file(s)", file=sys.stderr)
         return 2
     datasets = []
-    for path, name in zip_longest(args.dataset, args.split, fillvalue=""):
-        label = name or Path(path).stem
-        datasets.append((label, load_dataset(path, strict=args.strict)))
+    with _loading():
+        for path, name in zip_longest(args.dataset, args.split, fillvalue=""):
+            label = name or Path(path).stem
+            datasets.append((label, load_dataset(path, strict=args.strict)))
 
     for label, dataset in datasets:
         stats = split_stats(dataset)
@@ -291,7 +316,8 @@ def _trace_payload(question_id: str, prediction) -> dict:
 
 
 def cmd_run(args) -> int:
-    dataset = load_dataset(args.dataset, strict=args.strict)
+    with _loading():
+        dataset = load_dataset(args.dataset, strict=args.strict)
     config = _pipeline_config(args)
     predictions = run_pipeline(dataset, config, workers=args.workers)
 
@@ -311,8 +337,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = load_dataset(args.dataset, strict=args.strict)
-    predictions = read_predictions(args.pred)
+    with _loading():
+        dataset = load_dataset(args.dataset, strict=args.strict)
+        predictions = read_predictions(args.pred)
     report = evaluate(predictions, dataset, RoundingPolicy(places=args.rounding))
     print(f"EM {report.em:.1f}  F1 {report.f1:.1f}  ({report.overall.n} questions)")
     if report.missing:
@@ -339,7 +366,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    dataset = load_dataset(args.dataset, strict=args.strict)
+    with _loading():
+        dataset = load_dataset(args.dataset, strict=args.strict)
     predictions = run_pipeline(dataset, _pipeline_config(args), workers=args.workers)
     report = evaluate(
         {qid: (p.value, p.scale) for qid, p in predictions.items()},
@@ -369,7 +397,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_schema_report(args) -> int:
-    inventory = schema_report(args.dataset)
+    with _loading():
+        inventory = schema_report(args.dataset)
     width = max(len(path) for path in inventory) if inventory else 0
     for path, entry in inventory.items():
         print(f"{path:<{width}}  {entry['count']:>8}  {', '.join(entry['types'])}")
@@ -377,7 +406,8 @@ def cmd_schema_report(args) -> int:
 
 
 def cmd_export_supervision(args) -> int:
-    dataset = load_dataset(args.dataset, strict=args.strict)
+    with _loading():
+        dataset = load_dataset(args.dataset, strict=args.strict)
     export = export_supervision(dataset, args.out)
     print(
         f"wrote {export.n_written} label records to {args.out} "
@@ -401,6 +431,9 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # an in-process caller gets back a heap its collector scans
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

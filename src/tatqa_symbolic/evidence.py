@@ -359,12 +359,14 @@ class _ContextIndex:
         for cell in table.iter_cells():
             header_words = None
             if cell.numeric is not None:
-                words: set[str] = set()
+                # both header cells come earlier in row-major order, so
+                # their words are in slots already built
+                words: frozenset[str] = frozenset()
                 if cell.row > 0:
-                    words |= _content_words(table.cell(0, cell.col).text)
+                    words |= slots[cell.col][0]
                 if cell.col > 0:
-                    words |= _content_words(table.cell(cell.row, 0).text)
-                header_words = frozenset(words)
+                    words |= slots[cell.row * table.n_cols][0]
+                header_words = words
             positions = self.cell_positions.get((cell.row, cell.col), range(0))
             slots.append((_content_words(cell.text), header_words, positions))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Protocol
 
 from .corpus import Dataset, HybridContext, QuestionRecord
@@ -491,6 +490,9 @@ def run_pipeline(
     if workers <= 1:
         batches = map(_run_context, jobs)
     else:
+        # imported here, so that a one-worker run does not load it
+        from multiprocessing import Pool
+
         with Pool(processes=workers) as pool:
             batches = pool.map(_run_context, jobs)
     predictions: dict[str, Prediction] = {}

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -30,6 +31,76 @@ CONFIGS = {
                        scale="heuristic", threshold=0.05),
     ),
 }
+
+
+class TestCollector:
+    """Each command loads its inputs with the cyclic collector paused,
+    then freezes them; whatever the exit, ``main`` leaves the collector
+    enabled or not as it found it, with nothing frozen."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def call(self, collector, *argv):
+        assert gc.get_freeze_count() == 0
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert gc.isenabled() is collector
+        assert gc.get_freeze_count() == 0
+        return code
+
+    def test_exit_0(self, collector, corpus_path, tmp_path):
+        preds = tmp_path / "preds.json"
+        assert self.call(collector, "run", "--dataset", corpus_path, "--out", preds) == 0
+        assert self.call(collector, "eval", "--dataset", corpus_path, "--pred", preds) == 0
+        assert self.call(collector, "validate", "--dataset", corpus_path) == 0
+
+    def test_exit_1_raised_while_paused(self, collector, corpus_path, tmp_path):
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"q-rev-span": oops}', encoding="utf-8")
+        assert self.call(collector, "validate", "--dataset", broken) == 1
+        assert self.call(collector, "eval", "--dataset", corpus_path, "--pred", broken) == 1
+        doc = json.loads(json.dumps(TEXT_DOC))
+        doc["table"]["table"][1].pop()
+        ragged = tmp_path / "ragged.json"
+        ragged.write_text(json.dumps([doc]), encoding="utf-8")
+        assert self.call(
+            collector, "run", "--dataset", ragged, "--out", tmp_path / "p.json", "--strict"
+        ) == 1
+
+    def test_exit_2(self, collector, corpus_path):
+        assert self.call(collector, "run", "--dataset", corpus_path) == 2  # no --out
+        assert self.call(
+            collector, "stats", "--dataset", corpus_path, "--split", "dev", "test"
+        ) == 2
+
+    def test_paused_while_loading_and_frozen_while_running(
+        self, collector, corpus_path, tmp_path, monkeypatch
+    ):
+        seen = []
+        real_load, real_run = cli.load_dataset, cli.run_pipeline
+
+        def load(*args, **kwargs):
+            seen.append(("load", gc.isenabled()))
+            return real_load(*args, **kwargs)
+
+        def run(*args, **kwargs):
+            seen.append(("run", gc.isenabled(), gc.get_freeze_count() > 0))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", load)
+        monkeypatch.setattr(cli, "run_pipeline", run)
+        for command in ("run", "ablate"):
+            assert self.call(
+                collector, command, "--dataset", corpus_path, "--out", tmp_path / "out.json"
+            ) == 0
+        assert seen == [("load", False), ("run", collector, True)] * 2
 
 
 class TestValidate:
@@ -215,11 +286,19 @@ class TestRunAndEval:
         assert file_report.f1 == process_report.f1
 
     def test_worker_count_does_not_change_output(self, corpus_path, tmp_path):
-        single = tmp_path / "w1.json"
-        double = tmp_path / "w2.json"
-        run_cli("run", "--dataset", corpus_path, "--out", single, "--workers", "1")
-        run_cli("run", "--dataset", corpus_path, "--out", double, "--workers", "2")
-        assert single.read_text(encoding="utf-8") == double.read_text(encoding="utf-8")
+        """Forked workers inherit the frozen records; predictions and
+        traces are byte-identical to a one-worker run, under both
+        configurations."""
+        for name, (flags, _) in CONFIGS.items():
+            outputs = []
+            for workers in ("1", "2"):
+                out = tmp_path / f"{name}-w{workers}.json"
+                assert run_cli(
+                    "run", "--dataset", corpus_path, "--out", out, "--workers", workers, *flags
+                ) == 0
+                traces = tmp_path / f"{out.name}.traces.jsonl"
+                outputs.append((out.read_bytes(), traces.read_bytes()))
+            assert outputs[0] == outputs[1]
 
     def test_heuristic_run_is_deterministic(self, corpus_path, tmp_path):
         first = tmp_path / "h1.json"
@@ -577,19 +656,30 @@ class TestExportSupervision:
         assert set(record) == {"question_id", "g_op", "g_scale", "g_order", "g_tag"}
 
 
+def fresh_python(code, *argv):
+    # the child finds the package wherever this process found it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+def test_start_up_leaves_multiprocessing_unloaded():
+    """Only a run with more than one worker imports it."""
+    result = fresh_python(
+        "import sys, tatqa_symbolic.cli as cli; cli.build_parser();"
+        "print('multiprocessing' in sys.modules)"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 class TestWithoutNumpyOrScipy:
     """The package needs neither at run time; they are test dependencies."""
 
-    def python(self, code, *argv):
-        # the child finds the package wherever this process found it
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        return subprocess.run(
-            [sys.executable, "-c", code, *map(str, argv)],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
-
     def test_import_leaves_them_unloaded(self):
-        result = self.python(
+        result = fresh_python(
             "import sys, tatqa_symbolic.cli;"
             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
         )
@@ -600,7 +690,7 @@ class TestWithoutNumpyOrScipy:
         # a finder that refuses them behaves like an environment without
         # them; ``sys.modules[name] = None`` would also send hypothesis
         # after ``numpy.random``
-        result = self.python(
+        result = fresh_python(
             "import sys\n"
             "class Block:\n"
             "    def find_spec(self, name, path=None, target=None):\n"
@@ -615,7 +705,7 @@ class TestWithoutNumpyOrScipy:
 
     def test_run_and_eval_with_both_blocked(self, corpus_path, tmp_path):
         preds = tmp_path / "preds.json"
-        result = self.python(
+        result = fresh_python(
             "import sys; sys.modules['numpy'] = sys.modules['scipy'] = None\n"
             "from tatqa_symbolic.cli import main\n"
             "dataset, preds = sys.argv[1:]\n"

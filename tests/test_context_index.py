@@ -246,6 +246,36 @@ def test_lexical_answers_parse_no_cell_candidate(dataset, generated, monkeypatch
     assert n_cells > 1000
 
 
+def test_lexical_slots_take_one_word_set_per_cell_and_sentence(dataset, generated, monkeypatch):
+    """A numeric cell's header words come from its header cells' slots,
+    so ``_content_words`` runs once per cell and once per sentence."""
+    real_words = evidence._content_words
+    texts = []
+    monkeypatch.setattr(evidence, "_content_words",
+                        lambda text: texts.append(text) or real_words(text))
+    n_headed = 0
+    for corpus in [dataset, *generated]:
+        for context, _ in corpus:
+            texts.clear()
+            slots = evidence._ContextIndex(context).lexical
+            table = context.table
+            cells = list(table.iter_cells())
+            assert len(texts) == len(slots) > len(cells)
+            assert texts[: len(cells)] == [cell.text for cell in cells]
+            for cell, (_, header_words, _) in zip(cells, slots):
+                if cell.numeric is None:
+                    assert header_words is None
+                    continue
+                expected = frozenset()
+                if cell.row > 0:
+                    expected |= real_words(table.cell(0, cell.col).text)
+                if cell.col > 0:
+                    expected |= real_words(table.cell(cell.row, 0).text)
+                assert header_words == expected
+                n_headed += bool(expected)
+    assert n_headed > 100
+
+
 @pytest.mark.parametrize("config", [PipelineConfig(), LEXICAL], ids=["oracle", "lexical"])
 def test_run_makes_no_units_and_one_layout_per_context(dataset, generated, monkeypatch, config):
     units = []
