@@ -157,6 +157,16 @@ def iter_questions(dataset: Dataset) -> Iterator[tuple[HybridContext, QuestionRe
             yield context, question
 
 
+def repeated_question_id(dataset: Dataset) -> str | None:
+    """The first question uid that occurs twice in ``dataset``, if any."""
+    seen: set[str] = set()
+    for _, question in iter_questions(dataset):
+        if question.question_id in seen:
+            return question.question_id
+        seen.add(question.question_id)
+    return None
+
+
 _KNOWN_DOC_FIELDS = {"table", "paragraphs", "questions"}
 _KNOWN_PARAGRAPH_FIELDS = {"uid", "order", "text"}
 _KNOWN_QUESTION_FIELDS = {

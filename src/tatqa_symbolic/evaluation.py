@@ -36,7 +36,14 @@ from functools import reduce
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import AnswerSource, AnswerType, Dataset, QuestionRecord, iter_questions
+from .corpus import (
+    AnswerSource,
+    AnswerType,
+    Dataset,
+    QuestionRecord,
+    iter_questions,
+    repeated_question_id,
+)
 from .errors import NumberTooLongError, ScoringError
 from .numerics import Scale, json_decimal, parse_number, render_decimal, round_fraction
 
@@ -389,8 +396,12 @@ def evaluate(
     """Micro-averaged EM/F1 overall and per (answer type, answer source).
 
     Gold questions with no prediction score (0, 0) and are listed in
-    ``missing``; prediction ids not present in the gold set are an error.
+    ``missing``; prediction ids not present in the gold set are an error,
+    and so is a repeated gold uid, which no prediction file can address.
     """
+    repeated = repeated_question_id(dataset)
+    if repeated is not None:
+        raise ScoringError(f"{repeated}: repeated gold question uid")
     gold_ids = {q.question_id for _, q in iter_questions(dataset)}
     unknown = sorted(set(predictions) - gold_ids)
     if unknown:

@@ -4,11 +4,12 @@ The input sequence for a question is the question's words, the table
 flattened row by row (each cell split into words), then the paragraphs
 in order.  Taggers assign each unit a probability of being evidence;
 decoding turns positive units into candidates: a cell is a candidate if
-any of its units is positive, and maximal runs of consecutive positive
-paragraph words form one span each.
+any of its units is positive, and each maximal run of positive words
+adjacent within one paragraph forms one span.
 
-A tagged sequence holds the question's words, a tuple of probabilities
-and its context's layout: the unit texts after the question, and one
+A tagged sequence is built from a question, its context and one
+probability per unit.  It holds the question's words, the probabilities
+and the context's layout: the unit texts after the question, and one
 segment (positions, and a cell's number) per non-empty cell and per
 paragraph.  Decoding builds an origin only for a candidate it emits.
 
@@ -32,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, groupby, repeat
+from itertools import chain, compress, repeat
 from operator import lt
 from pathlib import Path
 from typing import Union
@@ -105,84 +106,53 @@ class _CellSegment:
 
 @dataclass(frozen=True, slots=True)
 class _ParagraphSegment:
-    """A paragraph's positions; ``first_word`` is 0 but in hand-built units."""
+    """A paragraph's id and positions."""
 
     paragraph_id: str
     positions: range
-    first_word: int = 0
 
 
 class _Layout:
-    """Unit texts and segments, and the segment owning each position
-    (None for a question word among hand-built units)."""
+    """Unit texts and segments, and the segment owning each position."""
 
     __slots__ = ("texts", "cells", "paragraphs", "owners")
 
     def __init__(self, texts: tuple[str, ...], cells: tuple, paragraphs: tuple):
         self.texts, self.cells, self.paragraphs = texts, cells, paragraphs
-        owners: list = [None] * len(texts)
-        for segment in cells + paragraphs:
-            positions = segment.positions
-            owners[positions.start : positions.stop] = repeat(segment, len(positions))
-        self.owners = tuple(owners)
+        # the segments are in position order and cover every position
+        self.owners = tuple(
+            chain.from_iterable(repeat(s, len(s.positions)) for s in cells + paragraphs)
+        )
 
     def sequence(self, words) -> list[tuple[str, UnitOrigin]]:
         """(text, origin) of ``words`` as question words, then of the
-        layout's units (each owned by a segment)."""
+        layout's units."""
         units = [(word, QuestionWord(index)) for index, word in enumerate(words)]
         for position, (text, segment) in enumerate(zip(self.texts, self.owners)):
             word = position - segment.positions.start
             if type(segment) is _CellSegment:
                 units.append((text, CellWord(segment.row, segment.col, word)))
             else:
-                units.append((text, ParagraphWord(segment.paragraph_id, segment.first_word + word)))
+                units.append((text, ParagraphWord(segment.paragraph_id, word)))
         return units
 
 
-def _unit_layout(units: tuple[TagUnit, ...]) -> _Layout:
-    """The layout of hand-built units, by the adjacency rules of decoding:
-    a cell segment per run of units of one cell, a paragraph segment per
-    run of consecutive words of one paragraph."""
-
-    def run_of(position: int) -> tuple:
-        origin = units[position].origin
-        if isinstance(origin, CellWord):
-            return CellWord, origin.row, origin.col
-        if isinstance(origin, ParagraphWord):
-            return ParagraphWord, origin.paragraph_id, origin.word - position
-        return (None,)
-
-    texts = tuple(unit.text for unit in units)
-    cells, paragraphs = [], []
-    for (kind, *key), run in groupby(range(len(units)), run_of):
-        run = list(run)
-        positions = range(run[0], run[-1] + 1)
-        if kind is CellWord:
-            text = " ".join(texts[positions.start : positions.stop])
-            cells.append(_CellSegment(*key, positions, text, parse_number(text)))
-        elif kind is ParagraphWord:
-            paragraph_id, first_word = key
-            paragraphs.append(_ParagraphSegment(paragraph_id, positions, first_word + run[0]))
-    return _Layout(texts, tuple(cells), tuple(paragraphs))
-
-
 class TaggedSequence:
-    """One probability per unit of the input sequence: the question's
-    ``words``, then the ``layout``'s units.  Taggers pass all three;
-    ``TaggedSequence(units)`` takes hand-built units and derives their
-    layout.  ``units`` gives the units either way."""
+    """One probability per unit of the input sequence of ``question``
+    over ``context``: the question's words, then the context's cell and
+    paragraph words, in the order ``context_units`` lists them."""
 
-    __slots__ = ("words", "layout", "probabilities", "_units")
+    __slots__ = ("words", "layout", "probabilities")
 
-    def __init__(self, units=(), *, words=(), layout: _Layout | None = None, probabilities=()):
-        if layout is None:
-            units = tuple(units)
-            layout, probabilities = _unit_layout(units), tuple(u.probability for u in units)
-        else:
-            units = None
-        self.words, self.layout, self.probabilities, self._units = (
-            words, layout, probabilities, units
-        )
+    def __init__(self, question: QuestionRecord, context: HybridContext, probabilities):
+        self.words = words = tuple(question.text.split())
+        self.layout = layout = _context_index(context).layout
+        self.probabilities = probabilities = tuple(probabilities)
+        if len(probabilities) != len(words) + len(layout.texts):
+            raise ValueError(
+                f"{len(probabilities)} probabilities for {len(words)} question words "
+                f"and {len(layout.texts)} context units"
+            )
         total = sum(probabilities)  # NaN, which min and max can pass over, makes it NaN
         if probabilities and not (
             0.0 <= min(probabilities) and max(probabilities) <= 1.0 and total == total
@@ -193,8 +163,6 @@ class TaggedSequence:
     @property
     def units(self) -> tuple[TagUnit, ...]:
         """The sequence as ``TagUnit``s, built on each call."""
-        if self._units is not None:
-            return self._units
         pairs = self.layout.sequence(self.words)
         return tuple(TagUnit(t, o, p) for (t, o), p in zip(pairs, self.probabilities))
 
@@ -412,10 +380,10 @@ def context_units(question_text: str, context: HybridContext) -> list[tuple[str,
 def decode_evidence(tags: TaggedSequence, threshold: float = 0.5) -> list[EvidenceCandidate]:
     """Turn tagged units into evidence candidates, in input-sequence order.
 
-    A cell is a candidate when any of its units exceeds the threshold;
-    consecutive positive paragraph words merge into one span, where
-    consecutive means adjacent in the sequence, in the same paragraph and
-    one word apart.  Candidate probability is the maximum over its
+    A cell is a candidate when any of its units exceeds the threshold,
+    and a run of positive words adjacent within one paragraph is one
+    span (the sequence holds a paragraph's words in order, so they are
+    one word apart).  Candidate probability is the maximum over its
     positive units, and the numeric field is filled when the candidate
     text parses as a single number.  Question words are never evidence.
     """
@@ -430,8 +398,6 @@ def decode_evidence(tags: TaggedSequence, threshold: float = 0.5) -> list[Eviden
         if index < stop:
             continue
         segment = owners[index - offset]
-        if segment is None:
-            continue  # a question word in a hand-built sequence
         first = segment.positions.start + offset
         end = segment.positions.stop + offset
         # a positive unit outscores every other, so each maximum below is
@@ -444,7 +410,7 @@ def decode_evidence(tags: TaggedSequence, threshold: float = 0.5) -> list[Eviden
             stop = index + 1
             while stop < end and probabilities[stop] > threshold:
                 stop += 1
-            word = segment.first_word + index - first
+            word = index - first
             origin = SpanOrigin(segment.paragraph_id, word, word + stop - index)
             text = " ".join(texts[index - offset : stop - offset])
             numeric, start = parse_number(text), index
@@ -676,17 +642,16 @@ def build_supervision(
 # ---------------------------------------------------------------------------
 
 
-def _tagged(question: QuestionRecord, layout: _Layout, base: float, scored) -> TaggedSequence:
-    """The question's words at 0.0, then the layout's units at ``base``
-    except where ``scored`` gives (positions, probability)."""
-    words = tuple(question.text.split())
-    offset = len(words)
-    probabilities = [0.0] * offset + [base] * len(layout.texts)
+def _tagged(question: QuestionRecord, context: HybridContext, base: float, scored) -> TaggedSequence:
+    """The question's words at 0.0, then the context's units at ``base``
+    except where ``scored`` gives (layout positions, probability)."""
+    offset = len(question.text.split())
+    probabilities = [0.0] * offset + [base] * len(_context_index(context).layout.texts)
     for positions, probability in scored:
         probabilities[offset + positions.start : offset + positions.stop] = (
             [probability] * len(positions)
         )
-    return TaggedSequence(words=words, layout=layout, probabilities=tuple(probabilities))
+    return TaggedSequence(question, context, probabilities)
 
 
 class OracleTagger:
@@ -699,7 +664,7 @@ class OracleTagger:
         labels = build_supervision(question, context)
         index = _context_index(context)
         tagged = [(index.positions(origin, paragraph), 1.0) for origin, paragraph in labels.located]
-        return _tagged(question, index.layout, 0.0, tagged)
+        return _tagged(question, context, 0.0, tagged)
 
 
 _STOPWORDS = frozenset(
@@ -754,7 +719,7 @@ class LexicalTagger:
                 score = max(score, _jaccard(question_words, header_words))
             if score:  # units of a zero-overlap slot stay at the floor
                 scored.append((positions, self._smooth(score)))
-        return _tagged(question, index.layout, self._smooth(0.0), scored)
+        return _tagged(question, context, self._smooth(0.0), scored)
 
 
 # ---------------------------------------------------------------------------

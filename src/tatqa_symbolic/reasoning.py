@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Protocol
 
-from .corpus import Dataset, HybridContext, QuestionRecord
+from .corpus import Dataset, HybridContext, QuestionRecord, repeated_question_id
 from .derivation import (
     ORDER_SENSITIVE,
     Operator,
@@ -26,6 +26,7 @@ from .derivation import (
     parsed_derivation,
 )
 from .errors import (
+    DatasetValidationError,
     ExecutionError,
     InsufficientEvidenceError,
     PipelineError,
@@ -484,8 +485,13 @@ def run_pipeline(
 
     Per-question pipeline errors become abstained predictions, so a run
     always produces one record per question.  Results are merged in
-    dataset order and are identical for any worker count.
+    dataset order and are identical for any worker count.  Predictions
+    are keyed by question uid, so a repeated uid raises
+    ``DatasetValidationError`` before any question is answered.
     """
+    repeated = repeated_question_id(dataset)
+    if repeated is not None:
+        raise DatasetValidationError("repeated question uid", question_id=repeated)
     jobs = [(context, questions, config) for context, questions in dataset]
     if workers <= 1:
         batches = map(_run_context, jobs)

@@ -15,7 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from tatqa_symbolic.corpus import load_dataset
+from tatqa_symbolic.corpus import (
+    AnswerSource,
+    AnswerType,
+    Cell,
+    HybridContext,
+    Paragraph,
+    QuestionRecord,
+    Table,
+    load_dataset,
+)
+from tatqa_symbolic.numerics import Scale, parse_number
 
 REVENUE_DOC = {
     "table": {
@@ -316,6 +326,30 @@ def bench_module(name: str) -> types.ModuleType:
             del sys.modules[name]
         sys.modules.update(saved_modules)
     return module
+
+
+def word_inputs(question=(), table=(), paragraphs=()):
+    """A question and a context built from word lists: ``question`` is a
+    list of words, ``table`` a list of rows, each a list of cells, each a
+    list of words (``[]`` for an empty cell), and ``paragraphs`` a list of
+    (uid, words) pairs.  Words are joined by single spaces, so each word
+    is one unit of the input sequence; a cell's number is parsed as the
+    loader parses it."""
+    cells = []
+    for row, words_by_col in enumerate(table):
+        texts = [" ".join(words) for words in words_by_col]
+        cells.append(tuple(Cell(text, row, col, parse_number(text))
+                           for col, text in enumerate(texts)))
+    context = HybridContext(
+        context_id="ctx-words",
+        table=Table(cells=tuple(cells)),
+        paragraphs=tuple(Paragraph(uid, order, " ".join(words))
+                         for order, (uid, words) in enumerate(paragraphs, 1)),
+    )
+    record = QuestionRecord(question_id="q-words", text=" ".join(question), answer="",
+                            answer_type=AnswerType.SPAN, answer_source=AnswerSource.TEXT,
+                            gold_scale=Scale.NONE)
+    return record, context
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,9 @@ the per-question unit loops and gold-label search that the evidence
 module ran before it kept a per-context index, and the unit-by-unit
 decoder it ran before it decoded from the positive units.  They use the
 library's data types and its number and derivation parsers, but none of
-its tagging, lookup or decoding code.  The aggregation section keeps the
+its tagging, lookup or decoding code; tags are plain ``TagUnit`` tuples,
+not the library's ``TaggedSequence``, so its layout is checked against
+units laid out here.  The aggregation section keeps the
 ablation that scored the dataset once per row and the report grid whose
 margins were summed by hand; they call the library's ``evaluate`` and
 cell formatting, but not the row and margin sums they are compared with.
@@ -431,7 +433,8 @@ def reference_supervision(question, context):
 
 def reference_oracle_tags(question, context, labels):
     """Gold cells at 1.0, and each located text span at 1.0 in the
-    paragraph where it was found (not in others that share its id)."""
+    paragraph where it was found (not in others that share its id), as
+    a tuple of ``TagUnit``s."""
     cell_set = {(o.row, o.col) for o in labels.g_tag if isinstance(o, ev.CellOrigin)}
     table_first = question.answer_source in (AnswerSource.TABLE, AnswerSource.TABLE_TEXT)
     found_spans = [
@@ -456,7 +459,7 @@ def reference_oracle_tags(question, context, labels):
             )
             origin = ev.ParagraphWord(paragraph.paragraph_id, word_index)
             units.append(ev.TagUnit(word, origin, 1.0 if tagged else 0.0))
-    return ev.TaggedSequence(tuple(units))
+    return tuple(units)
 
 
 _REFERENCE_STOPWORDS = frozenset(
@@ -483,6 +486,7 @@ def _reference_jaccard(a, b):
 
 
 def reference_lexical_tags(question, context, floor=0.01):
+    """The lexical tagger's probabilities, as a tuple of ``TagUnit``s."""
 
     def smooth(score):
         return floor + (1.0 - floor) * score
@@ -531,7 +535,7 @@ def reference_lexical_tags(question, context, floor=0.01):
         else:
             probability = next(paragraph_probabilities)
         units.append(ev.TagUnit(text, origin, probability))
-    return ev.TaggedSequence(tuple(units))
+    return tuple(units)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +544,10 @@ def reference_lexical_tags(question, context, floor=0.01):
 # ---------------------------------------------------------------------------
 
 
-def reference_decode(tags, threshold=0.5):
+def reference_decode(units, threshold=0.5):
     """The unit-by-unit decoder that ran before decoding started from the
-    positive units.  It agrees with ``decode_evidence`` on sequences laid
-    out as ``context_units`` lays them out.
+    positive units, over a tuple of ``TagUnit``s laid out as
+    ``reference_context_units`` lays them out.
 
     A cell is a candidate when any of its units exceeds the threshold;
     consecutive positive paragraph words merge into one span.  Candidate
@@ -593,7 +597,7 @@ def reference_decode(tags, threshold=0.5):
             )
         span_key = None
 
-    for index, unit in enumerate(tags.units):
+    for index, unit in enumerate(units):
         origin = unit.origin  # question words fall through: never evidence
         if isinstance(origin, ev.ParagraphWord):
             if cell_key is not None:

@@ -8,6 +8,7 @@ message otherwise.  Everything else runs on every build.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import time
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import word_inputs
 from oracles import brute_force_alignment_f1, random_expression, shunting_yard_eval
 from tatqa_symbolic import reference
 from tatqa_symbolic.corpus import (
@@ -40,13 +42,7 @@ from tatqa_symbolic.evaluation import (
     evaluate,
     score_question,
 )
-from tatqa_symbolic.evidence import (
-    CellWord,
-    ParagraphWord,
-    TaggedSequence,
-    TagUnit,
-    decode_evidence,
-)
+from tatqa_symbolic.evidence import TaggedSequence, context_units, decode_evidence
 from tatqa_symbolic.numerics import Scale
 from tatqa_symbolic.reasoning import PipelineConfig, answer_question, run_pipeline
 from tatqa_symbolic.validation import validate_dataset
@@ -320,15 +316,20 @@ def test_criterion_6e_decode_threshold_monotonicity():
 
     start = time.perf_counter()
     rng = random.Random(1618)
+    words = (f"w{index}" for index in itertools.count())
+
+    def draw(most):
+        return [next(words) for _ in range(rng.randint(0, most))]
+
     for _ in range(200):
-        units = []
-        for index in range(rng.randint(1, 30)):
-            if rng.random() < 0.5:
-                origin = CellWord(0, index // 3, index % 3)
-            else:
-                origin = ParagraphWord("p1", index)
-            units.append(TagUnit(f"w{index}", origin, rng.random()))
-        tags = TaggedSequence(tuple(units))
+        # a random small table (cells of up to three words, some empty)
+        # and up to three paragraphs of up to ten words
+        n_cols = rng.randint(1, 3)
+        table = [[draw(3) for _ in range(n_cols)] for _ in range(rng.randint(0, 4))]
+        paragraphs = [(f"p{number}", draw(10)) for number in range(rng.randint(0, 3))]
+        question, context = word_inputs(draw(3), table, paragraphs)
+        n_units = len(context_units(question.text, context))
+        tags = TaggedSequence(question, context, [rng.random() for _ in range(n_units)])
         low_t, high_t = sorted((rng.random(), rng.random()))
         low = decode_evidence(tags, low_t)
         high = decode_evidence(tags, high_t)

@@ -216,6 +216,56 @@ class TestRepeatedParagraphUid:
         assert len(json.loads(out.read_text(encoding="utf-8"))) == len(REVENUE_DOC["questions"])
 
 
+class TestRepeatedQuestionUid:
+    """Predictions are keyed by question uid, so a dataset that repeats
+    one cannot be answered or scored question by question."""
+
+    @pytest.fixture
+    def repeated(self, tmp_path):
+        docs = json.loads(json.dumps(CORPUS_DOCS))
+        question = docs[2]["questions"][0]
+        assert question["uid"] == "q-text-arith"
+        question["uid"] = "q-rev-diff"
+        path = tmp_path / "repeated-question-uid.json"
+        path.write_text(json.dumps(docs), encoding="utf-8")
+        return path
+
+    def test_run_answers_no_question(self, repeated, tmp_path, capsys):
+        out = tmp_path / "preds.json"
+        assert run_cli("run", "--dataset", repeated, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: q-rev-diff: repeated question uid"
+        )
+        assert not out.exists()
+
+    def test_ablate(self, repeated, capsys):
+        assert run_cli("ablate", "--dataset", repeated) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == "error: q-rev-diff: repeated question uid"
+        assert captured.out == ""
+
+    def test_eval(self, repeated, corpus_path, tmp_path, capsys):
+        # every prediction id is a gold id, but two gold questions share one
+        preds = tmp_path / "preds.json"
+        assert run_cli("run", "--dataset", corpus_path, "--out", preds) == 0
+        predictions = json.loads(preds.read_text(encoding="utf-8"))
+        del predictions["q-text-arith"]
+        preds.write_text(json.dumps(predictions), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("eval", "--dataset", repeated, "--pred", preds) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            "error: q-rev-diff: repeated gold question uid"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_validate_and_stats_warn(self, repeated, command, caplog):
+        assert run_cli(command, "--dataset", repeated) == 0
+        assert "duplicate question uid q-rev-diff" in caplog.text
+        assert run_cli(command, "--dataset", repeated, "--strict") == 1
+
+
 class TestStats:
     def test_prints_tables(self, corpus_path, capsys):
         code = run_cli("stats", "--dataset", corpus_path)

@@ -139,7 +139,7 @@ def test_index_matches_per_question_loops(dataset):
             question.text, context
         )
         for floor in (0.01, 0.2):
-            assert LexicalTagger(floor).tag(question, context) == reference_lexical_tags(
+            assert LexicalTagger(floor).tag(question, context).units == reference_lexical_tags(
                 question, context, floor
             )
         labels = outcome(build_supervision, question, context)
@@ -147,7 +147,7 @@ def test_index_matches_per_question_loops(dataset):
         if isinstance(labels, tuple):
             assert outcome(OracleTagger().tag, question, context) == labels
         else:
-            assert OracleTagger().tag(question, context) == reference_oracle_tags(
+            assert OracleTagger().tag(question, context).units == reference_oracle_tags(
                 question, context, labels
             )
         checked += 1
@@ -156,23 +156,26 @@ def test_index_matches_per_question_loops(dataset):
 
 def test_decode_matches_unit_by_unit_decoder(dataset):
     """Decoding from the positive units agrees with the decoder that
-    walked every unit, on sequences laid out as ``context_units`` lays
-    them out, at random probabilities and thresholds (ties included)."""
+    walked every unit of the reference layout, at random probabilities
+    and thresholds (ties included)."""
     rng = random.Random(20261018)
     levels = [0.05, 0.3, 0.5, 0.7, 1.0]
     multi_word = {CellOrigin: 0, SpanOrigin: 0}
     for context, question in interleaved(dataset):
-        units = context_units(question.text, context)
+        units = reference_context_units(question.text, context)
         for _ in range(20):
             density = rng.random()
-            tags = TaggedSequence(tuple(
-                TagUnit(text, origin, rng.choice(levels + [rng.random()]))
-                if rng.random() < density else TagUnit(text, origin, 0.0)
-                for text, origin in units
-            ))
+            probabilities = [
+                rng.choice(levels + [rng.random()]) if rng.random() < density else 0.0
+                for _ in units
+            ]
+            tags = TaggedSequence(question, context, probabilities)
+            reference = tuple(
+                TagUnit(text, origin, p) for (text, origin), p in zip(units, probabilities)
+            )
             threshold = rng.choice([0.0, 0.05, 0.5, rng.random()])
             candidates = decode_evidence(tags, threshold)
-            assert candidates == reference_decode(tags, threshold)
+            assert candidates == reference_decode(reference, threshold)
             for candidate in candidates:
                 multi_word[type(candidate.origin)] += " " in candidate.text
     assert min(multi_word.values()) > 100
@@ -208,9 +211,9 @@ def test_layout_tags_and_decoding_match_the_references(dataset, generated, corpu
             pairs.append((OracleTagger().tag(question, context),
                            reference_oracle_tags(question, context, labels)))
         for tags, reference in pairs:
-            assert tags.units == reference.units
+            assert tags.units == reference
             for threshold in (0.0, 0.05, 0.5, 0.99):
-                assert decode_evidence(tags, threshold) == reference_decode(tags, threshold)
+                assert decode_evidence(tags, threshold) == reference_decode(reference, threshold)
             tagged += 1
     assert tagged > sum(len(questions) for _, questions in corpus)
 

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from conftest import word_inputs
 from tatqa_symbolic.corpus import AnswerSource, AnswerType, QuestionRecord
 from tatqa_symbolic.derivation import Operator
 from tatqa_symbolic.errors import UnlocatableEvidenceError
@@ -8,11 +11,8 @@ from tatqa_symbolic.evidence import (
     CellWord,
     LexicalTagger,
     OracleTagger,
-    ParagraphWord,
-    QuestionWord,
     SpanOrigin,
     TaggedSequence,
-    TagUnit,
     build_supervision,
     context_units,
     decode_evidence,
@@ -21,26 +21,20 @@ from tatqa_symbolic.evidence import (
 from tatqa_symbolic.numerics import Scale
 
 
-def sequence(*entries) -> TaggedSequence:
-    return TaggedSequence(tuple(TagUnit(t, o, p) for t, o, p in entries))
+def tagged(probabilities, **words) -> TaggedSequence:
+    """``probabilities`` over the sequence of ``word_inputs(**words)``."""
+    return TaggedSequence(*word_inputs(**words), probabilities)
 
 
 class TestDecode:
     def test_all_zero_probabilities(self):
-        tags = sequence(
-            ("5,134", CellWord(0, 0, 0), 0.0),
-            ("word", ParagraphWord("p1", 0), 0.0),
-        )
+        tags = tagged([0.0, 0.0], table=[[["5,134"]]], paragraphs=[("p1", ["word"])])
         assert decode_evidence(tags) == []
 
     def test_paragraph_runs_become_spans(self):
         # I, I, O, I over one paragraph -> two spans
-        tags = sequence(
-            ("alpha", ParagraphWord("p1", 0), 0.9),
-            ("beta", ParagraphWord("p1", 1), 0.8),
-            ("gamma", ParagraphWord("p1", 2), 0.1),
-            ("delta", ParagraphWord("p1", 3), 0.7),
-        )
+        tags = tagged([0.9, 0.8, 0.1, 0.7],
+                      paragraphs=[("p1", ["alpha", "beta", "gamma", "delta"])])
         candidates = decode_evidence(tags)
         assert [c.origin for c in candidates] == [
             SpanOrigin("p1", 0, 2),
@@ -50,73 +44,71 @@ class TestDecode:
         assert candidates[0].probability == 0.9
 
     def test_positive_cell_with_numeric(self):
-        tags = sequence(("5,134", CellWord(2, 1, 0), 1.0))
+        tags = tagged([1.0], table=[[[], []], [[], []], [[], ["5,134"]]])
         (candidate,) = decode_evidence(tags)
         assert candidate.origin == CellOrigin(2, 1)
         assert candidate.numeric.value == 5134
 
     def test_any_subtoken_marks_cell(self):
-        tags = sequence(
-            ("Enterprise", CellWord(5, 0, 0), 0.2),
-            ("Services", CellWord(5, 0, 1), 0.8),
-        )
+        tags = tagged([0.2, 0.8], table=[[[]]] * 5 + [[["Enterprise", "Services"]]])
         (candidate,) = decode_evidence(tags)
+        assert candidate.origin == CellOrigin(5, 0)
         assert candidate.text == "Enterprise Services"
         assert candidate.probability == 0.8
 
     def test_question_units_never_candidates(self):
-        tags = sequence(("revenue", QuestionWord(0), 1.0))
+        tags = tagged([1.0, 0.0], question=["revenue"], paragraphs=[("p1", ["revenue"])])
         assert decode_evidence(tags) == []
 
     def test_span_does_not_cross_paragraphs(self):
-        tags = sequence(
-            ("one", ParagraphWord("p1", 5), 0.9),
-            ("two", ParagraphWord("p2", 0), 0.9),
-        )
+        tags = tagged([0.0] * 5 + [0.9, 0.9],
+                      paragraphs=[("p1", ["a", "b", "c", "d", "e", "one"]), ("p2", ["two"])])
         origins = [c.origin for c in decode_evidence(tags)]
         assert origins == [SpanOrigin("p1", 5, 6), SpanOrigin("p2", 0, 1)]
 
     def test_candidates_in_input_sequence_order(self):
-        # a cell between two words of one paragraph ends the span
-        tags = sequence(
-            ("a", ParagraphWord("p1", 0), 0.9),
-            ("5", CellWord(0, 0, 0), 0.9),
-            ("b", ParagraphWord("p1", 1), 0.9),
-        )
+        # question words first, then cells row by row, then paragraphs
+        tags = tagged([0.0, 0.9, 0.9, 0.9, 0.1, 0.1, 0.9],
+                      question=["q"], table=[[["5"], ["6"]]],
+                      paragraphs=[("p1", ["a", "b"]), ("p2", ["c", "d"])])
         assert [(c.text, c.origin, c.position) for c in decode_evidence(tags)] == [
-            ("a", SpanOrigin("p1", 0, 1), 0),
             ("5", CellOrigin(0, 0), 1),
-            ("b", SpanOrigin("p1", 1, 2), 2),
+            ("6", CellOrigin(0, 1), 2),
+            ("a", SpanOrigin("p1", 0, 1), 3),
+            ("d", SpanOrigin("p2", 1, 2), 6),
         ]
 
     def test_threshold_is_strict(self):
-        tags = sequence(("x", CellWord(0, 0, 0), 0.5))
+        tags = tagged([0.5], table=[[["x"]]])
         assert decode_evidence(tags, threshold=0.5) == []
         assert len(decode_evidence(tags, threshold=0.49)) == 1
 
     def test_max_pooling_invariant_to_finer_units(self):
-        coarse = sequence(("alpha beta", CellWord(1, 1, 0), 0.7))
-        fine = sequence(
-            ("alpha", CellWord(1, 1, 0), 0.7),
-            ("beta", CellWord(1, 1, 1), 0.3),
-        )
+        coarse = tagged([0.7], table=[[["alpha"]]])
+        fine = tagged([0.7, 0.3], table=[[["alpha", "beta"]]])
         assert (
             decode_evidence(coarse)[0].probability
             == decode_evidence(fine)[0].probability
         )
 
     def test_candidate_count_monotone_in_threshold(self):
-        tags = sequence(
-            ("a", ParagraphWord("p", 0), 0.3),
-            ("b", ParagraphWord("p", 1), 0.6),
-            ("c", CellWord(0, 0, 0), 0.9),
-        )
+        tags = tagged([0.9, 0.3, 0.6], table=[[["c"]]], paragraphs=[("p", ["a", "b"])])
         counts = [len(decode_evidence(tags, t)) for t in (0.1, 0.5, 0.8, 0.95)]
         assert counts == sorted(counts, reverse=True)
 
     def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            sequence(("x", CellWord(0, 0, 0), 1.5))
+        # one question word and one cell word: two units
+        words = {"question": ["q"], "table": [[["x"]]]}
+        assert tagged([0.0, 1.0], **words).probabilities == (0.0, 1.0)
+        for probabilities, message in [
+            ([0.0, 1.5], "probability 1.5 out of [0, 1] for CellWord"),
+            ([-0.1, 0.0], "probability -0.1 out of [0, 1] for QuestionWord"),
+            ([0.0, float("nan")], "probability nan out of [0, 1] for CellWord"),
+            ([0.0], "1 probabilities for 1 question words and 1 context units"),
+            ([0.0, 0.0, 0.0], "3 probabilities for 1 question words and 1 context units"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                tagged(probabilities, **words)
 
 
 class TestSupervision:
