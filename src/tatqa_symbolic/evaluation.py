@@ -461,10 +461,8 @@ def _fmt_cell(cell: CellScore) -> str:
 
 
 def prediction_file_entry(value, scale: Scale) -> list:
-    if isinstance(value, Fraction):
+    if isinstance(value, (Fraction, int)):
         entry_value: object = render_decimal(value)
-    elif isinstance(value, int):
-        entry_value = render_decimal(Fraction(value))
     elif isinstance(value, list):
         entry_value = [str(item) for item in value]
     else:

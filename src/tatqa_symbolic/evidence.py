@@ -13,6 +13,10 @@ and the context's layout: the unit texts after the question, and one
 segment (positions, and a cell's number) per non-empty cell and per
 paragraph.  Decoding builds an origin only for a candidate it emits.
 
+An origin names a paragraph by its index in ``context.paragraphs``, so
+paragraphs that share a uid are never mixed; the uid is read only where
+an origin is written to JSON (``origin_to_json``).
+
 Two deterministic taggers are provided: an oracle that realizes the
 gold tag labels exactly, and a lexical-overlap baseline that needs no
 gold annotation.
@@ -79,7 +83,7 @@ class CellWord:
 
 @dataclass(frozen=True)
 class ParagraphWord:
-    paragraph_id: str
+    paragraph: int  # index in ``context.paragraphs``
     word: int
 
 
@@ -106,9 +110,9 @@ class _CellSegment:
 
 @dataclass(frozen=True, slots=True)
 class _ParagraphSegment:
-    """A paragraph's id and positions."""
+    """A paragraph's index in the context and positions."""
 
-    paragraph_id: str
+    paragraph: int
     positions: range
 
 
@@ -133,7 +137,7 @@ class _Layout:
             if type(segment) is _CellSegment:
                 units.append((text, CellWord(segment.row, segment.col, word)))
             else:
-                units.append((text, ParagraphWord(segment.paragraph_id, word)))
+                units.append((text, ParagraphWord(segment.paragraph, word)))
         return units
 
 
@@ -183,9 +187,10 @@ class CellOrigin:
 
 @dataclass(frozen=True)
 class SpanOrigin:
-    """A word range [start, stop) within one paragraph."""
+    """A word range [start, stop) within the paragraph at index
+    ``paragraph`` of ``context.paragraphs``."""
 
-    paragraph_id: str
+    paragraph: int
     start: int
     stop: int
 
@@ -208,11 +213,6 @@ class SupervisionLabels:
     g_op: str
     g_scale: Scale
     g_order: int | None
-    # each located evidence and the number of the paragraph it was found
-    # in (None for a cell): ``g_tag`` names a paragraph by id, which may repeat
-    located: tuple[tuple[CandidateOrigin, int | None], ...] = field(
-        default=(), compare=False, repr=False
-    )
 
 
 def _word_spans(text: str) -> list[tuple[int, int]]:
@@ -273,10 +273,10 @@ class _ContextIndex:
                 cells.append(_CellSegment(cell.row, cell.col, positions, text, numeric))
                 texts += words
         paragraphs = []
-        for paragraph in self.context.paragraphs:
+        for number, paragraph in enumerate(self.context.paragraphs):
             words = paragraph.text.split()
             positions = range(len(texts), len(texts) + len(words))
-            paragraphs.append(_ParagraphSegment(paragraph.paragraph_id, positions))
+            paragraphs.append(_ParagraphSegment(number, positions))
             texts += words
         return _Layout(tuple(texts), tuple(cells), tuple(paragraphs))
 
@@ -284,12 +284,11 @@ class _ContextIndex:
     def cell_positions(self) -> dict[tuple[int, int], range]:
         return {(cell.row, cell.col): cell.positions for cell in self.layout.cells}
 
-    def positions(self, origin: CandidateOrigin, paragraph: int | None) -> range:
-        """Layout positions of a located origin; a span's paragraph is
-        given by its number, as ids may repeat."""
-        if paragraph is None:
+    def positions(self, origin: CandidateOrigin) -> range:
+        """Layout positions of an origin."""
+        if isinstance(origin, CellOrigin):
             return self.cell_positions.get((origin.row, origin.col), range(0))
-        return self.layout.paragraphs[paragraph].positions[origin.start : origin.stop]
+        return self.layout.paragraphs[origin.paragraph].positions[origin.start : origin.stop]
 
     def _first_numeric_cells(self, key) -> dict[Fraction, CellOrigin]:
         found: dict[Fraction, CellOrigin] = {}
@@ -411,7 +410,7 @@ def decode_evidence(tags: TaggedSequence, threshold: float = 0.5) -> list[Eviden
             while stop < end and probabilities[stop] > threshold:
                 stop += 1
             word = index - first
-            origin = SpanOrigin(segment.paragraph_id, word, word + stop - index)
+            origin = SpanOrigin(segment.paragraph, word, word + stop - index)
             text = " ".join(texts[index - offset : stop - offset])
             numeric, start = parse_number(text), index
         candidates.append(
@@ -508,10 +507,8 @@ def _char_to_word_range(
 
 def _find_in_paragraphs(
     index: _ContextIndex, item: _EvidenceItem, loose: bool
-) -> tuple[SpanOrigin, int] | None:
-    """A span and the number of the paragraph holding it."""
+) -> SpanOrigin | None:
     for number, entry in enumerate(index.paragraphs):
-        paragraph_id = entry.paragraph.paragraph_id
         if item.value is not None:
             for parsed, (start, end) in entry.numbers:
                 if parsed.value == item.value or (
@@ -519,7 +516,7 @@ def _find_in_paragraphs(
                 ):
                     word_range = _char_to_word_range(entry.word_spans, start, end)
                     if word_range:
-                        return SpanOrigin(paragraph_id, *word_range), number
+                        return SpanOrigin(number, *word_range)
         else:
             found = entry.folded.find(item.surface.casefold())
             if found >= 0:
@@ -527,18 +524,17 @@ def _find_in_paragraphs(
                     entry.word_spans, found, found + len(item.surface)
                 )
                 if word_range:
-                    return SpanOrigin(paragraph_id, *word_range), number
+                    return SpanOrigin(number, *word_range)
     return None
 
 
 def _locate(
     index: _ContextIndex, item: _EvidenceItem, table_first: bool
-) -> tuple[CandidateOrigin, int | None] | None:
+) -> CandidateOrigin | None:
     """First occurrence in input-sequence order, preferring the table for
-    table-sourced answers, with the number of its paragraph (None for a
-    cell).  Within each region an exact pass runs before a loose one
-    (absolute-value match for numbers, cell-substring match for text), so
-    the preferred region is exhausted before falling back."""
+    table-sourced answers.  Within each region an exact pass runs before
+    a loose one (absolute-value match for numbers, cell-substring match
+    for text), so the preferred region is exhausted before falling back."""
     finders = (
         (_find_in_table, _find_in_paragraphs)
         if table_first
@@ -547,8 +543,6 @@ def _locate(
     for finder in finders:
         for loose in (False, True):
             found = finder(index, item, loose)
-            if isinstance(found, CellOrigin):
-                return found, None
             if found is not None:
                 return found
     return None
@@ -557,18 +551,16 @@ def _locate(
 def _merge_spans(origins: list[SpanOrigin]) -> list[SpanOrigin]:
     """Merge overlapping or adjacent spans per paragraph, mirroring what
     decoding contiguous positive words would produce."""
-    by_paragraph: dict[str, list[SpanOrigin]] = {}
+    by_paragraph: dict[int, list[SpanOrigin]] = {}
     for origin in origins:
-        by_paragraph.setdefault(origin.paragraph_id, []).append(origin)
+        by_paragraph.setdefault(origin.paragraph, []).append(origin)
     merged: list[SpanOrigin] = []
-    for paragraph_id, spans in by_paragraph.items():
+    for paragraph, spans in by_paragraph.items():
         spans.sort(key=lambda s: (s.start, s.stop))
         current = spans[0]
         for span in spans[1:]:
             if span.start <= current.stop:
-                current = SpanOrigin(
-                    paragraph_id, current.start, max(current.stop, span.stop)
-                )
+                current = SpanOrigin(paragraph, current.start, max(current.stop, span.stop))
             else:
                 merged.append(current)
                 current = span
@@ -592,7 +584,7 @@ def build_supervision(
     table_first = question.answer_source in (AnswerSource.TABLE, AnswerSource.TABLE_TEXT)
     index = _context_index(context)
 
-    located: dict[_EvidenceItem, tuple[CandidateOrigin, int | None]] = {}
+    located: dict[_EvidenceItem, CandidateOrigin] = {}
     missing: list[str] = []
     for item in items:
         found = _locate(index, item, table_first)
@@ -606,14 +598,14 @@ def build_supervision(
     operator = classify_question(question)
 
     def position_of_value(value: Fraction) -> tuple:
-        for item, (origin, paragraph) in located.items():
+        for item, origin in located.items():
             if item.value == value:
                 # cells, row-major, precede the paragraphs' words, and a
                 # located cell is never empty, so this orders origins as
                 # the input sequence does
-                if paragraph is None:
+                if isinstance(origin, CellOrigin):
                     return (0, origin.row, origin.col)
-                return (1, paragraph, origin.start)
+                return (1, origin.paragraph, origin.start)
         raise ValueError(f"no located evidence with value {value}")
 
     g_order: int | None = None
@@ -624,16 +616,14 @@ def build_supervision(
         position_second = position_of_value(second.value)
         g_order = 0 if position_first <= position_second else 1
 
-    origins = [origin for origin, _ in located.values()]
-    cells = [o for o in origins if isinstance(o, CellOrigin)]
-    spans = [o for o in origins if isinstance(o, SpanOrigin)]
+    cells = [o for o in located.values() if isinstance(o, CellOrigin)]
+    spans = [o for o in located.values() if isinstance(o, SpanOrigin)]
     g_tag = frozenset(cells) | frozenset(_merge_spans(spans))
     return SupervisionLabels(
         g_tag=g_tag,
         g_op=operator,
         g_scale=question.gold_scale,
         g_order=g_order,
-        located=tuple(located.values()),
     )
 
 
@@ -655,16 +645,14 @@ def _tagged(question: QuestionRecord, context: HybridContext, base: float, score
 
 
 class OracleTagger:
-    """Perfect realization of the gold tag labels: probability 1.0 on
-    gold-positive units and 0.0 elsewhere.  A text span is tagged in the
-    paragraph where supervision found it, even when another paragraph
-    shares its id."""
+    """Perfect realization of the gold tag labels: probability 1.0 on the
+    units of each origin in ``build_supervision(...).g_tag`` and 0.0
+    elsewhere."""
 
     def tag(self, question: QuestionRecord, context: HybridContext) -> TaggedSequence:
-        labels = build_supervision(question, context)
         index = _context_index(context)
-        tagged = [(index.positions(origin, paragraph), 1.0) for origin, paragraph in labels.located]
-        return _tagged(question, context, 0.0, tagged)
+        g_tag = build_supervision(question, context).g_tag
+        return _tagged(question, context, 0.0, [(index.positions(o), 1.0) for o in g_tag])
 
 
 _STOPWORDS = frozenset(
@@ -727,12 +715,13 @@ class LexicalTagger:
 # ---------------------------------------------------------------------------
 
 
-def origin_to_json(origin: CandidateOrigin) -> dict:
+def origin_to_json(origin: CandidateOrigin, context: HybridContext) -> dict:
+    """``origin`` as written to JSON, a span naming its paragraph by uid."""
     if isinstance(origin, CellOrigin):
         return {"kind": "cell", "row": origin.row, "col": origin.col}
     return {
         "kind": "span",
-        "paragraph_id": origin.paragraph_id,
+        "paragraph_id": context.paragraphs[origin.paragraph].paragraph_id,
         "start": origin.start,
         "stop": origin.stop,
     }
@@ -770,7 +759,7 @@ def export_supervision(dataset: Dataset, path: str | Path) -> SupervisionExport:
                 "g_scale": labels.g_scale.word,
                 "g_order": labels.g_order,
                 "g_tag": sorted(
-                    (origin_to_json(origin) for origin in labels.g_tag),
+                    (origin_to_json(origin, context) for origin in labels.g_tag),
                     key=lambda o: (o["kind"], str(o)),
                 ),
             }

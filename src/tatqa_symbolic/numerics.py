@@ -183,7 +183,7 @@ def extract_numbers(text: str) -> list[tuple[ParsedNumber, tuple[int, int]]]:
 
 def round_fraction(value: Fraction, places: int) -> Fraction:
     """Round to ``places`` decimal places, ties to even."""
-    q = Fraction(10) ** places
+    q = 10**places
     scaled = value * q
     floor = scaled.numerator // scaled.denominator
     remainder_twice = 2 * (scaled.numerator - floor * scaled.denominator)
@@ -191,7 +191,7 @@ def round_fraction(value: Fraction, places: int) -> Fraction:
         remainder_twice == scaled.denominator and floor % 2
     ):
         floor += 1
-    return Fraction(floor, 1) / q
+    return Fraction(floor, q)
 
 
 def render_decimal(value: Fraction | int, max_places: int = 17) -> str:

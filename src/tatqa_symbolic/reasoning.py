@@ -343,12 +343,10 @@ class HeuristicScale:
                 if scale is not None:
                     return scale
 
-        paragraph_text = {p.paragraph_id: p.text for p in context.paragraphs}
         for candidate in ordered:
             if not isinstance(candidate.origin, SpanOrigin):
                 continue
-            text = paragraph_text[candidate.origin.paragraph_id]
-            words = text.split()
+            words = context.paragraphs[candidate.origin.paragraph].text.split()
             best: tuple[int, Scale] | None = None
             for index, word in enumerate(words):
                 scale = _scale_in_text(word)
@@ -366,9 +364,9 @@ class HeuristicScale:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_summary(candidates: list[EvidenceCandidate]) -> tuple:
+def _candidate_summary(candidates: list[EvidenceCandidate], context: HybridContext) -> tuple:
     return tuple(
-        (c.text, round(c.probability, 6), origin_to_json(c.origin))
+        (c.text, round(c.probability, 6), origin_to_json(c.origin, context))
         for c in candidates
     )
 
@@ -394,7 +392,7 @@ def answer_question(
 
     trace = PredictionTrace(
         operator=operator,
-        candidates=_candidate_summary(candidates),
+        candidates=_candidate_summary(candidates, context),
     )
     if operator == Operator.OTHER:
         return Prediction(

@@ -24,9 +24,9 @@ from .errors import (
     NumberTooLongError,
     UnlocatableEvidenceError,
 )
-from .evaluation import DEFAULT_POLICY, RoundingPolicy, _as_fraction
+from .evaluation import DEFAULT_POLICY, RoundingPolicy, _as_fraction, numbers_match
 from .evidence import build_supervision
-from .numerics import round_fraction
+from .numerics import Scale
 
 CONSISTENT = "consistent"
 MISMATCH = "mismatch"
@@ -108,9 +108,8 @@ def check_question(question, policy: RoundingPolicy = DEFAULT_POLICY) -> Derivat
             question_id, NO_NUMERIC_GOLD, detail=f"gold answer {question.answer!r}"
         )
 
-    rounded = round_fraction(result, policy.places)
-    face = rounded == round_fraction(gold, policy.places)
-    scaled = rounded == round_fraction(gold * question.gold_scale.factor, policy.places)
+    face = numbers_match(result, Scale.NONE, gold, Scale.NONE, policy)
+    scaled = numbers_match(result, Scale.NONE, gold, question.gold_scale, policy)
     if face or scaled:
         convention = "both" if (face and scaled) else ("face" if face else "scaled")
         return DerivationCheck(question_id, CONSISTENT, convention=convention)

@@ -274,9 +274,9 @@ def reference_context_units(question_text, context):
     for cell in context.table.iter_cells():
         for word_index, word in enumerate(cell.text.split()):
             units.append((word, ev.CellWord(cell.row, cell.col, word_index)))
-    for paragraph in context.paragraphs:
+    for number, paragraph in enumerate(context.paragraphs):
         for word_index, word in enumerate(paragraph.text.split()):
-            units.append((word, ev.ParagraphWord(paragraph.paragraph_id, word_index)))
+            units.append((word, ev.ParagraphWord(number, word_index)))
     return units
 
 
@@ -320,7 +320,7 @@ def _reference_word_range(spans, start, end):
 
 
 def _reference_locate(context, item, table_first):
-    """(origin, number of the paragraph it was found in or None), or None."""
+    """The origin of the first occurrence, or None."""
     surface, value = item
 
     def in_table(loose):
@@ -332,11 +332,11 @@ def _reference_locate(context, item, table_first):
                 if cell.numeric.value == value or (
                     loose and abs(cell.numeric.value) == abs(value)
                 ):
-                    return ev.CellOrigin(cell.row, cell.col), None
+                    return ev.CellOrigin(cell.row, cell.col)
             else:
                 hay = cell.text.strip().casefold()
                 if hay == needle or (loose and needle and needle in hay):
-                    return ev.CellOrigin(cell.row, cell.col), None
+                    return ev.CellOrigin(cell.row, cell.col)
         return None
 
     def in_paragraphs(loose):
@@ -347,13 +347,13 @@ def _reference_locate(context, item, table_first):
                     if parsed.value == value or (loose and abs(parsed.value) == abs(value)):
                         word_range = _reference_word_range(spans, start, end)
                         if word_range:
-                            return ev.SpanOrigin(paragraph.paragraph_id, *word_range), number
+                            return ev.SpanOrigin(number, *word_range)
             else:
                 index = paragraph.text.casefold().find(surface.casefold())
                 if index >= 0:
                     word_range = _reference_word_range(spans, index, index + len(surface))
                     if word_range:
-                        return ev.SpanOrigin(paragraph.paragraph_id, *word_range), number
+                        return ev.SpanOrigin(number, *word_range)
         return None
 
     for finder in ((in_table, in_paragraphs) if table_first else (in_paragraphs, in_table)):
@@ -367,14 +367,14 @@ def _reference_locate(context, item, table_first):
 def _reference_merge(origins):
     by_paragraph = {}
     for origin in origins:
-        by_paragraph.setdefault(origin.paragraph_id, []).append(origin)
+        by_paragraph.setdefault(origin.paragraph, []).append(origin)
     merged = []
-    for paragraph_id, spans in by_paragraph.items():
+    for paragraph, spans in by_paragraph.items():
         spans.sort(key=lambda s: (s.start, s.stop))
         current = spans[0]
         for span in spans[1:]:
             if span.start <= current.stop:
-                current = ev.SpanOrigin(paragraph_id, current.start, max(current.stop, span.stop))
+                current = ev.SpanOrigin(paragraph, current.start, max(current.stop, span.stop))
             else:
                 merged.append(current)
                 current = span
@@ -394,7 +394,7 @@ def reference_supervision(question, context):
         if found is None:
             missing.append(item[0])
         else:
-            located[item] = found[0]
+            located[item] = found
     if missing:
         raise UnlocatableEvidenceError(question.question_id, missing)
 
@@ -413,7 +413,7 @@ def reference_supervision(question, context):
                 if (unit.row, unit.col) == (origin.row, origin.col):
                     return index
             elif isinstance(origin, ev.SpanOrigin) and isinstance(unit, ev.ParagraphWord):
-                if unit.paragraph_id == origin.paragraph_id and unit.word == origin.start:
+                if unit.paragraph == origin.paragraph and unit.word == origin.start:
                     return index
         raise ValueError(f"origin {origin} not present in the input sequence")
 
@@ -431,34 +431,23 @@ def reference_supervision(question, context):
     )
 
 
-def reference_oracle_tags(question, context, labels):
-    """Gold cells at 1.0, and each located text span at 1.0 in the
-    paragraph where it was found (not in others that share its id), as
-    a tuple of ``TagUnit``s."""
-    cell_set = {(o.row, o.col) for o in labels.g_tag if isinstance(o, ev.CellOrigin)}
-    table_first = question.answer_source in (AnswerSource.TABLE, AnswerSource.TABLE_TEXT)
-    found_spans = [
-        (number, origin.start, origin.stop)
-        for origin, number in (
-            _reference_locate(context, item, table_first) for item in _reference_items(question)
-        )
-        if number is not None
-    ]
-    units = [
-        ev.TagUnit(word, ev.QuestionWord(index), 0.0)
-        for index, word in enumerate(question.text.split())
-    ]
-    for cell in context.table.iter_cells():
-        probability = 1.0 if (cell.row, cell.col) in cell_set else 0.0
-        for word_index, word in enumerate(cell.text.split()):
-            units.append(ev.TagUnit(word, ev.CellWord(cell.row, cell.col, word_index), probability))
-    for number, paragraph in enumerate(context.paragraphs):
-        for word_index, word in enumerate(paragraph.text.split()):
+def reference_oracle_tags(question, context):
+    """Each word of a cell or span in ``reference_supervision``'s gold
+    labels at 1.0, the rest at 0.0, as a tuple of ``TagUnit``s."""
+    labels = reference_supervision(question, context)
+    cells = {(o.row, o.col) for o in labels.g_tag if isinstance(o, ev.CellOrigin)}
+    spans = [o for o in labels.g_tag if isinstance(o, ev.SpanOrigin)]
+    units = []
+    for text, origin in reference_context_units(question.text, context):
+        if isinstance(origin, ev.CellWord):
+            tagged = (origin.row, origin.col) in cells
+        elif isinstance(origin, ev.ParagraphWord):
             tagged = any(
-                n == number and start <= word_index < stop for n, start, stop in found_spans
+                s.paragraph == origin.paragraph and s.start <= origin.word < s.stop for s in spans
             )
-            origin = ev.ParagraphWord(paragraph.paragraph_id, word_index)
-            units.append(ev.TagUnit(word, origin, 1.0 if tagged else 0.0))
+        else:
+            tagged = False
+        units.append(ev.TagUnit(text, origin, 1.0 if tagged else 0.0))
     return tuple(units)
 
 
@@ -561,7 +550,7 @@ def reference_decode(units, threshold=0.5):
     cell_best = 0.0
     cell_position = 0
 
-    span_key: tuple[str, int] | None = None  # (paragraph, expected next word)
+    span_key: tuple[int, int] | None = None  # (paragraph, expected next word)
     span_start = 0
     span_words: list[str] = []
     span_best = 0.0
@@ -606,13 +595,13 @@ def reference_decode(units, threshold=0.5):
             if not probability > threshold:
                 if span_key is not None:
                     flush_span()
-            elif span_key == (origin.paragraph_id, origin.word):
-                span_key = (origin.paragraph_id, origin.word + 1)
+            elif span_key == (origin.paragraph, origin.word):
+                span_key = (origin.paragraph, origin.word + 1)
                 span_words.append(unit.text)
                 span_best = max(span_best, probability)
             else:
                 flush_span()
-                span_key = (origin.paragraph_id, origin.word + 1)
+                span_key = (origin.paragraph, origin.word + 1)
                 span_start = origin.word
                 span_words = [unit.text]
                 span_best = probability

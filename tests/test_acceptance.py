@@ -342,7 +342,7 @@ def test_criterion_6e_decode_threshold_monotonicity():
         for candidate in high:
             if isinstance(candidate.origin, SpanOrigin):
                 assert any(
-                    s.paragraph_id == candidate.origin.paragraph_id
+                    s.paragraph == candidate.origin.paragraph
                     and s.start <= candidate.origin.start
                     and candidate.origin.stop <= s.stop
                     for s in low_spans

@@ -148,7 +148,7 @@ def test_index_matches_per_question_loops(dataset):
             assert outcome(OracleTagger().tag, question, context) == labels
         else:
             assert OracleTagger().tag(question, context).units == reference_oracle_tags(
-                question, context, labels
+                question, context
             )
         checked += 1
     assert checked == sum(len(questions) for _, questions in dataset)
@@ -209,7 +209,7 @@ def test_layout_tags_and_decoding_match_the_references(dataset, generated, corpu
         labels = outcome(build_supervision, question, context)
         if not isinstance(labels, tuple):
             pairs.append((OracleTagger().tag(question, context),
-                           reference_oracle_tags(question, context, labels)))
+                           reference_oracle_tags(question, context)))
         for tags, reference in pairs:
             assert tags.units == reference
             for threshold in (0.0, 0.05, 0.5, 0.99):
@@ -348,7 +348,7 @@ def test_edge_questions_cover_both_outcomes(dataset):
     tags = OracleTagger().tag(questions[2], context)
     tagged = [u for u in tags.units if u.probability == 1.0]
     assert [u.text for u in tagged] == ["Net", "income", "was", "900"]
-    assert {u.origin for u in tagged} == {ParagraphWord("p-a", word) for word in range(4)}
+    assert {u.origin for u in tagged} == {ParagraphWord(0, word) for word in range(4)}
 
 
 def test_index_is_built_once_per_context_and_slot_holds_one(corpus):

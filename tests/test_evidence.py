@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -37,8 +38,8 @@ class TestDecode:
                       paragraphs=[("p1", ["alpha", "beta", "gamma", "delta"])])
         candidates = decode_evidence(tags)
         assert [c.origin for c in candidates] == [
-            SpanOrigin("p1", 0, 2),
-            SpanOrigin("p1", 3, 4),
+            SpanOrigin(0, 0, 2),
+            SpanOrigin(0, 3, 4),
         ]
         assert candidates[0].text == "alpha beta"
         assert candidates[0].probability == 0.9
@@ -64,7 +65,7 @@ class TestDecode:
         tags = tagged([0.0] * 5 + [0.9, 0.9],
                       paragraphs=[("p1", ["a", "b", "c", "d", "e", "one"]), ("p2", ["two"])])
         origins = [c.origin for c in decode_evidence(tags)]
-        assert origins == [SpanOrigin("p1", 5, 6), SpanOrigin("p2", 0, 1)]
+        assert origins == [SpanOrigin(0, 5, 6), SpanOrigin(1, 0, 1)]
 
     def test_candidates_in_input_sequence_order(self):
         # question words first, then cells row by row, then paragraphs
@@ -74,8 +75,8 @@ class TestDecode:
         assert [(c.text, c.origin, c.position) for c in decode_evidence(tags)] == [
             ("5", CellOrigin(0, 0), 1),
             ("6", CellOrigin(0, 1), 2),
-            ("a", SpanOrigin("p1", 0, 1), 3),
-            ("d", SpanOrigin("p2", 1, 2), 6),
+            ("a", SpanOrigin(0, 0, 1), 3),
+            ("d", SpanOrigin(1, 1, 2), 6),
         ]
 
     def test_threshold_is_strict(self):
@@ -138,8 +139,8 @@ class TestSupervision:
         context, question = questions["q-text-arith"]
         labels = build_supervision(question, context)
         assert labels.g_tag == {
-            SpanOrigin("txt-p1", 4, 5),
-            SpanOrigin("txt-p1", 7, 8),
+            SpanOrigin(0, 4, 5),
+            SpanOrigin(0, 7, 8),
         }
         assert labels.g_order == 1
 
@@ -165,15 +166,15 @@ class TestSupervision:
     def test_duplicate_evidence_keeps_first_found(self, questions):
         context, question = questions["q-text-span"]
         labels = build_supervision(question, context)
-        assert labels.g_tag == {SpanOrigin("txt-p2", 4, 5)}
+        assert labels.g_tag == {SpanOrigin(1, 4, 5)}
 
     def test_multi_span_text_origins(self, questions):
         context, question = questions["q-text-spans"]
         labels = build_supervision(question, context)
         assert labels.g_tag == {
-            SpanOrigin("txt-p2", 4, 5),
-            SpanOrigin("txt-p2", 7, 8),
-            SpanOrigin("txt-p2", 10, 11),
+            SpanOrigin(1, 4, 5),
+            SpanOrigin(1, 7, 8),
+            SpanOrigin(1, 10, 11),
         }
 
     def test_unlocatable_evidence(self, questions):
@@ -211,7 +212,17 @@ class TestSupervision:
             gold_scale=Scale.NONE,
         )
         labels = build_supervision(question, context)
-        assert labels.g_tag == {SpanOrigin("txt-p2", 4, 8)}
+        assert labels.g_tag == {SpanOrigin(1, 4, 8)}
+
+    def test_spans_in_paragraphs_sharing_a_uid_stay_apart(self):
+        # ranges 0-2 and 2-4 would merge if both paragraphs were one
+        record, context = word_inputs(
+            paragraphs=[("p", ["alpha", "beta", "x", "y"]), ("p", ["u", "v", "gamma", "delta"])]
+        )
+        question = replace(record, answer=["alpha beta", "gamma delta"],
+                           answer_type=AnswerType.SPANS)
+        labels = build_supervision(question, context)
+        assert labels.g_tag == {SpanOrigin(0, 0, 2), SpanOrigin(1, 2, 4)}
 
 
 class TestOracleTagger:

@@ -2,7 +2,8 @@
 
 Each relation rewrites the dataset documents in a way that must not
 change an answer: shuffling a context's paragraph list (their ``order``
-fields kept), renaming paragraph uids, shuffling the contexts, shuffling
+fields kept), renaming paragraph uids, giving all paragraphs of a context
+one uid, shuffling the contexts, shuffling
 the questions of each context, and answering one question alone, without
 the other questions of its context.  Under both configurations, every
 prediction's value, scale, operator and note must stay the same.  The
@@ -72,6 +73,16 @@ def renamed_paragraphs(docs, rng):
     return renamed
 
 
+def shared_paragraph_uid(docs, rng):
+    """Every paragraph of a context under one uid, which the loader only
+    warns about: the pipeline names a paragraph by its place."""
+    shared = []
+    for doc in docs:
+        uid = f"{rng.randrange(10**6)}"
+        shared.append({**doc, "paragraphs": [{**p, "uid": uid} for p in doc["paragraphs"]]})
+    return shared
+
+
 def shuffled_contexts(docs, rng):
     return rng.sample(docs, len(docs))
 
@@ -86,8 +97,8 @@ def one_question_alone(docs, rng):
     return [{**doc, "questions": [rng.choice(doc["questions"])]}]
 
 
-RELATIONS = [shuffled_paragraphs, renamed_paragraphs, shuffled_contexts, shuffled_questions,
-             one_question_alone]
+RELATIONS = [shuffled_paragraphs, renamed_paragraphs, shared_paragraph_uid, shuffled_contexts,
+             shuffled_questions, one_question_alone]
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))

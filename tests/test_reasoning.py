@@ -42,11 +42,11 @@ def cell(text, prob, position, row=0, col=None):
     )
 
 
-def span(text, prob, position, pid="p1", start=0):
+def span(text, prob, position, paragraph=0, start=0):
     return EvidenceCandidate(
         text=text,
         probability=prob,
-        origin=SpanOrigin(pid, start, start + len(text.split())),
+        origin=SpanOrigin(paragraph, start, start + len(text.split())),
         numeric=parse_number(text),
         position=position,
     )
