@@ -594,13 +594,18 @@ def field_inventory(raw: Any) -> dict[str, dict]:
         entry["types"].add("float" if isinstance(value, Decimal) else type(value).__name__)
 
     def walk(value: Any, json_path: str) -> None:
+        # a scalar holds no paths, so only containers are walked
         if isinstance(value, dict):
             for key, item in value.items():
-                record(f"{json_path}.{key}", item)
-                walk(item, f"{json_path}.{key}")
+                path = f"{json_path}.{key}"
+                record(path, item)
+                if isinstance(item, (dict, list)):
+                    walk(item, path)
         elif isinstance(value, list):
+            path = f"{json_path}[]"
             for item in value:
-                walk(item, f"{json_path}[]")
+                if isinstance(item, (dict, list)):
+                    walk(item, path)
 
     walk(raw, "$")
     return {

@@ -22,8 +22,10 @@ gold tag labels exactly, and a lexical-overlap baseline that needs no
 gold annotation.
 
 What does not depend on the question (the layout, paragraph word spans
-and numbers, cell value lookups, content words and sentence boundaries)
-is kept in a private per-context index, each part built on first use.
+and numbers, cell value lookups, the content words of cells and
+sentences with the slots holding each word, and the scale words of
+cells and paragraphs) is kept in a private per-context index, each part
+built on first use.
 The index of the most recent context is held in a one-slot cache, so
 memory stays bounded to one context.  The taggers keep no state and are
 safe to share across threads: a race on the cache can only build an
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -45,6 +48,7 @@ from typing import Union
 from .corpus import (
     AnswerSource,
     AnswerType,
+    Cell,
     Dataset,
     HybridContext,
     Paragraph,
@@ -62,7 +66,7 @@ from .derivation import (
     parsed_derivation,
 )
 from .errors import DerivationParseError, NumberTooLongError, UnlocatableEvidenceError
-from .numerics import ParsedNumber, Scale, extract_numbers, parse_number
+from .numerics import ParsedNumber, Scale, extract_numbers, parse_number, scale_in_text
 
 # ---------------------------------------------------------------------------
 # Sequence units and origins
@@ -225,7 +229,7 @@ def _word_spans(text: str) -> list[tuple[int, int]]:
 
 
 class _ParagraphIndex:
-    """One paragraph's word spans, numbers and casefolded text."""
+    """One paragraph's word spans, numbers, casefolded text and scale words."""
 
     def __init__(self, paragraph: Paragraph):
         self.paragraph = paragraph
@@ -241,6 +245,12 @@ class _ParagraphIndex:
     @cached_property
     def folded(self) -> str:
         return self.paragraph.text.casefold()
+
+    @cached_property
+    def scale_words(self) -> tuple[tuple[int, Scale], ...]:
+        """(word index, scale) of each word naming a scale."""
+        scales = enumerate(map(scale_in_text, self.paragraph.text.split()))
+        return tuple((word, scale) for word, scale in scales if scale is not None)
 
 
 _SENTENCE_END_RE = re.compile(r"[.!?;]\s+|\Z")
@@ -290,20 +300,21 @@ class _ContextIndex:
             return self.cell_positions.get((origin.row, origin.col), range(0))
         return self.layout.paragraphs[origin.paragraph].positions[origin.start : origin.stop]
 
-    def _first_numeric_cells(self, key) -> dict[Fraction, CellOrigin]:
-        found: dict[Fraction, CellOrigin] = {}
+    def _first_numeric_cells(self, key) -> dict[Fraction, Cell]:
+        # one hash per value, as Fraction hashing is dear; a hit builds the origin
+        found: dict[Fraction, Cell] = {}
         for cell in self.context.table.iter_cells():
             if cell.numeric is not None:
-                found.setdefault(key(cell.numeric.value), CellOrigin(cell.row, cell.col))
+                found.setdefault(key(cell.numeric.value), cell)
         return found
 
     @cached_property
-    def cells_by_value(self) -> dict[Fraction, CellOrigin]:
+    def cells_by_value(self) -> dict[Fraction, Cell]:
         """First numeric cell (row-major) holding each value."""
         return self._first_numeric_cells(lambda value: value)
 
     @cached_property
-    def cells_by_magnitude(self) -> dict[Fraction, CellOrigin]:
+    def cells_by_magnitude(self) -> dict[Fraction, Cell]:
         """First numeric cell (row-major) holding each absolute value."""
         return self._first_numeric_cells(abs)
 
@@ -319,8 +330,7 @@ class _ContextIndex:
     def lexical(self) -> tuple[tuple[frozenset[str], frozenset[str] | None, range], ...]:
         """The question-independent half of the lexical tagger: one slot
         per cell, then one per sentence, each with its content words, a
-        numeric cell's header words, and its layout positions.  A word
-        past its paragraph's last sentence end belongs to no slot."""
+        numeric cell's header words, and its layout positions."""
         table = self.context.table
         slots = []
         for cell in table.iter_cells():
@@ -337,21 +347,45 @@ class _ContextIndex:
             positions = self.cell_positions.get((cell.row, cell.col), range(0))
             slots.append((_content_words(cell.text), header_words, positions))
 
-        # a paragraph word belongs to the first sentence ending after its
-        # start, so each sentence holds a run of its paragraph's positions
-        for entry, segment in zip(self.paragraphs, self.layout.paragraphs):
-            text = entry.paragraph.text
-            word_spans = entry.word_spans
+        # a sentence ends in whitespace or at the end of the text, so it
+        # holds the next run of its paragraph's words
+        for paragraph, segment in zip(self.context.paragraphs, self.layout.paragraphs):
             word = start = 0
-            for match in _SENTENCE_END_RE.finditer(text):
-                sentence = text[start : match.end()]
-                if sentence.strip():
-                    first = word
-                    while word < len(word_spans) and word_spans[word][0] < match.end():
-                        word += 1
-                    slots.append((_content_words(sentence), None, segment.positions[first:word]))
-                start = match.end()
+            for match in _SENTENCE_END_RE.finditer(paragraph.text):
+                sentence = paragraph.text[start : match.end()]
+                start, count = match.end(), len(sentence.split())
+                if count:
+                    positions = segment.positions[word : word + count]
+                    slots.append((_content_words(sentence), None, positions))
+                    word += count
         return tuple(slots)
+
+    @cached_property
+    def postings(self) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+        """For each content word, the lexical slots whose words hold it,
+        and those whose header words hold it."""
+        postings: tuple[dict[str, list[int]], dict[str, list[int]]] = ({}, {})
+        for slot, entry in enumerate(self.lexical):
+            for posting, words in zip(postings, entry):  # words, then header words
+                for word in words or ():
+                    posting.setdefault(word, []).append(slot)
+        return postings
+
+    @cached_property
+    def cell_scales(self) -> tuple[tuple[Scale | None, ...], ...]:
+        """The scale named in each cell, row by row."""
+        return tuple(tuple(scale_in_text(c.text) for c in row) for row in self.context.table.cells)
+
+    @cached_property
+    def header_scale(self) -> Scale | None:
+        """The first scale named in the header row, then in the caption
+        rows (a filled leading cell, the others blank)."""
+        captions = (
+            scales[0]
+            for row, scales in zip(self.context.table.cells, self.cell_scales)
+            if row[0].text.strip() and not any(c.text.strip() for c in row[1:])
+        )
+        return next(filter(None, chain(self.cell_scales[0], captions)), None)
 
 
 _current_index: _ContextIndex | None = None
@@ -484,9 +518,9 @@ def _find_in_table(
     if item.value is not None:
         # the loose pass also accepts an exact match, so the first cell
         # matching either way is the first cell of equal magnitude
-        if loose:
-            return index.cells_by_magnitude.get(abs(item.value))
-        return index.cells_by_value.get(item.value)
+        lookup = index.cells_by_magnitude if loose else index.cells_by_value
+        cell = lookup.get(abs(item.value) if loose else item.value)
+        return None if cell is None else CellOrigin(cell.row, cell.col)
     needle = item.surface.casefold()
     for hay, origin in index.cell_texts:
         if hay == needle or (loose and needle and needle in hay):
@@ -660,25 +694,16 @@ _STOPWORDS = frozenset(
     do does did done what which when where who whom whose how why much many and
     or not than that this these those it its their there between during per each
     have has had having will would can could should may might must s""".split()
+    + [""]  # a word of punctuation alone
 )
 
-_TOKEN_CLEAN_RE = re.compile(r"^\W+|\W+$")
+# each whitespace-separated word, less its leading and trailing punctuation
+_WORD_RE = re.compile(r"(?<!\S)[^\w\s]*(\S*?)[^\w\s]*(?!\S)")
 
 
 def _content_words(text: str) -> frozenset[str]:
-    words = set()
-    for token in text.lower().split():
-        token = _TOKEN_CLEAN_RE.sub("", token).replace(",", "")
-        if token and token not in _STOPWORDS:
-            words.add(token)
-    return frozenset(words)
-
-
-def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    if not a or not b:
-        return 0.0
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
+    """The lowercased words of ``text``, less commas, outer punctuation and stopwords."""
+    return frozenset(_WORD_RE.findall(text.lower().replace(",", ""))) - _STOPWORDS
 
 
 class LexicalTagger:
@@ -700,13 +725,17 @@ class LexicalTagger:
     def tag(self, question: QuestionRecord, context: HybridContext) -> TaggedSequence:
         question_words = _content_words(question.text)
         index = _context_index(context)
-        scored = []
-        for words, header_words, positions in index.lexical:
-            score = _jaccard(question_words, words)
-            if header_words is not None:
-                score = max(score, _jaccard(question_words, header_words))
-            if score:  # units of a zero-overlap slot stay at the floor
-                scored.append((positions, self._smooth(score)))
+        slots = index.lexical
+        # only a slot sharing a word scores; the others stay at the floor.
+        # From the counts, the Jaccard overlap is common / (|q| + |slot| - common)
+        scores: dict[int, float] = {}
+        for part, postings in enumerate(index.postings):  # words, then header words
+            shared = Counter(chain.from_iterable(postings.get(w, ()) for w in question_words))
+            for slot, common in shared.items():
+                score = common / (len(question_words) + len(slots[slot][part]) - common)
+                if score > scores.get(slot, 0.0):
+                    scores[slot] = score
+        scored = [(slots[slot][2], self._smooth(score)) for slot, score in scores.items()]
         return _tagged(question, context, self._smooth(0.0), scored)
 
 

@@ -55,6 +55,19 @@ class Scale(Enum):
         raise ValueError(f"unknown scale word: {word!r}")
 
 
+_SCALE_WORD_RE = re.compile(
+    r"(?P<thousand>thousands?\b|'000)|(?P<million>millions?\b)"
+    r"|(?P<billion>billions?\b)|(?P<percent>percent\b|%)",
+    re.I,
+)
+
+
+def scale_in_text(text: str) -> Scale | None:
+    """The scale named by the first scale word in ``text``, if any."""
+    match = _SCALE_WORD_RE.search(text)
+    return None if match is None else Scale(match.lastgroup)
+
+
 _SCALE_FACTORS = {
     Scale.NONE: Fraction(1),
     Scale.THOUSAND: Fraction(10**3),
@@ -82,9 +95,10 @@ _CURRENCY = "$£€¥"
 # Either comma-grouped digits or a plain run, with an optional decimal part.
 _NUMBER_CORE = r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+"
 
+# A whole cell: an accountant's parentheses, when present, wrap the rest.
 _FULL_NUMBER_RE = re.compile(
-    rf"[{_CURRENCY}]?\s*(?P<sign>[+\-−])?\s*[{_CURRENCY}]?\s*"
-    rf"(?P<core>{_NUMBER_CORE})\s*(?P<pct>%)?"
+    rf"\s*(?P<wrap>\(\s*)?[{_CURRENCY}]?\s*(?P<sign>[+\-−])?\s*[{_CURRENCY}]?\s*"
+    rf"(?P<core>{_NUMBER_CORE})\s*(?P<pct>%)?(?(wrap)\s*\))\s*"
 )
 
 _SCAN_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?")
@@ -113,24 +127,14 @@ def parse_number(text: str) -> ParsedNumber | None:
     leading minus (ASCII or U+2212), trailing percent signs, and
     accountant's parenthesized negatives like "(1,033)".
     """
-    stripped = text.strip()
-    if not stripped:
-        return None
-    negative_wrap = stripped.startswith("(") and stripped.endswith(")")
-    body = stripped[1:-1].strip() if negative_wrap else stripped
-    match = _FULL_NUMBER_RE.fullmatch(body)
+    match = _FULL_NUMBER_RE.fullmatch(text)
     if match is None:
         return None
-    value = _exact(match.group("core"))
-    if match.group("sign") in ("-", "−"):
+    wrap, sign, core, pct = match.group("wrap", "sign", "core", "pct")
+    value = _exact(core)
+    if (sign in ("-", "−")) != (wrap is not None):
         value = -value
-    if negative_wrap:
-        value = -value
-    return ParsedNumber(
-        value=value,
-        had_percent_sign=match.group("pct") is not None,
-        source_text=text,
-    )
+    return ParsedNumber(value=value, had_percent_sign=pct is not None, source_text=text)
 
 
 def json_decimal(text: str) -> Decimal:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Protocol
 
 from .corpus import Dataset, HybridContext, QuestionRecord, repeated_question_id
@@ -39,6 +40,7 @@ from .evidence import (
     OracleTagger,
     SpanOrigin,
     TaggedSequence,
+    _context_index,
     decode_evidence,
     origin_to_json,
 )
@@ -295,21 +297,6 @@ class OracleScale:
 
 
 _PERCENT_CUE_RE = re.compile(r"percentage|percent\b|%|\bproportion\b|\bratio\b", re.I)
-_SCALE_WORD_RE = re.compile(
-    r"(?P<thousand>thousands?\b|'000)|(?P<million>millions?\b)"
-    r"|(?P<billion>billions?\b)|(?P<percent>percent\b|%)",
-    re.I,
-)
-
-
-def _scale_in_text(text: str) -> Scale | None:
-    match = _SCALE_WORD_RE.search(text)
-    if match is None:
-        return None
-    for name in ("thousand", "million", "billion", "percent"):
-        if match.group(name):
-            return Scale(name)
-    return None
 
 
 class HeuristicScale:
@@ -318,44 +305,32 @@ class HeuristicScale:
     Percent questions are detected from the question itself; otherwise
     the headers and caption rows governing the winning cell candidates
     are scanned for a scale word, then the paragraph text nearest a span
-    candidate, and finally the answer defaults to no scale.
+    candidate, and finally the answer defaults to no scale.  The scale
+    words of a context are read once, by its index.
     """
 
     def predict(self, question, context, candidates) -> Scale:
         if _PERCENT_CUE_RE.search(question.text):
             return Scale.PERCENT
 
-        table = context.table
+        index = _context_index(context)
         ordered = sorted(candidates, key=lambda c: (-c.probability, c.position))
-        header_and_captions = [table.cell(0, c).text for c in range(table.n_cols)]
-        for r in range(table.n_rows):  # caption rows: single filled leading cell
-            cells = [table.cell(r, c).text.strip() for c in range(table.n_cols)]
-            if cells[0] and not any(cells[1:]):
-                header_and_captions.append(cells[0])
-        for candidate in ordered:
-            if not isinstance(candidate.origin, CellOrigin):
-                continue
-            row, col = candidate.origin.row, candidate.origin.col
-            governing = header_and_captions + [table.cell(r, col).text for r in range(row)]
-            governing += [table.cell(row, c).text for c in range(col)]
-            for text in governing:
-                scale = _scale_in_text(text)
-                if scale is not None:
-                    return scale
+        cells = [c.origin for c in ordered if isinstance(c.origin, CellOrigin)]
+        if cells and index.header_scale is not None:
+            return index.header_scale
+        grid = index.cell_scales
+        for origin in cells:  # the column above the cell, then the row left of it
+            above = (grid[r][origin.col] for r in range(origin.row))
+            scale = next(filter(None, chain(above, grid[origin.row][: origin.col])), None)
+            if scale is not None:
+                return scale
 
         for candidate in ordered:
-            if not isinstance(candidate.origin, SpanOrigin):
-                continue
-            words = context.paragraphs[candidate.origin.paragraph].text.split()
-            best: tuple[int, Scale] | None = None
-            for index, word in enumerate(words):
-                scale = _scale_in_text(word)
-                if scale is not None:
-                    distance = abs(index - candidate.origin.start)
-                    if best is None or distance < best[0]:
-                        best = (distance, scale)
-            if best is not None:
-                return best[1]
+            if isinstance(candidate.origin, SpanOrigin):
+                words = index.paragraphs[candidate.origin.paragraph].scale_words
+                if words:  # the nearest, the first of a tie
+                    start = candidate.origin.start
+                    return min(words, key=lambda word: abs(word[0] - start))[1]
         return Scale.NONE
 
 

@@ -7,8 +7,11 @@ generator.  Keep them boring and obviously correct.
 
 The exceptions are the sections at the end.  The evidence sections keep
 the per-question unit loops and gold-label search that the evidence
-module ran before it kept a per-context index, and the unit-by-unit
-decoder it ran before it decoded from the positive units.  They use the
+module ran before it kept a per-context index, the lexical tagger's
+Jaccard loop over every slot and its token-by-token word cleaning, the
+heuristic scale guess that scanned the table and paragraphs per
+question, and the unit-by-unit decoder it ran before it decoded from
+the positive units.  They use the
 library's data types and its number and derivation parsers, but none of
 its tagging, lookup or decoding code; tags are plain ``TagUnit`` tuples,
 not the library's ``TaggedSequence``, so its layout is checked against
@@ -38,7 +41,7 @@ from tatqa_symbolic import evidence as ev
 from tatqa_symbolic.corpus import AnswerSource, AnswerType
 from tatqa_symbolic.errors import DerivationParseError, UnlocatableEvidenceError
 from tatqa_symbolic.evaluation import CellScore, _fmt_cell, _max_assignment, _pairwise_sum, evaluate
-from tatqa_symbolic.numerics import extract_numbers, parse_number
+from tatqa_symbolic.numerics import Scale, extract_numbers, parse_number
 from tatqa_symbolic.reasoning import abstained as make_abstained
 
 # ---------------------------------------------------------------------------
@@ -525,6 +528,69 @@ def reference_lexical_tags(question, context, floor=0.01):
             probability = next(paragraph_probabilities)
         units.append(ev.TagUnit(text, origin, probability))
     return tuple(units)
+
+
+# ---------------------------------------------------------------------------
+# The heuristic scale guess, as it ran before a context's scale words were
+# read once per context: every question scans the header and caption rows
+# and the cells and paragraph words governing its candidates
+# ---------------------------------------------------------------------------
+
+_REFERENCE_PERCENT_CUE_RE = re.compile(r"percentage|percent\b|%|\bproportion\b|\bratio\b", re.I)
+_REFERENCE_SCALE_WORD_RE = re.compile(
+    r"(?P<thousand>thousands?\b|'000)|(?P<million>millions?\b)"
+    r"|(?P<billion>billions?\b)|(?P<percent>percent\b|%)",
+    re.I,
+)
+
+
+def _reference_scale_in_text(text):
+    match = _REFERENCE_SCALE_WORD_RE.search(text)
+    if match is None:
+        return None
+    for name in ("thousand", "million", "billion", "percent"):
+        if match.group(name):
+            return Scale(name)
+    return None
+
+
+def reference_heuristic_scale(question, context, candidates):
+    """``HeuristicScale().predict``, scanning per question."""
+    if _REFERENCE_PERCENT_CUE_RE.search(question.text):
+        return Scale.PERCENT
+
+    table = context.table
+    ordered = sorted(candidates, key=lambda c: (-c.probability, c.position))
+    header_and_captions = [table.cell(0, c).text for c in range(table.n_cols)]
+    for r in range(table.n_rows):  # caption rows: single filled leading cell
+        cells = [table.cell(r, c).text.strip() for c in range(table.n_cols)]
+        if cells[0] and not any(cells[1:]):
+            header_and_captions.append(cells[0])
+    for candidate in ordered:
+        if not isinstance(candidate.origin, ev.CellOrigin):
+            continue
+        row, col = candidate.origin.row, candidate.origin.col
+        governing = header_and_captions + [table.cell(r, col).text for r in range(row)]
+        governing += [table.cell(row, c).text for c in range(col)]
+        for text in governing:
+            scale = _reference_scale_in_text(text)
+            if scale is not None:
+                return scale
+
+    for candidate in ordered:
+        if not isinstance(candidate.origin, ev.SpanOrigin):
+            continue
+        words = context.paragraphs[candidate.origin.paragraph].text.split()
+        best = None
+        for index, word in enumerate(words):
+            scale = _reference_scale_in_text(word)
+            if scale is not None:
+                distance = abs(index - candidate.origin.start)
+                if best is None or distance < best[0]:
+                    best = (distance, scale)
+        if best is not None:
+            return best[1]
+    return Scale.NONE
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,15 @@ from dataclasses import replace
 from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import bench_module
+from conftest import bench_module, word_inputs
 from oracles import (
+    _reference_content_words,
     reference_context_units,
     reference_decode,
+    reference_heuristic_scale,
     reference_lexical_tags,
     reference_oracle_tags,
     reference_supervision,
@@ -25,6 +29,7 @@ from tatqa_symbolic.derivation import _NUMBER_TOKEN_RE, parsed_derivation
 from tatqa_symbolic.errors import DerivationParseError, PipelineError
 from tatqa_symbolic.evidence import (
     CellOrigin,
+    EvidenceCandidate,
     LexicalTagger,
     OracleTagger,
     ParagraphWord,
@@ -36,7 +41,8 @@ from tatqa_symbolic.evidence import (
     context_units,
     decode_evidence,
 )
-from tatqa_symbolic.reasoning import PipelineConfig, answer_question, run_pipeline
+from tatqa_symbolic.numerics import Scale
+from tatqa_symbolic.reasoning import HeuristicScale, PipelineConfig, answer_question, run_pipeline
 
 # Duplicate paragraph ids (also with the shorter paragraph last, see
 # ``shorter_last``), an empty paragraph, empty cells, a word past
@@ -277,6 +283,128 @@ def test_lexical_slots_take_one_word_set_per_cell_and_sentence(dataset, generate
                 assert header_words == expected
                 n_headed += bool(expected)
     assert n_headed > 100
+
+
+# words with punctuation, stopwords and commas, joined by assorted spaces;
+# the characters include some whose lowercase is longer (İ) or differs
+# from their casefold (ſ), a dash, an ideographic space and a separator
+# that ``str.split`` takes for whitespace
+_TEXT_PIECES = st.sampled_from(
+    ["İ", "ſ", "—", "\u3000", "\x1c", " ", "\t", "\n", ",", ".", "'", "(", ")", "%", "$",
+     "-", "_", "the", "The", "of", "s", "Revenue", "1,200", "2019", "net", "A", "x"]
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(text=st.one_of(st.lists(_TEXT_PIECES, max_size=12).map("".join), st.text(max_size=20)))
+def test_content_words_match_the_token_loop(text):
+    assert evidence._content_words(text) == _reference_content_words(text)
+
+
+@pytest.mark.parametrize(
+    "question",
+    [["What", "was", "revenue", "in", "2019?"], ["What", "is", "the", "?"], []],
+    ids=["header-only", "no-content-words", "empty"],
+)
+def test_lexical_tags_from_postings_match_the_reference(question):
+    """A numeric cell sharing no word with the question scores through its
+    header words; a question with no content words leaves every unit at
+    the floor."""
+    question, context = word_inputs(
+        question,
+        table=[[[], ["2019"], ["2018"]], [["Revenue"], ["1,200"], ["900"]],
+               [["Costs"], ["300"], ["(300)"]]],
+        paragraphs=[("p", ["Revenue", "rose.", "Costs", "fell;", "in", "2019", "too"]),
+                    ("q", [])],
+    )
+    for floor in (0.01, 0.2):
+        units = LexicalTagger(floor).tag(question, context).units
+        assert units == reference_lexical_tags(question, context, floor)
+        scored = {u.origin for u in units if u.probability > floor}
+        if question.text.startswith("What was"):
+            assert evidence.CellWord(1, 1, 0) in scored  # "1,200": 2019 and Revenue
+            assert evidence.CellWord(2, 2, 0) not in scored  # "(300)": 2018 and Costs
+        else:
+            assert scored == set()
+
+
+def _candidate(origin, probability, position):
+    return EvidenceCandidate("x", probability, origin, None, position)
+
+
+SCALE_TABLE = [
+    [[], ["2019"], ["2018"]],
+    [["Revenue", "(in", "millions)"], ["1,200"], ["900"]],
+    [["Costs"], ["300"], ["(300)"]],
+    [["Amounts", "in", "thousands"], [], []],
+    [["Other"], ["5"], ["6"]],
+]
+
+
+@pytest.mark.parametrize(
+    "table,candidates,expected",
+    [
+        # the caption row outranks the cells governing the candidate
+        (SCALE_TABLE, [(CellOrigin(1, 2), 0.9, 5)], Scale.THOUSAND),
+        # a scale only in the row-left cell of the best cell candidate
+        ([row for n, row in enumerate(SCALE_TABLE) if n != 3],
+         [(CellOrigin(2, 2), 0.9, 5), (CellOrigin(1, 2), 0.8, 3)], Scale.MILLION),
+        ([row for n, row in enumerate(SCALE_TABLE) if n != 3],
+         [(CellOrigin(1, 2), 0.8, 3), (CellOrigin(2, 2), 0.9, 5)], Scale.MILLION),
+        # two span candidates with scale words tied on distance: the
+        # first word wins; the span candidate of the higher probability
+        # is read first
+        (SCALE_TABLE[:1], [(SpanOrigin(0, 3, 4), 0.7, 9)], Scale.BILLION),
+        (SCALE_TABLE[:1], [(SpanOrigin(0, 3, 4), 0.7, 9), (SpanOrigin(1, 0, 1), 0.8, 20)],
+         Scale.THOUSAND),
+        (SCALE_TABLE[:1], [(SpanOrigin(2, 1, 2), 0.9, 9)], Scale.NONE),
+        (SCALE_TABLE[:1], [(CellOrigin(0, 1), 0.9, 0)], Scale.NONE),
+        (SCALE_TABLE[:1], [], Scale.NONE),
+    ],
+)
+def test_heuristic_scale_matches_the_per_question_scan(table, candidates, expected):
+    paragraphs = [("p", ["In", "billions", "of", "x", "in", "millions"]),
+                  ("p", ["thousands", "of", "units", "sold"]),
+                  ("r", ["no", "scale", "here"])]
+    question, context = word_inputs(["What", "was", "it?"], table, paragraphs)
+    candidates = [_candidate(*args) for args in candidates]
+    assert HeuristicScale().predict(question, context, candidates) is expected
+    assert reference_heuristic_scale(question, context, candidates) is expected
+
+
+@pytest.mark.parametrize("corpus_index", [None, 0, 1], ids=["fixture", "dense-3", "dense-8"])
+def test_heuristic_scale_matches_the_reference_on_decoded_candidates(
+    dataset, generated, corpus_index
+):
+    corpus = dataset if corpus_index is None else generated[corpus_index]
+    scales = Counter()
+    for context, question in iter_questions(corpus):
+        tags = LexicalTagger().tag(question, context)
+        for threshold in (0.02, 0.05, 0.2):
+            candidates = decode_evidence(tags, threshold)
+            scale = HeuristicScale().predict(question, context, candidates)
+            assert scale is reference_heuristic_scale(question, context, candidates)
+            scales[scale] += 1
+    assert len(scales) >= (2 if corpus_index is None else 4)
+
+
+def test_lexical_run_reads_each_scale_word_once_per_context(dataset, generated, monkeypatch):
+    """``HeuristicScale`` reads a context's scale words from its index: a
+    cell's text and a paragraph word are scanned at most once per
+    context, however many questions ask."""
+    real_scale = evidence.scale_in_text
+    texts = []
+    monkeypatch.setattr(evidence, "scale_in_text",
+                        lambda text: texts.append(text) or real_scale(text))
+    monkeypatch.setattr(evidence, "_current_index", None)
+    once = Counter()
+    for corpus in [dataset, *generated]:
+        run_pipeline(corpus, LEXICAL)
+        for context, _ in corpus:
+            once.update(cell.text for cell in context.table.iter_cells())
+            once.update(word for p in context.paragraphs for word in p.text.split())
+    assert Counter(texts) - once == Counter()
+    assert len(texts) > sum(len(questions) for corpus in generated for _, questions in corpus)
 
 
 @pytest.mark.parametrize("config", [PipelineConfig(), LEXICAL], ids=["oracle", "lexical"])

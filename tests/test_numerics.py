@@ -208,6 +208,43 @@ class TestAgainstStringBuiltFractions:
         self.assert_same(texts)
 
 
+_NUMBER_ALPHABET = "0123456789,.()$£-−+%\t\u3000 aBkMx"
+_SPACES = st.sampled_from(["", "", " ", "\t", "\u3000"])
+
+
+@st.composite
+def _number_texts(draw):
+    """A cell's number, wrapped or not, with spaces at each joint and up
+    to two stray characters of ``_NUMBER_ALPHABET`` anywhere."""
+    opening, closing = draw(st.sampled_from(
+        [("", ""), ("(", ")"), ("(", ")"), ("(", ""), ("", ")"), ("((", "))"), ("(", "))")]
+    ))
+    pieces = [[opening], ["", "$", "£"], ["", "-", "−", "+"], ["", "$"],
+              ["5", "12", "1,033", "1,033.25", ".5", "1,23"], ["", "%"], [closing]]
+    text = draw(_SPACES) + "".join(draw(st.sampled_from(p)) + draw(_SPACES) for p in pieces)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_NUMBER_ALPHABET)) + text[at:]
+    return text
+
+
+@settings(max_examples=1500, deadline=None)
+@given(text=st.one_of(_number_texts(), st.text(alphabet=_NUMBER_ALPHABET, max_size=12)))
+def test_parse_number_matches_the_reference(text):
+    """One anchored match, with the parentheses as an optional group, reads
+    what stripping and unwrapping did."""
+    assert _fields(parse_number(text)) == _fields(reference_parse_number(text)), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(5", "5)", "( $5 )", "-(5)", "(5))", "((5))", "(-5)", "(−5%)", "()", "(5)%",
+     "\u3000(\t5 )\t", "(\u30005\u3000)", "( 1,033.5 % )", "$(5)", "+(5)"],
+)
+def test_parse_number_wrap_edges(text):
+    assert _fields(parse_number(text)) == _fields(reference_parse_number(text))
+
+
 class TestRounding:
     def test_round_half_even(self):
         assert round_fraction(Fraction("2.5"), 0) == 2
