@@ -14,6 +14,9 @@ Each span is normalized once, and its EM string and its F1 bag are
 built from the same tokens; each bag's numbers are found once, not once
 per aligned pair.  A bag is never rebuilt from an EM string, because
 normalizing is not idempotent: "1.5." gives "15", and "15" gives "15.0".
+Each distinct whitespace-separated word is normalized once per process,
+and each distinct token tested for a number once, through bounded
+caches: a word's tokens depend only on the word.
 
 The span alignment is solved in pure Python: an exact maximum-score
 assignment by the Hungarian method (shortest augmenting paths with dual
@@ -32,7 +35,7 @@ import string
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Mapping
 
@@ -81,6 +84,10 @@ def numbers_match(
 
 _DELETE_PUNCT = str.maketrans("", "", string.punctuation)
 _ARTICLES = {"a", "an", "the"}
+# entries kept by each per-word cache, so a long-lived process does not
+# grow without limit: at ≈175 bytes an entry for answer words, a full
+# cache holds ≈6 MB
+_WORD_CACHE_SIZE = 1 << 15
 
 
 def _is_float(text: str) -> bool:
@@ -89,6 +96,9 @@ def _is_float(text: str) -> bool:
     except (ValueError, OverflowError):
         return False
     return True
+
+
+_is_number = lru_cache(maxsize=_WORD_CACHE_SIZE)(_is_float)
 
 
 def _numeric_form(token: str) -> str | None:
@@ -110,22 +120,33 @@ def _split_token(piece: str) -> list[str]:
     return piece.split("-")
 
 
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
+def _normalize_piece(piece: str) -> tuple[str, ...]:
+    """Normalized tokens of one lowercased whitespace-separated word.
+
+    They depend on the word alone, so each distinct word is normalized
+    once per process and its tokens are shared as a tuple."""
+    tokens: list[str] = []
+    for token in _split_token(piece):
+        if not token:
+            continue
+        if token.startswith("−"):
+            token = "-" + token[1:]
+        numeric = _numeric_form(token.lstrip("-")) if token.startswith("-") else _numeric_form(token)
+        if numeric is not None:
+            token = "-" + numeric if token.startswith("-") and float(numeric) != 0 else numeric
+        else:
+            token = token.translate(_DELETE_PUNCT)
+        if token and token not in _ARTICLES:
+            tokens.append(token)
+    return tuple(tokens)
+
+
 def normalize_answer(text: str) -> list[str]:
-    """Normalized token sequence of one answer span."""
+    """Normalized token sequence of one answer span, as a new list."""
     tokens: list[str] = []
     for piece in str(text).lower().split():
-        for token in _split_token(piece):
-            if not token:
-                continue
-            if token.startswith("−"):
-                token = "-" + token[1:]
-            numeric = _numeric_form(token.lstrip("-")) if token.startswith("-") else _numeric_form(token)
-            if numeric is not None:
-                token = "-" + numeric if token.startswith("-") and float(numeric) != 0 else numeric
-            else:
-                token = token.translate(_DELETE_PUNCT)
-            if token and token not in _ARTICLES:
-                tokens.append(token)
+        tokens.extend(_normalize_piece(piece))
     return tokens
 
 
@@ -145,7 +166,7 @@ _Bag = tuple[frozenset[str], frozenset[str]]  # (tokens, the tokens that are num
 
 def _bag(tokens: list[str]) -> _Bag:
     bag = frozenset(tokens)
-    return bag, frozenset(token for token in bag if _is_float(token))
+    return bag, frozenset(filter(_is_number, bag))
 
 
 def _gated_f1(pred: _Bag, gold: _Bag) -> float:
@@ -486,6 +507,10 @@ def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
     def error(location: str, message: str) -> ScoringError:
         return ScoringError(f"{path}: {location}: {message}")
 
+    def entry_error(question_id: str, index: str, message: str) -> ScoringError:
+        # the location is formatted only for an entry in error
+        return error(f"$[{json.dumps(question_id)}]{index}", message)
+
     top_level_pairs: list = []
 
     def keep_pairs(pairs):
@@ -513,16 +538,17 @@ def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
             seen.add(key)
     predictions: dict[str, tuple[object, Scale]] = {}
     for question_id, entry in raw.items():
-        location = f"$[{json.dumps(question_id)}]"
         if not isinstance(entry, list) or len(entry) != 2:
-            raise error(location, f"prediction for {question_id} must be [answer, scale word]")
+            message = f"prediction for {question_id} must be [answer, scale word]"
+            raise entry_error(question_id, "", message)
         value, scale_word = entry
         if not _is_answer(value):
-            raise error(f"{location}[0]", "answer must be a string, a number or a list of strings")
+            message = "answer must be a string, a number or a list of strings"
+            raise entry_error(question_id, "[0]", message)
         try:
             scale = Scale.from_word(str(scale_word))
         except ValueError as exc:
-            raise error(f"{location}[1]", str(exc)) from exc
+            raise entry_error(question_id, "[1]", str(exc)) from exc
         predictions[question_id] = (value, scale)
     return predictions
 

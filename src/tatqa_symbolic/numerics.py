@@ -46,13 +46,14 @@ class Scale(Enum):
 
     @classmethod
     def from_word(cls, word: str) -> "Scale":
-        key = word.strip().lower()
-        if key in ("", "none", "-"):
-            return cls.NONE
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"unknown scale word: {word!r}")
+        scale = _SCALES_BY_WORD.get(word.strip().lower())
+        if scale is None:
+            raise ValueError(f"unknown scale word: {word!r}")
+        return scale
+
+
+# every accepted scale word, lowercased and stripped
+_SCALES_BY_WORD = {"none": Scale.NONE, "-": Scale.NONE, **{scale.value: scale for scale in Scale}}
 
 
 _SCALE_WORD_RE = re.compile(

@@ -3,15 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_force_alignment_f1,
     drop_metrics,
     reference_align_spans_f1,
     reference_drop_em_f1,
+    reference_normalize_answer,
 )
 from tatqa_symbolic import evaluation
-from tatqa_symbolic.corpus import AnswerSource, AnswerType, QuestionRecord
+from tatqa_symbolic.corpus import AnswerSource, AnswerType, QuestionRecord, iter_questions
 from tatqa_symbolic.errors import ScoringError
 from tatqa_symbolic.evaluation import (
     RoundingPolicy,
@@ -328,6 +331,66 @@ class TestOneNormalizationPerSpan:
         gold = make_gold(["Singapore", "Germany", "Japan"], AnswerType.SPANS)
         assert score_question(["Japan", "Germany"], Scale.NONE, gold) == (0.0, 0.67)
         assert sorted(calls) == ["Germany", "Germany", "Japan", "Japan", "Singapore"]
+
+
+# digits, money and number punctuation, both minus signs, letters with
+# irregular case mappings (İ, ſ), and three kinds of whitespace
+_NORMALIZE_CHARS = "0123456789,.$£%()-−İſ\t\u3000 aeinfstxAENT"
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    text=st.lists(
+        st.one_of(
+            st.sampled_from(TestOneNormalizationPerSpan.TOKENS),
+            st.text(alphabet=_NORMALIZE_CHARS, max_size=8),
+        ),
+        max_size=6,
+    ).map(" ".join)
+)
+def test_cached_normalizer_matches_reference_cold_and_warm(text):
+    expected = reference_normalize_answer(text)
+    evaluation._normalize_piece.cache_clear()
+    assert normalize_answer(text) == expected
+    assert normalize_answer(text) == expected
+
+
+class TestNormalizationCache:
+    def test_returned_list_is_fresh(self):
+        first = normalize_answer("the $1,033 pre-tax")
+        assert first == ["1033.0", "pre", "tax"]
+        first[0] = "changed"
+        first.append("appended")
+        second = normalize_answer("the $1,033 pre-tax")
+        assert second == ["1033.0", "pre", "tax"]
+        assert second is not first
+
+    def test_caches_are_bounded(self):
+        assert evaluation._normalize_piece.cache_info().maxsize == 1 << 15
+        assert evaluation._is_number.cache_info().maxsize == 1 << 15
+
+    def test_one_miss_per_distinct_piece(self, corpus, monkeypatch):
+        # every other question gets a wrong multi-span answer, so the
+        # predicted pieces are not only the gold ones
+        predictions = {}
+        for i, (_, question) in enumerate(iter_questions(corpus)):
+            if i % 2:
+                predictions[question.question_id] = (question.answer, question.gold_scale)
+            else:
+                predictions[question.question_id] = (["Net income", "-1,033 The"], Scale.MILLION)
+        normalized = []
+
+        def recorded(text):
+            normalized.append(text)
+            return normalize_answer(text)
+
+        monkeypatch.setattr(evaluation, "normalize_answer", recorded)
+        evaluation._normalize_piece.cache_clear()
+        evaluate(predictions, corpus)
+        pieces = {piece for text in normalized for piece in str(text).lower().split()}
+        info = evaluation._normalize_piece.cache_info()
+        assert info.misses == len(pieces) > 10
+        assert info.hits > 0
 
 
 class TestEvaluate:

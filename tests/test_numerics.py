@@ -88,6 +88,31 @@ class TestScale:
         with pytest.raises(ValueError):
             Scale.from_word("gazillion")
 
+    ALIASES = {
+        "": Scale.NONE,
+        "none": Scale.NONE,
+        "-": Scale.NONE,
+        "thousand": Scale.THOUSAND,
+        "million": Scale.MILLION,
+        "billion": Scale.BILLION,
+        "percent": Scale.PERCENT,
+    }
+
+    @pytest.mark.parametrize("alias", sorted(ALIASES))
+    def test_every_alias_in_any_case_and_padding(self, alias):
+        alternating = "".join(ch.upper() if i % 2 else ch for i, ch in enumerate(alias))
+        for cased in {alias, alias.upper(), alias.title(), alternating}:
+            for padded in (cased, f" {cased}", f"{cased}\t", f"\n {cased} \u3000"):
+                assert Scale.from_word(padded) is self.ALIASES[alias], padded
+
+    @pytest.mark.parametrize(
+        "word", ["zillion", " Zillion\t", "thousands", "%", "no ne", "--", "0", "\u3000x"]
+    )
+    def test_unknown_word_message(self, word):
+        with pytest.raises(ValueError) as raised:
+            Scale.from_word(word)
+        assert str(raised.value) == f"unknown scale word: {word!r}"
+
 
 class TestExtractNumbers:
     def test_derivation_operands_in_text(self):
