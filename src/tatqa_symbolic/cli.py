@@ -21,6 +21,7 @@ from . import reference
 from .corpus import (
     AnswerSource,
     AnswerType,
+    Dataset,
     load_dataset,
     parse_documents,
     read_documents,
@@ -180,6 +181,18 @@ def _loading():
             gc.enable()
 
 
+def _with_cells(dataset: Dataset) -> Dataset:
+    """``dataset``, with every table's cells built.
+
+    A table builds its cells on their first read.  A command that reads
+    them calls this inside ``_loading``, so they are built while the
+    collector is paused and frozen with the rest of its inputs.
+    """
+    for context, _ in dataset:
+        context.table.cells
+    return dataset
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -188,7 +201,7 @@ def _loading():
 def cmd_validate(args) -> int:
     with _loading():
         documents = read_documents(args.dataset)
-        dataset = parse_documents(documents, strict=args.strict)
+        dataset = _with_cells(parse_documents(documents, strict=args.strict))
     deviations = field_deviations(documents)
     del documents  # the checks below need only the records
     report = validate_dataset(dataset, RoundingPolicy(places=args.rounding))
@@ -317,7 +330,7 @@ def _trace_payload(question_id: str, prediction) -> dict:
 
 def cmd_run(args) -> int:
     with _loading():
-        dataset = load_dataset(args.dataset, strict=args.strict)
+        dataset = _with_cells(load_dataset(args.dataset, strict=args.strict))
     config = _pipeline_config(args)
     predictions = run_pipeline(dataset, config, workers=args.workers)
 
@@ -367,7 +380,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     with _loading():
-        dataset = load_dataset(args.dataset, strict=args.strict)
+        dataset = _with_cells(load_dataset(args.dataset, strict=args.strict))
     predictions = run_pipeline(dataset, _pipeline_config(args), workers=args.workers)
     report = evaluate(
         {qid: (p.value, p.scale) for qid, p in predictions.items()},
@@ -407,7 +420,7 @@ def cmd_schema_report(args) -> int:
 
 def cmd_export_supervision(args) -> int:
     with _loading():
-        dataset = load_dataset(args.dataset, strict=args.strict)
+        dataset = _with_cells(load_dataset(args.dataset, strict=args.strict))
     export = export_supervision(dataset, args.out)
     print(
         f"wrote {export.n_written} label records to {args.out} "

@@ -20,6 +20,7 @@ import logging
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator, Union
 
@@ -99,15 +100,29 @@ class Cell:
 
 @dataclass(frozen=True)
 class Table:
-    cells: tuple[tuple[Cell, ...], ...]
+    """A table's cell texts, row by row, every row the same width.
+
+    The ``Cell`` objects, with their parsed numbers, are built on the
+    first read of ``cells``; a command that never reads them (``eval``,
+    ``stats``) never builds them.
+    """
+
+    texts: tuple[tuple[str, ...], ...]
+
+    @cached_property
+    def cells(self) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(
+            tuple(Cell(text, r, c, parse_number(text)) for c, text in enumerate(row))
+            for r, row in enumerate(self.texts)
+        )
 
     @property
     def n_rows(self) -> int:
-        return len(self.cells)
+        return len(self.texts)
 
     @property
     def n_cols(self) -> int:
-        return len(self.cells[0]) if self.cells else 0
+        return len(self.texts[0]) if self.texts else 0
 
     def cell(self, row: int, col: int) -> Cell:
         return self.cells[row][col]
@@ -266,18 +281,19 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
 
     rows = []
     for r, raw_row in enumerate(grid):
-        row = []
-        for c in range(n_cols):
-            text = str(raw_row[c]) if c < len(raw_row) else ""
-            try:
-                numeric = parse_number(text)
-            except NumberTooLongError as exc:
-                raise DatasetParseError(
-                    f"unreadable number: {exc}", f"{location}.table.table[{r}][{c}]"
-                ) from exc
-            row.append(Cell(text=text, row=r, col=c, numeric=numeric))
-        rows.append(tuple(row))
-    table = Table(cells=tuple(rows))
+        row = tuple(map(str, raw_row)) + ("",) * (n_cols - len(raw_row))
+        # a text no longer than the digit limit cannot hold more digits,
+        # so only a longer one can fail to parse when the cells are built
+        if max(map(len, row)) > NumberTooLongError.LIMIT:
+            for c, text in enumerate(row):
+                try:
+                    parse_number(text)
+                except NumberTooLongError as exc:
+                    raise DatasetParseError(
+                        f"unreadable number: {exc}", f"{location}.table.table[{r}][{c}]"
+                    ) from exc
+        rows.append(row)
+    table = Table(tuple(rows))
 
     if not (ROW_BOUNDS[0] <= table.n_rows <= ROW_BOUNDS[1]):
         logger.warning(
@@ -427,7 +443,7 @@ def dump_dataset(dataset: Dataset, path: str | Path) -> None:
             {
                 "table": {
                     "uid": context.context_id,
-                    "table": [[cell.text for cell in row] for row in context.table.cells],
+                    "table": [list(row) for row in context.table.texts],
                 },
                 "paragraphs": [
                     {

@@ -153,8 +153,12 @@ class TaggedSequence:
     __slots__ = ("words", "layout", "probabilities")
 
     def __init__(self, question: QuestionRecord, context: HybridContext, probabilities):
-        self.words = words = tuple(question.text.split())
-        self.layout = layout = _context_index(context).layout
+        self._fill(tuple(question.text.split()), _context_index(context).layout, probabilities)
+
+    def _fill(self, words: tuple[str, ...], layout: _Layout, probabilities) -> None:
+        """Set and check the fields; ``_tagged``, which has split the
+        question's words already, calls this in place of ``__init__``."""
+        self.words, self.layout = words, layout
         self.probabilities = probabilities = tuple(probabilities)
         if len(probabilities) != len(words) + len(layout.texts):
             raise ValueError(
@@ -276,8 +280,8 @@ class _ContextIndex:
             words = cell.text.split()
             if words:
                 text = " ".join(words)
-                # the loader parsed the cell's own text, which is the
-                # candidate text unless its words are not single-spaced
+                # the cell's number is parsed from its own text, which is
+                # the candidate text unless its words are not single-spaced
                 numeric = cell.numeric if text == cell.text else parse_number(text)
                 positions = range(len(texts), len(texts) + len(words))
                 cells.append(_CellSegment(cell.row, cell.col, positions, text, numeric))
@@ -300,23 +304,28 @@ class _ContextIndex:
             return self.cell_positions.get((origin.row, origin.col), range(0))
         return self.layout.paragraphs[origin.paragraph].positions[origin.start : origin.stop]
 
-    def _first_numeric_cells(self, key) -> dict[Fraction, Cell]:
-        # one hash per value, as Fraction hashing is dear; a hit builds the origin
-        found: dict[Fraction, Cell] = {}
+    def _first_numeric_cells(self, magnitude: bool) -> dict[Fraction | int, Cell]:
+        # one hash per value; a hit builds the origin.  A whole value is
+        # keyed by its int, which equals and hashes as the Fraction does,
+        # so lookups by Fraction still find it, without the dear
+        # pure-Python Fraction hash and abs
+        found: dict[Fraction | int, Cell] = {}
         for cell in self.context.table.iter_cells():
             if cell.numeric is not None:
-                found.setdefault(key(cell.numeric.value), cell)
+                value = cell.numeric.value
+                key = value.numerator if value.denominator == 1 else value
+                found.setdefault(abs(key) if magnitude else key, cell)
         return found
 
     @cached_property
-    def cells_by_value(self) -> dict[Fraction, Cell]:
+    def cells_by_value(self) -> dict[Fraction | int, Cell]:
         """First numeric cell (row-major) holding each value."""
-        return self._first_numeric_cells(lambda value: value)
+        return self._first_numeric_cells(magnitude=False)
 
     @cached_property
-    def cells_by_magnitude(self) -> dict[Fraction, Cell]:
+    def cells_by_magnitude(self) -> dict[Fraction | int, Cell]:
         """First numeric cell (row-major) holding each absolute value."""
-        return self._first_numeric_cells(abs)
+        return self._first_numeric_cells(magnitude=True)
 
     @cached_property
     def cell_texts(self) -> tuple[tuple[str, CellOrigin], ...]:
@@ -669,13 +678,17 @@ def build_supervision(
 def _tagged(question: QuestionRecord, context: HybridContext, base: float, scored) -> TaggedSequence:
     """The question's words at 0.0, then the context's units at ``base``
     except where ``scored`` gives (layout positions, probability)."""
-    offset = len(question.text.split())
-    probabilities = [0.0] * offset + [base] * len(_context_index(context).layout.texts)
+    words = tuple(question.text.split())
+    layout = _context_index(context).layout
+    offset = len(words)
+    probabilities = [0.0] * offset + [base] * len(layout.texts)
     for positions, probability in scored:
         probabilities[offset + positions.start : offset + positions.stop] = (
             [probability] * len(positions)
         )
-    return TaggedSequence(question, context, probabilities)
+    tags = TaggedSequence.__new__(TaggedSequence)
+    tags._fill(words, layout, probabilities)
+    return tags
 
 
 class OracleTagger:

@@ -135,7 +135,8 @@ def parse_number(text: str) -> ParsedNumber | None:
     value = _exact(core)
     if (sign in ("-", "−")) != (wrap is not None):
         value = -value
-    return ParsedNumber(value=value, had_percent_sign=pct is not None, source_text=text)
+    # positional, which is cheaper than by keyword; this runs once per numeric cell
+    return ParsedNumber(value, pct is not None, text)
 
 
 def json_decimal(text: str) -> Decimal:

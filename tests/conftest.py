@@ -18,14 +18,13 @@ import pytest
 from tatqa_symbolic.corpus import (
     AnswerSource,
     AnswerType,
-    Cell,
     HybridContext,
     Paragraph,
     QuestionRecord,
     Table,
     load_dataset,
 )
-from tatqa_symbolic.numerics import Scale, parse_number
+from tatqa_symbolic.numerics import Scale
 
 REVENUE_DOC = {
     "table": {
@@ -333,16 +332,11 @@ def word_inputs(question=(), table=(), paragraphs=()):
     list of words, ``table`` a list of rows, each a list of cells, each a
     list of words (``[]`` for an empty cell), and ``paragraphs`` a list of
     (uid, words) pairs.  Words are joined by single spaces, so each word
-    is one unit of the input sequence; a cell's number is parsed as the
-    loader parses it."""
-    cells = []
-    for row, words_by_col in enumerate(table):
-        texts = [" ".join(words) for words in words_by_col]
-        cells.append(tuple(Cell(text, row, col, parse_number(text))
-                           for col, text in enumerate(texts)))
+    is one unit of the input sequence; a cell's number is parsed when the
+    table's cells are first read, as for a loaded table."""
     context = HybridContext(
         context_id="ctx-words",
-        table=Table(cells=tuple(cells)),
+        table=Table(tuple(tuple(" ".join(words) for words in row) for row in table)),
         paragraphs=tuple(Paragraph(uid, order, " ".join(words))
                          for order, (uid, words) in enumerate(paragraphs, 1)),
     )

@@ -7,9 +7,10 @@ anything under ``bench/`` or putting it on ``sys.path``, so a renamed
 hook target, or a change to what the hook reads (the ``question``
 argument's ``question_id``, the ``tags`` units' ``probability``, the
 ``threshold``), fails here as well as in a traced benchmark run.  So
-does a change to what its counters count (one ``parse_number`` call per
-table cell on load) or to how its traced validate job calls the package
-(``schema_deviations`` with a path).
+does a change to what its counters count (no ``parse_number`` call on
+load, one per table cell on the first read of the table's cells) or to
+how its traced validate job calls the package (``schema_deviations``
+with a path).
 """
 
 import types
@@ -72,12 +73,18 @@ def test_hooked_answer_is_traced(tracing, corpus, config):
     assert tracer.candidates == len(prediction.trace.candidates) > 0
 
 
-def test_load_parses_each_cell_once(tracing, corpus_path):
+def test_cells_are_parsed_once_on_first_read(tracing, corpus_path):
     tracer = tracing.Tracer(tracing.resolve_hooks(tatqa_symbolic)[0])
     with tracer.hooked():
         dataset = load_dataset(corpus_path)
-    cells = sum(1 for context, _ in dataset for _ in context.table.iter_cells())
-    assert cells > 0
+    assert tracer.calls["numerics:parse_number"] == 0
+    texts = sum(len(row) for context, _ in dataset for row in context.table.texts)
+    with tracer.hooked():
+        cells = sum(1 for context, _ in dataset for _ in context.table.iter_cells())
+    assert cells == texts > 0
+    assert tracer.calls["numerics:parse_number"] == cells
+    with tracer.hooked():  # a second read finds the cells built
+        assert sum(len(context.table.cells) for context, _ in dataset) > 0
     assert tracer.calls["numerics:parse_number"] == cells
 
 

@@ -13,6 +13,7 @@ from oracles import reference_ablation, reference_margins
 from tatqa_symbolic import cli, evaluation
 from tatqa_symbolic.cli import main
 from tatqa_symbolic.evaluation import RoundingPolicy, evaluate, read_predictions
+from tatqa_symbolic.numerics import parse_number
 from tatqa_symbolic.reasoning import PipelineConfig, run_pipeline
 from tatqa_symbolic.validation import schema_deviations
 
@@ -101,6 +102,50 @@ class TestCollector:
                 collector, command, "--dataset", corpus_path, "--out", tmp_path / "out.json"
             ) == 0
         assert seen == [("load", False), ("run", collector, True)] * 2
+
+    def capture_datasets(self, monkeypatch):
+        """The datasets the commands load, in order."""
+        loaded = []
+        for name in ("load_dataset", "parse_documents"):
+            def capture(*args, real=getattr(cli, name), **kwargs):
+                loaded.append(real(*args, **kwargs))
+                return loaded[-1]
+
+            monkeypatch.setattr(cli, name, capture)
+        return loaded
+
+    def test_cells_built_while_paused_by_the_commands_that_read_them(
+        self, collector, corpus_path, tmp_path, monkeypatch
+    ):
+        loaded = self.capture_datasets(monkeypatch)
+        parses = []
+
+        def parse(text):
+            parses.append((gc.isenabled(), gc.get_freeze_count()))
+            return parse_number(text)
+
+        monkeypatch.setattr("tatqa_symbolic.corpus.parse_number", parse)
+        grids = [doc["table"]["table"] for doc in CORPUS_DOCS]
+        n_cells = sum(len(grid) * max(map(len, grid)) for grid in grids)
+        out = tmp_path / "out.json"
+        for argv in (("run", "--out", out), ("validate",),
+                     ("ablate",), ("export-supervision", "--out", out)):
+            assert self.call(collector, argv[0], "--dataset", corpus_path, *argv[1:]) == 0
+        assert len(loaded) == 4
+        assert all("cells" in vars(context.table) for dataset in loaded
+                   for context, _ in dataset)
+        # each table's cells, built once, while paused and before the freeze
+        assert parses == [(False, 0)] * (4 * n_cells)
+
+    def test_eval_and_stats_build_no_cells(self, collector, corpus_path, tmp_path, monkeypatch):
+        loaded = self.capture_datasets(monkeypatch)
+        preds = tmp_path / "preds.json"
+        preds.write_text("{}", encoding="utf-8")
+        assert self.call(collector, "eval", "--dataset", corpus_path, "--pred", preds) == 0
+        assert self.call(collector, "stats", "--dataset", corpus_path) == 0
+        assert len(loaded) == 2
+        assert all("cells" not in vars(context.table) for dataset in loaded
+                   for context, _ in dataset)
 
 
 class TestValidate:
@@ -486,11 +531,33 @@ class TestNumbersPastTheDigitLimit:
         path.write_text(text, encoding="utf-8")
         return path
 
-    def test_cell(self, tmp_path, capsys):
+    def cell_commands(self, tmp_path, text):
+        """Each command that loads a dataset, over REVENUE_DOC with
+        ``text`` in one number cell."""
         doc = json.loads(json.dumps(REVENUE_DOC))
-        doc["table"]["table"][2][1] = self.BIG
+        doc["table"]["table"][2][1] = text
         path = self.write_dataset(tmp_path, json.dumps([doc]))
-        self.assert_error(("validate", "--dataset", path), capsys, "$[0].table.table[2][1]")
+        preds = tmp_path / "preds.json"
+        preds.write_text("{}", encoding="utf-8")
+        return [
+            ("validate", "--dataset", path),
+            ("run", "--dataset", path, "--out", preds),
+            ("eval", "--dataset", path, "--pred", preds),
+            ("stats", "--dataset", path),
+        ]
+
+    def test_cell(self, tmp_path, capsys):
+        for argv in self.cell_commands(tmp_path, self.BIG):
+            self.assert_error(argv, capsys, "$[0].table.table[2][1]")
+
+    def test_cell_one_digit_past_the_limit(self, tmp_path, capsys):
+        for argv in self.cell_commands(tmp_path, "(" + "1" * 4301 + ")"):
+            self.assert_error(argv, capsys, "$[0].table.table[2][1]", 4301)
+
+    def test_cell_at_the_limit_loads(self, tmp_path):
+        # longer than the limit, so parsed at load, but 4,300 digits are readable
+        for argv in self.cell_commands(tmp_path, "$" + "1" * 4300):
+            assert run_cli(*argv) == 0
 
     @pytest.mark.parametrize(
         "literal,digits",

@@ -7,6 +7,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from functools import cached_property
 
 import pytest
@@ -477,6 +478,46 @@ def test_edge_questions_cover_both_outcomes(dataset):
     tagged = [u for u in tags.units if u.probability == 1.0]
     assert [u.text for u in tagged] == ["Net", "income", "was", "900"]
     assert {u.origin for u in tagged} == {ParagraphWord(0, word) for word in range(4)}
+
+
+def fraction_keyed_cells(context, magnitude):
+    """First numeric cell (row-major) of each value, or of each absolute
+    value, keyed by the Fraction itself."""
+    found = {}
+    for cell in context.table.iter_cells():
+        if cell.numeric is not None:
+            value = cell.numeric.value
+            found.setdefault(abs(value) if magnitude else value, cell)
+    return found
+
+
+NUMBER_CELL_TEXTS = ["5", "5.0", "(5)", "-5", "0.5", "(0.5)", "-0.5", "5%", "$5", "1,200",
+                     "(1,200)", "0", "-0", "x", ""]
+
+
+@pytest.mark.parametrize("seed", [None, *range(30)], ids=lambda seed: f"seed-{seed}")
+def test_cell_lookups_match_fraction_keys(seed):
+    if seed is None:  # the first cell of each value wins
+        rows = [["x", "5", "5.0"], ["(5)", "0.5", "-5"], ["(0.5)", "1,200", "-0.5"]]
+    else:
+        rng = random.Random(seed)
+        rows = [[rng.choice(NUMBER_CELL_TEXTS) for _ in range(3)] for _ in range(4)]
+    _, context = word_inputs(table=[[text.split() for text in row] for row in rows])
+    index = _context_index(context)
+    for magnitude, lookup in ((False, index.cells_by_value), (True, index.cells_by_magnitude)):
+        reference = fraction_keyed_cells(context, magnitude)
+        assert list(lookup.items()) == list(reference.items())
+        assert all(type(key) is int for key in lookup if key == int(key))
+        probes = {Fraction(7), *reference, *(-key for key in reference)}
+        for probe in probes | {int(p) for p in probes if p.denominator == 1}:
+            assert lookup.get(probe) is reference.get(probe)
+    if seed is None:
+        table = context.table
+        assert index.cells_by_value[Fraction(5)] is table.cell(0, 1)
+        assert index.cells_by_value[Fraction(-5)] is table.cell(1, 0)
+        assert index.cells_by_magnitude[Fraction(5)] is table.cell(0, 1)
+        assert index.cells_by_magnitude[Fraction(1, 2)] is table.cell(1, 1)
+        assert index.cells_by_value[Fraction(-1, 2)] is table.cell(2, 0)
 
 
 def test_index_is_built_once_per_context_and_slot_holds_one(corpus):
