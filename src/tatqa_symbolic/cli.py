@@ -13,7 +13,6 @@ import gc
 import json
 import logging
 import sys
-from dataclasses import asdict
 from itertools import zip_longest
 from pathlib import Path
 
@@ -182,14 +181,15 @@ def _loading():
 
 
 def _with_cells(dataset: Dataset) -> Dataset:
-    """``dataset``, with every table's cells built.
+    """``dataset``, with every table's cell numbers parsed.
 
-    A table builds its cells on their first read.  A command that reads
-    them calls this inside ``_loading``, so they are built while the
-    collector is paused and frozen with the rest of its inputs.
+    A table parses its cells on the first read of ``numbers``.  A
+    command that reads them calls this inside ``_loading``, so they are
+    built while the collector is paused and frozen with the rest of its
+    inputs.
     """
     for context, _ in dataset:
-        context.table.cells
+        context.table.numbers
     return dataset
 
 
@@ -222,7 +222,7 @@ def cmd_validate(args) -> int:
             "conventions": report.convention_counts(),
             "unlocatable_rate": report.unlocatable_rate,
             "schema_deviations": deviations,
-            "checks": [asdict(check) for check in report.checks],
+            "checks": [dict(vars(check)) for check in report.checks],
             "unlocatable": [
                 {"question_id": qid, "missing": missing}
                 for qid, missing in report.unlocatable

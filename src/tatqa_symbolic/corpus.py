@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -102,19 +103,18 @@ class Cell:
 class Table:
     """A table's cell texts, row by row, every row the same width.
 
-    The ``Cell`` objects, with their parsed numbers, are built on the
-    first read of ``cells``; a command that never reads them (``eval``,
-    ``stats``) never builds them.
+    Each cell's parsed number is read through ``numbers``, built on its
+    first read; a command that never reads them (``eval``, ``stats``)
+    never parses a cell.  ``cell`` and ``iter_cells`` build ``Cell``
+    views from the two grids on each call.
     """
 
     texts: tuple[tuple[str, ...], ...]
 
     @cached_property
-    def cells(self) -> tuple[tuple[Cell, ...], ...]:
-        return tuple(
-            tuple(Cell(text, r, c, parse_number(text)) for c, text in enumerate(row))
-            for r, row in enumerate(self.texts)
-        )
+    def numbers(self) -> tuple[tuple[ParsedNumber | None, ...], ...]:
+        """Each cell's number, or None, row by row."""
+        return tuple(tuple(map(parse_number, row)) for row in self.texts)
 
     @property
     def n_rows(self) -> int:
@@ -125,12 +125,16 @@ class Table:
         return len(self.texts[0]) if self.texts else 0
 
     def cell(self, row: int, col: int) -> Cell:
-        return self.cells[row][col]
+        text, numeric = self.texts[row][col], self.numbers[row][col]
+        # a negative index names the cell it reaches
+        return Cell(text, row % self.n_rows, col % self.n_cols, numeric)
 
     def iter_cells(self) -> Iterator[Cell]:
-        """Row-major traversal, the flattening order used everywhere."""
-        for row in self.cells:
-            yield from row
+        """The cells in row-major order, the order in which the evidence
+        index reads ``texts`` and ``numbers``."""
+        for r, (texts, numbers) in enumerate(zip(self.texts, self.numbers)):
+            for c, (text, numeric) in enumerate(zip(texts, numbers)):
+                yield Cell(text, r, c, numeric)
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,7 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
     for r, raw_row in enumerate(grid):
         row = tuple(map(str, raw_row)) + ("",) * (n_cols - len(raw_row))
         # a text no longer than the digit limit cannot hold more digits,
-        # so only a longer one can fail to parse when the cells are built
+        # so only a longer one can fail to parse when the numbers are built
         if max(map(len, row)) > NumberTooLongError.LIMIT:
             for c, text in enumerate(row):
                 try:
@@ -600,31 +604,43 @@ def schema_report(path: str | Path) -> dict[str, dict]:
 
 def field_inventory(raw: Any) -> dict[str, dict]:
     """:func:`schema_report` of documents already decoded by
-    :func:`read_documents`."""
-    inventory: dict[str, dict] = {}
+    :func:`read_documents`.
 
-    def record(json_path: str, value: Any) -> None:
-        entry = inventory.setdefault(json_path, {"count": 0, "types": set()})
-        entry["count"] += 1
-        # the reader decodes JSON floats as Decimal
-        entry["types"].add("float" if isinstance(value, Decimal) else type(value).__name__)
-
-    def walk(value: Any, json_path: str) -> None:
-        # a scalar holds no paths, so only containers are walked
-        if isinstance(value, dict):
-            for key, item in value.items():
+    The walk is breadth-first: each level groups the items of every
+    container found at one path by key, so a path is spelled once per
+    distinct key, not once per item.  A list's items are recorded only
+    through the keys of those that are objects, and a scalar, passed
+    down with the containers, holds no paths.
+    """
+    counts: dict[str, int] = {}
+    kinds: dict[str, set[type]] = {}
+    level: dict[str, list] = {"$": [raw]}  # path -> the values at it
+    while level:
+        below: dict[str, list] = {}
+        for json_path, values in level.items():
+            by_key: defaultdict[Any, list] = defaultdict(list)
+            listed: list = []
+            for value in values:
+                if isinstance(value, dict):
+                    for key, item in value.items():
+                        by_key[key].append(item)
+                elif isinstance(value, list):
+                    listed += value
+            # two keys may spell one path, so every path accumulates
+            for key, items in by_key.items():
                 path = f"{json_path}.{key}"
-                record(path, item)
-                if isinstance(item, (dict, list)):
-                    walk(item, path)
-        elif isinstance(value, list):
-            path = f"{json_path}[]"
-            for item in value:
-                if isinstance(item, (dict, list)):
-                    walk(item, path)
-
-    walk(raw, "$")
+                counts[path] = counts.get(path, 0) + len(items)
+                kinds.setdefault(path, set()).update(map(type, items))
+                below.setdefault(path, []).extend(items)
+            if listed:
+                below.setdefault(f"{json_path}[]", []).extend(listed)
+        level = below
     return {
-        json_path: {"count": entry["count"], "types": sorted(entry["types"])}
-        for json_path, entry in sorted(inventory.items())
+        # the reader decodes JSON floats as Decimal
+        json_path: {
+            "count": counts[json_path],
+            "types": sorted({"float" if issubclass(t, Decimal) else t.__name__
+                             for t in kinds[json_path]}),
+        }
+        for json_path in sorted(counts)
     }

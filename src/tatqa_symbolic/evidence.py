@@ -48,7 +48,6 @@ from typing import Union
 from .corpus import (
     AnswerSource,
     AnswerType,
-    Cell,
     Dataset,
     HybridContext,
     Paragraph,
@@ -274,18 +273,20 @@ class _ContextIndex:
     @cached_property
     def layout(self) -> _Layout:
         """Cell and paragraph units of the input sequence, in order."""
+        table = self.context.table
         texts: list[str] = []
         cells = []
-        for cell in self.context.table.iter_cells():
-            words = cell.text.split()
-            if words:
-                text = " ".join(words)
-                # the cell's number is parsed from its own text, which is
-                # the candidate text unless its words are not single-spaced
-                numeric = cell.numeric if text == cell.text else parse_number(text)
-                positions = range(len(texts), len(texts) + len(words))
-                cells.append(_CellSegment(cell.row, cell.col, positions, text, numeric))
-                texts += words
+        for r, (cell_texts, numbers) in enumerate(zip(table.texts, table.numbers)):
+            for c, (cell_text, number) in enumerate(zip(cell_texts, numbers)):
+                words = cell_text.split()
+                if words:
+                    text = " ".join(words)
+                    # the cell's number is parsed from its own text, which is
+                    # the candidate text unless its words are not single-spaced
+                    numeric = number if text == cell_text else parse_number(text)
+                    positions = range(len(texts), len(texts) + len(words))
+                    cells.append(_CellSegment(r, c, positions, text, numeric))
+                    texts += words
         paragraphs = []
         for number, paragraph in enumerate(self.context.paragraphs):
             words = paragraph.text.split()
@@ -304,35 +305,38 @@ class _ContextIndex:
             return self.cell_positions.get((origin.row, origin.col), range(0))
         return self.layout.paragraphs[origin.paragraph].positions[origin.start : origin.stop]
 
-    def _first_numeric_cells(self, magnitude: bool) -> dict[Fraction | int, Cell]:
+    def _first_numeric_cells(self, magnitude: bool) -> dict[Fraction | int, tuple[int, int]]:
         # one hash per value; a hit builds the origin.  A whole value is
         # keyed by its int, which equals and hashes as the Fraction does,
         # so lookups by Fraction still find it, without the dear
         # pure-Python Fraction hash and abs
-        found: dict[Fraction | int, Cell] = {}
-        for cell in self.context.table.iter_cells():
-            if cell.numeric is not None:
-                value = cell.numeric.value
-                key = value.numerator if value.denominator == 1 else value
-                found.setdefault(abs(key) if magnitude else key, cell)
+        found: dict[Fraction | int, tuple[int, int]] = {}
+        for r, row in enumerate(self.context.table.numbers):
+            for c, number in enumerate(row):
+                if number is not None:
+                    value = number.value
+                    key = value.numerator if value.denominator == 1 else value
+                    found.setdefault(abs(key) if magnitude else key, (r, c))
         return found
 
     @cached_property
-    def cells_by_value(self) -> dict[Fraction | int, Cell]:
-        """First numeric cell (row-major) holding each value."""
+    def cells_by_value(self) -> dict[Fraction | int, tuple[int, int]]:
+        """(row, col) of the first numeric cell (row-major) holding each value."""
         return self._first_numeric_cells(magnitude=False)
 
     @cached_property
-    def cells_by_magnitude(self) -> dict[Fraction | int, Cell]:
-        """First numeric cell (row-major) holding each absolute value."""
+    def cells_by_magnitude(self) -> dict[Fraction | int, tuple[int, int]]:
+        """(row, col) of the first numeric cell (row-major) holding each
+        absolute value."""
         return self._first_numeric_cells(magnitude=True)
 
     @cached_property
-    def cell_texts(self) -> tuple[tuple[str, CellOrigin], ...]:
-        """Each cell's stripped, casefolded text, row-major."""
+    def cell_texts(self) -> tuple[tuple[str, int, int], ...]:
+        """Each cell's stripped, casefolded text, row and column, row-major."""
         return tuple(
-            (cell.text.strip().casefold(), CellOrigin(cell.row, cell.col))
-            for cell in self.context.table.iter_cells()
+            (text.strip().casefold(), r, c)
+            for r, row in enumerate(self.context.table.texts)
+            for c, text in enumerate(row)
         )
 
     @cached_property
@@ -341,20 +345,22 @@ class _ContextIndex:
         per cell, then one per sentence, each with its content words, a
         numeric cell's header words, and its layout positions."""
         table = self.context.table
+        n_cols, cell_positions = table.n_cols, self.cell_positions
         slots = []
-        for cell in table.iter_cells():
-            header_words = None
-            if cell.numeric is not None:
-                # both header cells come earlier in row-major order, so
-                # their words are in slots already built
-                words: frozenset[str] = frozenset()
-                if cell.row > 0:
-                    words |= slots[cell.col][0]
-                if cell.col > 0:
-                    words |= slots[cell.row * table.n_cols][0]
-                header_words = words
-            positions = self.cell_positions.get((cell.row, cell.col), range(0))
-            slots.append((_content_words(cell.text), header_words, positions))
+        for r, (texts, numbers) in enumerate(zip(table.texts, table.numbers)):
+            for c, (text, number) in enumerate(zip(texts, numbers)):
+                header_words = None
+                if number is not None:
+                    # both header cells come earlier in row-major order, so
+                    # their words are in slots already built
+                    words: frozenset[str] = frozenset()
+                    if r > 0:
+                        words |= slots[c][0]
+                    if c > 0:
+                        words |= slots[r * n_cols][0]
+                    header_words = words
+                positions = cell_positions.get((r, c), range(0))
+                slots.append((_content_words(text), header_words, positions))
 
         # a sentence ends in whitespace or at the end of the text, so it
         # holds the next run of its paragraph's words
@@ -383,7 +389,7 @@ class _ContextIndex:
     @cached_property
     def cell_scales(self) -> tuple[tuple[Scale | None, ...], ...]:
         """The scale named in each cell, row by row."""
-        return tuple(tuple(scale_in_text(c.text) for c in row) for row in self.context.table.cells)
+        return tuple(tuple(map(scale_in_text, row)) for row in self.context.table.texts)
 
     @cached_property
     def header_scale(self) -> Scale | None:
@@ -391,8 +397,8 @@ class _ContextIndex:
         rows (a filled leading cell, the others blank)."""
         captions = (
             scales[0]
-            for row, scales in zip(self.context.table.cells, self.cell_scales)
-            if row[0].text.strip() and not any(c.text.strip() for c in row[1:])
+            for row, scales in zip(self.context.table.texts, self.cell_scales)
+            if row[0].strip() and not any(text.strip() for text in row[1:])
         )
         return next(filter(None, chain(self.cell_scales[0], captions)), None)
 
@@ -529,11 +535,11 @@ def _find_in_table(
         # matching either way is the first cell of equal magnitude
         lookup = index.cells_by_magnitude if loose else index.cells_by_value
         cell = lookup.get(abs(item.value) if loose else item.value)
-        return None if cell is None else CellOrigin(cell.row, cell.col)
+        return None if cell is None else CellOrigin(*cell)
     needle = item.surface.casefold()
-    for hay, origin in index.cell_texts:
+    for hay, row, col in index.cell_texts:
         if hay == needle or (loose and needle and needle in hay):
-            return origin
+            return CellOrigin(row, col)
     return None
 
 

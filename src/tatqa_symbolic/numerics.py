@@ -131,7 +131,7 @@ def parse_number(text: str) -> ParsedNumber | None:
     match = _FULL_NUMBER_RE.fullmatch(text)
     if match is None:
         return None
-    wrap, sign, core, pct = match.group("wrap", "sign", "core", "pct")
+    wrap, sign, core, pct = match.groups()
     value = _exact(core)
     if (sign in ("-", "−")) != (wrap is not None):
         value = -value

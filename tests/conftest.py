@@ -333,7 +333,7 @@ def word_inputs(question=(), table=(), paragraphs=()):
     list of words (``[]`` for an empty cell), and ``paragraphs`` a list of
     (uid, words) pairs.  Words are joined by single spaces, so each word
     is one unit of the input sequence; a cell's number is parsed when the
-    table's cells are first read, as for a loaded table."""
+    table's numbers are first read, as for a loaded table."""
     context = HybridContext(
         context_id="ctx-words",
         table=Table(tuple(tuple(" ".join(words) for words in row) for row in table)),

@@ -24,7 +24,9 @@ were when every value was built by ``Fraction(str)``.  The span-scoring
 section keeps ``drop_em_f1`` and ``align_spans_f1`` as they were when
 every span was normalized once for EM and again for F1 and each number
 set was built per pair; it calls the library's assignment solver and
-pairwise mean, but none of its normalization or gating.
+pairwise mean, but none of its normalization or gating.  The schema
+section keeps the recursive walk that recorded each field path once per
+item.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import random
 import re
 import string
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from tatqa_symbolic import derivation
@@ -918,3 +921,38 @@ def reference_drop_em_f1(pred_spans: list[str], gold_spans: list[str]) -> tuple[
     )
     f1 = round(reference_align_spans_f1(pred_spans, gold_spans), 2)
     return em, f1
+
+
+# ---------------------------------------------------------------------------
+# Schema inventory, one recursive step per item
+# ---------------------------------------------------------------------------
+
+
+def reference_field_inventory(raw):
+    inventory = {}
+
+    def record(json_path, value):
+        entry = inventory.setdefault(json_path, {"count": 0, "types": set()})
+        entry["count"] += 1
+        # the reader decodes JSON floats as Decimal
+        entry["types"].add("float" if isinstance(value, Decimal) else type(value).__name__)
+
+    def walk(value, json_path):
+        # a scalar holds no paths, so only containers are walked
+        if isinstance(value, dict):
+            for key, item in value.items():
+                path = f"{json_path}.{key}"
+                record(path, item)
+                if isinstance(item, (dict, list)):
+                    walk(item, path)
+        elif isinstance(value, list):
+            path = f"{json_path}[]"
+            for item in value:
+                if isinstance(item, (dict, list)):
+                    walk(item, path)
+
+    walk(raw, "$")
+    return {
+        json_path: {"count": entry["count"], "types": sorted(entry["types"])}
+        for json_path, entry in sorted(inventory.items())
+    }

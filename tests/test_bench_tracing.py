@@ -8,7 +8,7 @@ hook target, or a change to what the hook reads (the ``question``
 argument's ``question_id``, the ``tags`` units' ``probability``, the
 ``threshold``), fails here as well as in a traced benchmark run.  So
 does a change to what its counters count (no ``parse_number`` call on
-load, one per table cell on the first read of the table's cells) or to
+load, one per table cell on the first read of the table's numbers) or to
 how its traced validate job calls the package (``schema_deviations``
 with a path).
 """
@@ -78,13 +78,13 @@ def test_cells_are_parsed_once_on_first_read(tracing, corpus_path):
     with tracer.hooked():
         dataset = load_dataset(corpus_path)
     assert tracer.calls["numerics:parse_number"] == 0
-    texts = sum(len(row) for context, _ in dataset for row in context.table.texts)
+    cells = sum(len(row) for context, _ in dataset for row in context.table.texts)
     with tracer.hooked():
-        cells = sum(1 for context, _ in dataset for _ in context.table.iter_cells())
-    assert cells == texts > 0
+        numbers = sum(len(row) for context, _ in dataset for row in context.table.numbers)
+    assert numbers == cells > 0
     assert tracer.calls["numerics:parse_number"] == cells
-    with tracer.hooked():  # a second read finds the cells built
-        assert sum(len(context.table.cells) for context, _ in dataset) > 0
+    with tracer.hooked():  # a second read finds the numbers parsed
+        assert sum(len(context.table.numbers) for context, _ in dataset) > 0
     assert tracer.calls["numerics:parse_number"] == cells
 
 

@@ -132,9 +132,9 @@ class TestCollector:
                      ("ablate",), ("export-supervision", "--out", out)):
             assert self.call(collector, argv[0], "--dataset", corpus_path, *argv[1:]) == 0
         assert len(loaded) == 4
-        assert all("cells" in vars(context.table) for dataset in loaded
+        assert all("numbers" in vars(context.table) for dataset in loaded
                    for context, _ in dataset)
-        # each table's cells, built once, while paused and before the freeze
+        # each table's numbers, parsed once, while paused and before the freeze
         assert parses == [(False, 0)] * (4 * n_cells)
 
     def test_eval_and_stats_build_no_cells(self, collector, corpus_path, tmp_path, monkeypatch):
@@ -144,7 +144,7 @@ class TestCollector:
         assert self.call(collector, "eval", "--dataset", corpus_path, "--pred", preds) == 0
         assert self.call(collector, "stats", "--dataset", corpus_path) == 0
         assert len(loaded) == 2
-        assert all("cells" not in vars(context.table) for dataset in loaded
+        assert all("numbers" not in vars(context.table) for dataset in loaded
                    for context, _ in dataset)
 
 

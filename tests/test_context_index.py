@@ -481,13 +481,13 @@ def test_edge_questions_cover_both_outcomes(dataset):
 
 
 def fraction_keyed_cells(context, magnitude):
-    """First numeric cell (row-major) of each value, or of each absolute
-    value, keyed by the Fraction itself."""
+    """(row, col) of the first numeric cell (row-major) of each value, or
+    of each absolute value, keyed by the Fraction itself."""
     found = {}
     for cell in context.table.iter_cells():
         if cell.numeric is not None:
             value = cell.numeric.value
-            found.setdefault(abs(value) if magnitude else value, cell)
+            found.setdefault(abs(value) if magnitude else value, (cell.row, cell.col))
     return found
 
 
@@ -510,14 +510,13 @@ def test_cell_lookups_match_fraction_keys(seed):
         assert all(type(key) is int for key in lookup if key == int(key))
         probes = {Fraction(7), *reference, *(-key for key in reference)}
         for probe in probes | {int(p) for p in probes if p.denominator == 1}:
-            assert lookup.get(probe) is reference.get(probe)
+            assert lookup.get(probe) == reference.get(probe)
     if seed is None:
-        table = context.table
-        assert index.cells_by_value[Fraction(5)] is table.cell(0, 1)
-        assert index.cells_by_value[Fraction(-5)] is table.cell(1, 0)
-        assert index.cells_by_magnitude[Fraction(5)] is table.cell(0, 1)
-        assert index.cells_by_magnitude[Fraction(1, 2)] is table.cell(1, 1)
-        assert index.cells_by_value[Fraction(-1, 2)] is table.cell(2, 0)
+        assert index.cells_by_value[Fraction(5)] == (0, 1)
+        assert index.cells_by_value[Fraction(-5)] == (1, 0)
+        assert index.cells_by_magnitude[Fraction(5)] == (0, 1)
+        assert index.cells_by_magnitude[Fraction(1, 2)] == (1, 1)
+        assert index.cells_by_value[Fraction(-1, 2)] == (2, 0)
 
 
 def test_index_is_built_once_per_context_and_slot_holds_one(corpus):

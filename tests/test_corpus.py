@@ -1,21 +1,26 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from conftest import REVENUE_DOC
+from conftest import REVENUE_DOC, bench_module
+from oracles import reference_field_inventory
 from tatqa_symbolic.corpus import (
     AnswerSource,
     AnswerType,
+    Cell,
     dump_dataset,
+    field_inventory,
     load_dataset,
+    read_documents,
     scale_distribution,
     schema_report,
     split_stats,
     type_source_matrix,
 )
 from tatqa_symbolic.errors import DatasetParseError, DatasetValidationError
-from tatqa_symbolic.numerics import Scale
+from tatqa_symbolic.numerics import Scale, parse_number
 
 
 class TestLoad:
@@ -36,6 +41,22 @@ class TestLoad:
 
     def test_parenthesized_negative_cell(self, contexts):
         assert contexts["ctx-expenses"].table.cell(3, 1).numeric.value == -1033
+
+    def test_cell_views_match_texts_and_numbers(self, corpus):
+        for context, _ in corpus:
+            table = context.table
+            expected = [
+                Cell(text, r, c, parse_number(text))
+                for r, row in enumerate(table.texts)
+                for c, text in enumerate(row)
+            ]
+            assert list(table.iter_cells()) == expected
+            assert [table.cell(cell.row, cell.col) for cell in expected] == expected
+            assert [table.cell(cell.row - table.n_rows, cell.col - table.n_cols)
+                    for cell in expected] == expected
+            assert table.numbers == tuple(tuple(map(parse_number, row)) for row in table.texts)
+        assert sum(cell.numeric is not None for context, _ in corpus
+                   for cell in context.table.iter_cells()) > 20
 
     def test_gold_answer_decimals_are_exact(self, questions):
         _, question = questions["q-rev-ratio"]
@@ -221,3 +242,72 @@ class TestSchemaReport:
         assert inventory["$[].questions[].answer_type"]["count"] == 17
         assert "str" in inventory["$[].questions[].question"]["types"]
         assert "$[].questions[].order" in inventory
+
+
+class _Record(dict):
+    pass
+
+
+class _Rows(list):
+    pass
+
+
+class _Amount(Decimal):
+    pass
+
+
+SCHEMA_EDGE_DOCUMENTS = {
+    "nested-lists": [[[1, [2, {"a": 1}]], []], {"b": [[{"c": True}], [[{"c": "x"}]]]}],
+    "empty-containers": [[], {}, [{}], {"a": {}, "b": [], "c": [[], {}]}],
+    "bool-vs-int": [{"x": True}, {"x": 1}, {"x": Decimal("1.5")}, {"x": None}, {"x": "1"}],
+    "subclasses": [_Record(a=1, b=_Record(c=_Rows([_Record(d=2)]))), {"b": {"c": []}},
+                   {"e": _Amount("2.5")}, _Rows([{"a": 2.5}])],
+    "colliding-paths": [{"a.b": 1, "a": {"b": "x", "b.c": 2, "b[]": [3]}},
+                        {"a": {"b": {"c": [{"d": 4}]}}}, _Record({1: 1, "1": "one"})],
+    "scalar-int": 5,
+    "scalar-str": "text",
+    "scalar-none": None,
+    "scalar-decimal": Decimal("1.5"),
+}
+
+
+class TestFieldInventory:
+    """The breadth-first inventory against the recursive walk it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_EDGE_DOCUMENTS))
+    def test_edge_documents(self, name):
+        raw = SCHEMA_EDGE_DOCUMENTS[name]
+        assert field_inventory(raw) == reference_field_inventory(raw)
+
+    def test_edge_cases_are_reached(self):
+        assert field_inventory(5) == {} == field_inventory([])
+        subclasses = field_inventory(SCHEMA_EDGE_DOCUMENTS["subclasses"])
+        assert subclasses["$[].b.c[].d"] == {"count": 1, "types": ["int"]}
+        assert subclasses["$[].b"]["types"] == ["_Record", "dict"]
+        assert subclasses["$[].e"]["types"] == ["float"]
+        assert subclasses["$[][].a"] == {"count": 1, "types": ["float"]}
+        collisions = field_inventory(SCHEMA_EDGE_DOCUMENTS["colliding-paths"])
+        # "a.b" at one level and "a", "b" at the next spell one path
+        assert collisions["$[].a.b"] == {"count": 3, "types": ["dict", "int", "str"]}
+        assert collisions["$[].a.b.c"] == {"count": 2, "types": ["int", "list"]}
+        assert collisions["$[].a.b[]"] == {"count": 1, "types": ["list"]}
+        assert collisions["$[].1"] == {"count": 2, "types": ["int", "str"]}
+        assert field_inventory(SCHEMA_EDGE_DOCUMENTS["bool-vs-int"])["$[].x"]["types"] == [
+            "NoneType", "bool", "float", "int", "str"]
+
+    def test_fixture_corpus(self, corpus_path):
+        raw = read_documents(corpus_path)
+        assert field_inventory(raw) == reference_field_inventory(raw)
+        assert len(field_inventory(raw)) > 10
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "multispan"])
+    def test_generated_corpora(self, kind, tmp_path):
+        gen = bench_module("gen")
+        made = getattr(gen, f"{kind}_corpus")(3, 40)
+        # the multispan corpus comes with a predictions file
+        files = made[:2] if kind == "multispan" else made[:1]
+        for n, payload in enumerate(files):
+            path = tmp_path / f"{kind}-{n}.json"
+            path.write_text(gen.dumps(payload), encoding="utf-8")
+            raw = read_documents(path)
+            assert field_inventory(raw) == reference_field_inventory(raw)

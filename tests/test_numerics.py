@@ -1,13 +1,17 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tatqa_symbolic.errors import NumberTooLongError
 from tatqa_symbolic.numerics import (
+    _NUMBER_CORE,
     ParsedNumber,
     Scale,
+    _exact,
     apply_scale,
     extract_numbers,
     parse_number,
@@ -268,6 +272,64 @@ def test_parse_number_matches_the_reference(text):
 )
 def test_parse_number_wrap_edges(text):
     assert _fields(parse_number(text)) == _fields(reference_parse_number(text))
+
+
+# ASCII digits, then Arabic-Indic, Devanagari and fullwidth ones, which
+# the number pattern's \d also matches
+_DIGITS = ["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+           "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"]
+
+
+def _random_core(rng: random.Random) -> str:
+    """A text the number pattern reads as a core: a plain run (leading
+    zeros allowed) or comma-grouped digits, with or without decimals, or
+    a bare decimal part such as ".5"."""
+    digits = rng.choice(_DIGITS) if rng.random() < 0.3 else _DIGITS[0]
+
+    def run(n: int) -> str:
+        return "".join(rng.choice(digits) for _ in range(n))
+
+    shape = rng.randrange(5)
+    decimals = "." + run(rng.randint(1, 6)) if rng.random() < 0.4 else ""
+    if shape == 0:
+        return "." + run(rng.randint(1, 6))
+    if shape == 1:
+        groups = "".join("," + run(3) for _ in range(rng.randint(1, 4)))
+        return run(rng.randint(1, 3)) + groups + decimals
+    return run(rng.randint(1, 12)) + decimals
+
+
+class TestExact:
+    """``_exact`` against ``Fraction`` of the core less its commas."""
+
+    @pytest.mark.parametrize("core", ["0", "00", "007", "5", ".5", "0.5", "05.50", "1,033",
+                                      "1,033.25", "\u0661\u0662", "\uff15,\uff10\uff10\uff10",
+                                      "1" * 4300, "9" * 4299 + ".5", "1" * 2150 + "." + "1" * 2150])
+    def test_fixed_cores(self, core):
+        assert re.fullmatch(_NUMBER_CORE, core)
+        value = _exact(core)
+        assert type(value) is Fraction
+        assert value == Fraction(core.replace(",", ""))
+
+    def test_seeded_cores(self):
+        rng = random.Random(4118)
+        cores = [_random_core(rng) for _ in range(5_000)]
+        for core in cores:
+            assert re.fullmatch(_NUMBER_CORE, core), core
+            assert _exact(core) == Fraction(core.replace(",", "")), core
+        # the draws reach every shape of core
+        assert sum("," not in core and "." not in core for core in cores) > 1_000
+        assert sum(core.startswith(".") for core in cores) > 500
+        assert sum("," in core for core in cores) > 500
+        assert sum(core[0] == "0" and len(core) > 1 and "." not in core[:2] for core in cores) > 50
+        assert sum(not core.replace(",", "").replace(".", "").isascii() for core in cores) > 500
+
+    @pytest.mark.parametrize("core", ["1" * 4301, "1" * 4300 + ".5", "." + "1" * 4301,
+                                      "1" + ",111" * 1434])
+    def test_one_digit_past_the_limit(self, core):
+        with pytest.raises(NumberTooLongError):
+            _exact(core)
 
 
 class TestRounding:
