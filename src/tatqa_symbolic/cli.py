@@ -8,7 +8,6 @@ Exit codes: 0 on success, 1 on validation failure or unreadable input,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import logging
@@ -20,7 +19,6 @@ from . import reference
 from .corpus import (
     AnswerSource,
     AnswerType,
-    Dataset,
     load_dataset,
     parse_documents,
     read_documents,
@@ -159,49 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _loading():
-    """Build a command's long-lived inputs with the cyclic collector
-    paused, then freeze them.
-
-    The loaded records hold no cycles and live until the command ends,
-    so a collector pass over them frees nothing: the pause skips the
-    passes that their allocation would trigger, and the freeze keeps
-    later passes from rescanning them.  The collector is re-enabled only
-    if it was enabled before; ``main`` unfreezes on the way out.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.freeze()
-        if enabled:
-            gc.enable()
-
-
-def _with_cells(dataset: Dataset) -> Dataset:
-    """``dataset``, with every table's cell numbers parsed.
-
-    A table parses its cells on the first read of ``numbers``.  A
-    command that reads them calls this inside ``_loading``, so they are
-    built while the collector is paused and frozen with the rest of its
-    inputs.
-    """
-    for context, _ in dataset:
-        context.table.numbers
-    return dataset
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    with _loading():
-        documents = read_documents(args.dataset)
-        dataset = _with_cells(parse_documents(documents, strict=args.strict))
+    documents = read_documents(args.dataset)
+    dataset = parse_documents(documents, strict=args.strict)
     deviations = field_deviations(documents)
     del documents  # the checks below need only the records
     report = validate_dataset(dataset, RoundingPolicy(places=args.rounding))
@@ -250,10 +213,9 @@ def cmd_stats(args) -> int:
         print(f"error: --split: {names} split names for {files} --dataset file(s)", file=sys.stderr)
         return 2
     datasets = []
-    with _loading():
-        for path, name in zip_longest(args.dataset, args.split, fillvalue=""):
-            label = name or Path(path).stem
-            datasets.append((label, load_dataset(path, strict=args.strict)))
+    for path, name in zip_longest(args.dataset, args.split, fillvalue=""):
+        label = name or Path(path).stem
+        datasets.append((label, load_dataset(path, strict=args.strict)))
 
     for label, dataset in datasets:
         stats = split_stats(dataset)
@@ -329,8 +291,7 @@ def _trace_payload(question_id: str, prediction) -> dict:
 
 
 def cmd_run(args) -> int:
-    with _loading():
-        dataset = _with_cells(load_dataset(args.dataset, strict=args.strict))
+    dataset = load_dataset(args.dataset, strict=args.strict)
     config = _pipeline_config(args)
     predictions = run_pipeline(dataset, config, workers=args.workers)
 
@@ -350,9 +311,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with _loading():
-        dataset = load_dataset(args.dataset, strict=args.strict)
-        predictions = read_predictions(args.pred)
+    dataset = load_dataset(args.dataset, strict=args.strict)
+    predictions = read_predictions(args.pred)
     report = evaluate(predictions, dataset, RoundingPolicy(places=args.rounding))
     print(f"EM {report.em:.1f}  F1 {report.f1:.1f}  ({report.overall.n} questions)")
     if report.missing:
@@ -379,8 +339,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    with _loading():
-        dataset = _with_cells(load_dataset(args.dataset, strict=args.strict))
+    dataset = load_dataset(args.dataset, strict=args.strict)
     predictions = run_pipeline(dataset, _pipeline_config(args), workers=args.workers)
     report = evaluate(
         {qid: (p.value, p.scale) for qid, p in predictions.items()},
@@ -410,8 +369,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_schema_report(args) -> int:
-    with _loading():
-        inventory = schema_report(args.dataset)
+    inventory = schema_report(args.dataset)
     width = max(len(path) for path in inventory) if inventory else 0
     for path, entry in inventory.items():
         print(f"{path:<{width}}  {entry['count']:>8}  {', '.join(entry['types'])}")
@@ -419,8 +377,7 @@ def cmd_schema_report(args) -> int:
 
 
 def cmd_export_supervision(args) -> int:
-    with _loading():
-        dataset = _with_cells(load_dataset(args.dataset, strict=args.strict))
+    dataset = load_dataset(args.dataset, strict=args.strict)
     export = export_supervision(dataset, args.out)
     print(
         f"wrote {export.n_written} label records to {args.out} "
@@ -436,17 +393,19 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command builds no reference cycles, so a collector pass over its
+    # records would free nothing; it runs with the collector off, and an
+    # in-process caller gets the collector back as it was.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PipelineError as exc:
+    except (OSError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        # an in-process caller gets back a heap its collector scans
-        gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

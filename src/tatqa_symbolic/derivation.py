@@ -157,6 +157,13 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
+# The parser recurses three frames per pair of parentheses and one per
+# unary minus, and the tree walks one frame per level of a tree no deeper
+# than its token count, so this bound keeps both far inside the
+# interpreter's recursion limit.  Real derivations have a few dozen tokens.
+MAX_TOKENS = 256
+
+
 class _Parser:
     """Recursive descent for: expr := term (('+'|'-') term)*;
     term := factor (('*'|'/') factor)*; factor := number | '(' expr ')' | '-' factor.
@@ -234,6 +241,7 @@ def parse_derivation(text: str, answer_type: str | None = None) -> DerivationAst
     Counting derivations (and any text containing "##") parse as item
     sets; everything else parses as an arithmetic expression.  Percent
     signs on operands are kept as face values: "39%" is the number 39.
+    An expression of more than ``MAX_TOKENS`` tokens does not parse.
     """
     if not text or not text.strip():
         raise DerivationParseError("empty derivation", text, 0)
@@ -242,7 +250,11 @@ def parse_derivation(text: str, answer_type: str | None = None) -> DerivationAst
         if not items:
             raise DerivationParseError("item set has no items", text, 0)
         return ItemSet(items)
-    return _Parser(text, _lex(text)).parse()
+    tokens = _lex(text)
+    if len(tokens) > MAX_TOKENS:
+        offset = tokens[MAX_TOKENS].offset
+        raise DerivationParseError(f"more than {MAX_TOKENS} tokens", text, offset)
+    return _Parser(text, tokens).parse()
 
 
 _last_parse: tuple = (None, None)  # (question record, its AST or parse error)
@@ -308,17 +320,15 @@ def operand_sequence(ast: DerivationAst) -> list[ParsedNumber]:
     if isinstance(ast, ItemSet):
         raise ValueError("item sets have no numeric operands")
     leaves: list[ParsedNumber] = []
-
-    def walk(node: ExprNode) -> None:
+    stack: list[ExprNode] = [ast]
+    while stack:
+        node = stack.pop()
         if isinstance(node, NumberLeaf):
             leaves.append(node.number)
         elif isinstance(node, UnaryNeg):
-            walk(node.child)
+            stack.append(node.child)
         else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(ast)
+            stack += (node.right, node.left)
     return leaves
 
 

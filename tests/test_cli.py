@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import CORPUS_DOCS, REVENUE_DOC, TEXT_DOC
+from conftest import CORPUS_DOCS, REVENUE_DOC, TEXT_DOC, bench_module
 from oracles import reference_ablation, reference_margins
 from tatqa_symbolic import cli, evaluation
 from tatqa_symbolic.cli import main
@@ -35,9 +35,9 @@ CONFIGS = {
 
 
 class TestCollector:
-    """Each command loads its inputs with the cyclic collector paused,
-    then freezes them; whatever the exit, ``main`` leaves the collector
-    enabled or not as it found it, with nothing frozen."""
+    """Each command runs with the cyclic collector off, loading included;
+    whatever the exit, ``main`` leaves the collector enabled or not as it
+    found it, and nothing is ever frozen."""
 
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
     def collector(self, request):
@@ -81,27 +81,19 @@ class TestCollector:
             collector, "stats", "--dataset", corpus_path, "--split", "dev", "test"
         ) == 2
 
-    def test_paused_while_loading_and_frozen_while_running(
-        self, collector, corpus_path, tmp_path, monkeypatch
-    ):
+    def test_off_while_loading_and_running(self, collector, corpus_path, tmp_path, monkeypatch):
         seen = []
-        real_load, real_run = cli.load_dataset, cli.run_pipeline
+        for name in ("load_dataset", "run_pipeline"):
+            def spy(*args, real=getattr(cli, name), name=name, **kwargs):
+                seen.append((name, gc.isenabled(), gc.get_freeze_count()))
+                return real(*args, **kwargs)
 
-        def load(*args, **kwargs):
-            seen.append(("load", gc.isenabled()))
-            return real_load(*args, **kwargs)
-
-        def run(*args, **kwargs):
-            seen.append(("run", gc.isenabled(), gc.get_freeze_count() > 0))
-            return real_run(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "load_dataset", load)
-        monkeypatch.setattr(cli, "run_pipeline", run)
+            monkeypatch.setattr(cli, name, spy)
         for command in ("run", "ablate"):
             assert self.call(
                 collector, command, "--dataset", corpus_path, "--out", tmp_path / "out.json"
             ) == 0
-        assert seen == [("load", False), ("run", collector, True)] * 2
+        assert seen == [("load_dataset", False, 0), ("run_pipeline", False, 0)] * 2
 
     def capture_datasets(self, monkeypatch):
         """The datasets the commands load, in order."""
@@ -114,7 +106,7 @@ class TestCollector:
             monkeypatch.setattr(cli, name, capture)
         return loaded
 
-    def test_cells_built_while_paused_by_the_commands_that_read_them(
+    def test_cells_parsed_once_with_the_collector_off(
         self, collector, corpus_path, tmp_path, monkeypatch
     ):
         loaded = self.capture_datasets(monkeypatch)
@@ -125,17 +117,17 @@ class TestCollector:
             return parse_number(text)
 
         monkeypatch.setattr("tatqa_symbolic.corpus.parse_number", parse)
-        grids = [doc["table"]["table"] for doc in CORPUS_DOCS]
-        n_cells = sum(len(grid) * max(map(len, grid)) for grid in grids)
         out = tmp_path / "out.json"
         for argv in (("run", "--out", out), ("validate",),
                      ("ablate",), ("export-supervision", "--out", out)):
             assert self.call(collector, argv[0], "--dataset", corpus_path, *argv[1:]) == 0
         assert len(loaded) == 4
-        assert all("numbers" in vars(context.table) for dataset in loaded
-                   for context, _ in dataset)
-        # each table's numbers, parsed once, while paused and before the freeze
-        assert parses == [(False, 0)] * (4 * n_cells)
+        # a table's numbers are built on first read, so a command parses
+        # only the tables it reads, each cell once, with the collector off
+        read = [context.table for dataset in loaded for context, _ in dataset
+                if "numbers" in vars(context.table)]
+        assert read
+        assert parses == [(False, 0)] * sum(table.n_rows * table.n_cols for table in read)
 
     def test_eval_and_stats_build_no_cells(self, collector, corpus_path, tmp_path, monkeypatch):
         loaded = self.capture_datasets(monkeypatch)
@@ -146,6 +138,136 @@ class TestCollector:
         assert len(loaded) == 2
         assert all("numbers" not in vars(context.table) for dataset in loaded
                    for context, _ in dataset)
+
+
+class TestCyclicGarbage:
+    """No command leaves cyclic garbage that grows with its input: run
+    with the collector off, a command leaves as many unreachable objects
+    (argparse's own cycles) on a corpus as on one twice its size."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        """(dataset, predictions) paths per (kind, number of contexts)."""
+        gen = bench_module("gen")
+        root = tmp_path_factory.mktemp("garbage")
+        paths = {}
+        for kind in ("dense", "sparse", "multispan"):
+            for n in (20, 40):
+                made = getattr(gen, f"{kind}_corpus")(77, n)
+                dataset, preds = root / f"{kind}-{n}.json", root / f"{kind}-{n}-preds.json"
+                dataset.write_text(gen.dumps(made[0]), encoding="utf-8")
+                if kind == "multispan":
+                    preds.write_text(gen.dumps(made[1]), encoding="utf-8")
+                else:
+                    assert run_cli("run", "--dataset", dataset, "--out", preds) == 0
+                paths[kind, n] = dataset, preds
+        return paths
+
+    # each command's arguments after its dataset; OUT and PREDS stand for paths
+    COMMANDS = {
+        "run-oracle": ("run", "--out", "OUT"),
+        "run-lexical": ("run", "--out", "OUT", *CONFIGS["lexical"][0]),
+        "run-2-workers": ("run", "--out", "OUT", "--workers", "2"),
+        "eval": ("eval", "--pred", "PREDS"),
+        "ablate": ("ablate",),
+        "validate": ("validate", "--out", "OUT"),
+        "export-supervision": ("export-supervision", "--out", "OUT"),
+        "stats": ("stats",),
+    }
+
+    def garbage(self, argv) -> int:
+        """Objects ``gc.collect`` finds after ``main(argv)`` runs with the
+        collector off."""
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_cli(*argv) == 0
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "multispan"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_does_not_grow_with_input(self, corpora, command, kind, tmp_path):
+        name, *rest = self.COMMANDS[command]
+        argv = {}
+        for n in (20, 40):
+            dataset, preds = corpora[kind, n]
+            paths = {"OUT": tmp_path / "out.json", "PREDS": preds}
+            argv[n] = (name, "--dataset", dataset, *(paths.get(arg, arg) for arg in rest))
+        self.garbage(argv[20])  # first use: imports and worker start-up
+        assert self.garbage(argv[20]) == self.garbage(argv[40])
+
+
+class TestDeepDerivations:
+    """A derivation past the parser's token bound is handled like any
+    derivation that does not parse, not with a RecursionError."""
+
+    @pytest.fixture(params=["chain", "nested"])
+    def dataset(self, request, tmp_path):
+        derivation = {
+            "chain": " + ".join(["1"] * 1501),
+            "nested": "(" * 400 + "1" + ")" * 400,
+        }[request.param]
+        doc = json.loads(json.dumps(TEXT_DOC))
+        doc["questions"][0]["derivation"] = derivation
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps([doc]), encoding="utf-8")
+        return path
+
+    def test_validate_reports_a_parse_error(self, dataset, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--dataset", dataset, "--out", out) == 0
+        checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+        assert [(c["question_id"], c["status"]) for c in checks] == [
+            ("q-text-arith", "parse_error")]
+        assert "more than" in checks[0]["detail"]
+
+    def test_run_abstains(self, dataset, tmp_path):
+        preds = tmp_path / "preds.json"
+        assert run_cli("run", "--dataset", dataset, "--out", preds) == 0
+        traces = (tmp_path / "preds.json.traces.jsonl").read_text(encoding="utf-8")
+        notes = {t["question_id"]: t["note"] for t in map(json.loads, traces.splitlines())}
+        assert notes["q-text-arith"]
+        assert not notes["q-text-span"]
+
+    def test_stats_counts_other(self, dataset, capsys):
+        assert run_cli("stats", "--dataset", dataset) == 0
+        assert re.search(r"^  Other +33\.3$", capsys.readouterr().out, re.M)
+
+    def test_export_supervision_skips(self, dataset, tmp_path, capsys):
+        out = tmp_path / "labels.jsonl"
+        assert run_cli("export-supervision", "--dataset", dataset, "--out", out) == 0
+        printed = capsys.readouterr().out
+        assert "(1 skipped," in printed
+        assert "  skipped q-text-arith: more than" in printed
+
+
+class TestDirectoryPaths:
+    """A directory given as an input or output file ends in one
+    ``error:`` line and exit 1, not a traceback."""
+
+    def assert_error(self, capsys, *argv):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert err.count("\n") == 1
+
+    def test_validate(self, corpus_path, tmp_path, capsys):
+        self.assert_error(capsys, "validate", "--dataset", tmp_path)
+        self.assert_error(capsys, "validate", "--dataset", corpus_path, "--out", tmp_path)
+
+    def test_eval(self, corpus_path, tmp_path, capsys):
+        preds = tmp_path / "preds.json"
+        preds.write_text("{}", encoding="utf-8")
+        self.assert_error(capsys, "eval", "--dataset", corpus_path, "--pred", tmp_path)
+        self.assert_error(capsys, "eval", "--dataset", tmp_path, "--pred", preds)
+
+    def test_run(self, corpus_path, tmp_path, capsys):
+        self.assert_error(capsys, "run", "--dataset", tmp_path, "--out", tmp_path / "p.json")
+        self.assert_error(capsys, "run", "--dataset", corpus_path, "--out", tmp_path)
 
 
 class TestValidate:

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from tatqa_symbolic.corpus import AnswerSource, AnswerType
 from tatqa_symbolic.derivation import (
     BinaryOp,
     ItemSet,
+    MAX_TOKENS,
     Operator,
     classify_operator,
     eval_derivation,
@@ -49,6 +51,33 @@ class TestParse:
         with pytest.raises(DerivationParseError):
             parse_derivation("(1 + 2", AnswerType.ARITHMETIC)
 
+    @pytest.mark.parametrize("text, offset", [
+        (" + ".join(["1"] * 1501), 2 * MAX_TOKENS),
+        ("(" * 400 + "1" + ")" * 400, MAX_TOKENS),
+    ], ids=["chain", "nested"])
+    def test_past_the_token_bound(self, text, offset):
+        with pytest.raises(DerivationParseError) as excinfo:
+            parse_derivation(text, AnswerType.ARITHMETIC)
+        assert excinfo.value.offset == offset
+
+    # as deep as the bound allows, so the parser and every tree walk
+    # must stay inside the recursion limit
+    CHAIN = MAX_TOKENS // 2
+    NESTED = (MAX_TOKENS - 1) // 2
+    NEGATED = (MAX_TOKENS - 3) // 3 // 2 * 2  # even, so "-(" ... "1 + 1" ... ")" is 2
+
+    @pytest.mark.parametrize("text, n_operands, value, operator", [
+        (" + ".join(["1"] * CHAIN), CHAIN, CHAIN, Operator.SUM),
+        ("(" * NESTED + "1" + ")" * NESTED, 1, 1, Operator.OTHER),
+        ("-(" * NEGATED + "1 + 1" + ")" * NEGATED, 2, 2, Operator.OTHER),
+    ], ids=["chain", "nested", "negated"])
+    def test_within_the_token_bound(self, text, n_operands, value, operator):
+        ast = parse_derivation(text, AnswerType.ARITHMETIC)
+        assert parse_derivation(render_derivation(ast), AnswerType.ARITHMETIC) == ast
+        assert len(operand_sequence(ast)) == n_operands
+        assert eval_derivation(ast) == value
+        assert classify_operator(ast, AnswerType.ARITHMETIC, AnswerSource.TABLE) == operator
+
     def test_unicode_operators(self):
         ast = parse_derivation("6 × 7 − 2 ÷ 4", AnswerType.ARITHMETIC)
         assert eval_derivation(ast) == Fraction("41.5")
@@ -89,6 +118,17 @@ class TestOperandSequence:
     def test_item_set_rejected(self):
         with pytest.raises(ValueError):
             operand_sequence(ItemSet(("a",)))
+
+    def test_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            operand_sequence(parse_derivation("(1 + 2) / 3"))
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 ARITH = AnswerType.ARITHMETIC
