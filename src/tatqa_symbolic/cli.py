@@ -290,6 +290,10 @@ def _trace_payload(question_id: str, prediction) -> dict:
     }
 
 
+# one encoder for every trace line; a trace holds no cycles to check for
+_TRACE_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def cmd_run(args) -> int:
     dataset = load_dataset(args.dataset, strict=args.strict)
     config = _pipeline_config(args)
@@ -301,7 +305,7 @@ def cmd_run(args) -> int:
     traces_path = args.traces or f"{args.out}.traces.jsonl"
     with Path(traces_path).open("w", encoding="utf-8") as handle:
         for question_id, prediction in predictions.items():
-            handle.write(json.dumps(_trace_payload(question_id, prediction)) + "\n")
+            handle.write(_TRACE_ENCODER.encode(_trace_payload(question_id, prediction)) + "\n")
 
     abstained = sum(1 for p in predictions.values() if p.trace.note)
     print(f"answered {len(predictions)} questions ({abstained} abstained)")

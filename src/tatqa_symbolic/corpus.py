@@ -103,10 +103,11 @@ class Cell:
 class Table:
     """A table's cell texts, row by row, every row the same width.
 
-    Each cell's parsed number is read through ``numbers``, built on its
-    first read; a command that never reads them (``eval``, ``stats``)
-    never parses a cell.  ``cell`` and ``iter_cells`` build ``Cell``
-    views from the two grids on each call.
+    ``numbers`` parses every cell on its first read, and ``cell`` and
+    ``iter_cells`` build ``Cell`` views from the two grids on each call.
+    They are for library callers: no command reads them, and the
+    evidence index parses a cell only when a lookup or a candidate reads
+    its number.
     """
 
     texts: tuple[tuple[str, ...], ...]
@@ -220,12 +221,15 @@ def _problem(message: str, location: str, strict: bool) -> None:
 def read_documents(path: str | Path) -> Any:
     """Decode a dataset file's JSON, with floats as ``Decimal`` so that
     gold numeric answers stay exact.  Text that is not UTF-8 or not JSON,
-    or a number too long to read exactly, raises ``DatasetParseError``."""
+    nested deeper than the decoder can recurse, or a number too long to
+    read exactly, raises ``DatasetParseError``."""
     try:
         with Path(path).open("r", encoding="utf-8") as handle:
             return json.load(handle, parse_float=json_decimal)
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"invalid JSON: {exc}", "$") from exc
+    except RecursionError as exc:
+        raise DatasetParseError("invalid JSON: nested too deeply to read", "$") from exc
     except UnicodeDecodeError as exc:
         raise DatasetParseError("not UTF-8 text", f"byte {exc.start}") from exc
     except ValueError as exc:  # a number past the digit limit, JSON integers included

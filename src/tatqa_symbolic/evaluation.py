@@ -524,6 +524,8 @@ def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
             raw = json.load(handle, object_pairs_hook=keep_pairs, parse_float=json_decimal)
     except json.JSONDecodeError as exc:
         raise error(f"line {exc.lineno} column {exc.colno}", f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise error("$", "invalid JSON: nested too deeply to read") from exc
     except UnicodeDecodeError as exc:
         raise error(f"byte {exc.start}", "not UTF-8 text") from exc
     except ValueError as exc:  # a number past the digit limit, JSON integers included

@@ -22,10 +22,11 @@ gold tag labels exactly, and a lexical-overlap baseline that needs no
 gold annotation.
 
 What does not depend on the question (the layout, paragraph word spans
-and numbers, cell value lookups, the content words of cells and
-sentences with the slots holding each word, and the scale words of
+and numbers, the cells under each digit key, the content words of cells
+and sentences with the slots holding each word, and the scale words of
 cells and paragraphs) is kept in a private per-context index, each part
-built on first use.
+built on first use.  A cell's number is parsed only when a value lookup
+or a decoded candidate reads it, once per context.
 The index of the most recent context is held in a one-slot cache, so
 memory stays bounded to one context.  The taggers keep no state and are
 safe to share across threads: a race on the cache can only build an
@@ -65,7 +66,14 @@ from .derivation import (
     parsed_derivation,
 )
 from .errors import DerivationParseError, NumberTooLongError, UnlocatableEvidenceError
-from .numerics import ParsedNumber, Scale, extract_numbers, parse_number, scale_in_text
+from .numerics import (
+    ParsedNumber,
+    Scale,
+    extract_numbers,
+    is_number,
+    parse_number,
+    scale_in_text,
+)
 
 # ---------------------------------------------------------------------------
 # Sequence units and origins
@@ -100,15 +108,26 @@ class TagUnit:
     probability: float
 
 
+_UNPARSED = object()
+
+
+def _parsed(numbers: dict[str, ParsedNumber | None], text: str) -> ParsedNumber | None:
+    """The number of ``text``, parsed on its first read and kept in
+    ``numbers``, a context's cell numbers by text."""
+    number = numbers.get(text, _UNPARSED)
+    if number is _UNPARSED:
+        number = numbers[text] = parse_number(text)
+    return number
+
+
 @dataclass(frozen=True, slots=True)
 class _CellSegment:
-    """A non-empty cell's positions, words joined by spaces, and number."""
+    """A non-empty cell's positions and words joined by spaces."""
 
     row: int
     col: int
     positions: range
     text: str
-    numeric: ParsedNumber | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,12 +139,15 @@ class _ParagraphSegment:
 
 
 class _Layout:
-    """Unit texts and segments, and the segment owning each position."""
+    """Unit texts and segments, the segment owning each position, and the
+    context's cell numbers by text (``_parsed``), which a cell segment's
+    number is read from."""
 
-    __slots__ = ("texts", "cells", "paragraphs", "owners")
+    __slots__ = ("texts", "cells", "paragraphs", "owners", "numbers")
 
-    def __init__(self, texts: tuple[str, ...], cells: tuple, paragraphs: tuple):
+    def __init__(self, texts: tuple[str, ...], cells: tuple, paragraphs: tuple, numbers: dict):
         self.texts, self.cells, self.paragraphs = texts, cells, paragraphs
+        self.numbers = numbers
         # the segments are in position order and cover every position
         self.owners = tuple(
             chain.from_iterable(repeat(s, len(s.positions)) for s in cells + paragraphs)
@@ -257,6 +279,28 @@ class _ParagraphIndex:
 
 
 _SENTENCE_END_RE = re.compile(r"[.!?;]\s+|\Z")
+# the complement of the number parser's ``\d``
+_NON_DIGITS_RE = re.compile(r"\D+")
+
+
+def _ascii_digits(digits: str) -> str:
+    """``digits``, decimal digits of any script, in ASCII."""
+    return "".join(str(int(digit)) for digit in digits)
+
+
+def _value_key(value: Fraction) -> str | None:
+    """The digit key of ``value``'s terminating decimal form, or None when
+    it has none, and so no cell can hold it."""
+    numerator, denominator = abs(value.numerator), value.denominator
+    if denominator != 1:
+        twos = (denominator & -denominator).bit_length() - 1
+        rest, fives = denominator >> twos, 0
+        while rest % 5 == 0:
+            rest, fives = rest // 5, fives + 1
+        if rest != 1:
+            return None
+        numerator = numerator * 10 ** max(twos, fives) // denominator
+    return str(numerator).strip("0")
 
 
 class _ContextIndex:
@@ -269,23 +313,20 @@ class _ContextIndex:
     def __init__(self, context: HybridContext):
         self.context = context
         self.paragraphs = tuple(_ParagraphIndex(p) for p in context.paragraphs)
+        # each cell text read as a number so far, and its number (``_parsed``)
+        self.numbers: dict[str, ParsedNumber | None] = {}
 
     @cached_property
     def layout(self) -> _Layout:
         """Cell and paragraph units of the input sequence, in order."""
-        table = self.context.table
         texts: list[str] = []
         cells = []
-        for r, (cell_texts, numbers) in enumerate(zip(table.texts, table.numbers)):
-            for c, (cell_text, number) in enumerate(zip(cell_texts, numbers)):
+        for r, row in enumerate(self.context.table.texts):
+            for c, cell_text in enumerate(row):
                 words = cell_text.split()
                 if words:
-                    text = " ".join(words)
-                    # the cell's number is parsed from its own text, which is
-                    # the candidate text unless its words are not single-spaced
-                    numeric = number if text == cell_text else parse_number(text)
                     positions = range(len(texts), len(texts) + len(words))
-                    cells.append(_CellSegment(r, c, positions, text, numeric))
+                    cells.append(_CellSegment(r, c, positions, " ".join(words)))
                     texts += words
         paragraphs = []
         for number, paragraph in enumerate(self.context.paragraphs):
@@ -293,7 +334,7 @@ class _ContextIndex:
             positions = range(len(texts), len(texts) + len(words))
             paragraphs.append(_ParagraphSegment(number, positions))
             texts += words
-        return _Layout(tuple(texts), tuple(cells), tuple(paragraphs))
+        return _Layout(tuple(texts), tuple(cells), tuple(paragraphs), self.numbers)
 
     @cached_property
     def cell_positions(self) -> dict[tuple[int, int], range]:
@@ -305,30 +346,25 @@ class _ContextIndex:
             return self.cell_positions.get((origin.row, origin.col), range(0))
         return self.layout.paragraphs[origin.paragraph].positions[origin.start : origin.stop]
 
-    def _first_numeric_cells(self, magnitude: bool) -> dict[Fraction | int, tuple[int, int]]:
-        # one hash per value; a hit builds the origin.  A whole value is
-        # keyed by its int, which equals and hashes as the Fraction does,
-        # so lookups by Fraction still find it, without the dear
-        # pure-Python Fraction hash and abs
-        found: dict[Fraction | int, tuple[int, int]] = {}
-        for r, row in enumerate(self.context.table.numbers):
-            for c, number in enumerate(row):
-                if number is not None:
-                    value = number.value
-                    key = value.numerator if value.denominator == 1 else value
-                    found.setdefault(abs(key) if magnitude else key, (r, c))
-        return found
-
     @cached_property
-    def cells_by_value(self) -> dict[Fraction | int, tuple[int, int]]:
-        """(row, col) of the first numeric cell (row-major) holding each value."""
-        return self._first_numeric_cells(magnitude=False)
+    def cells_by_digits(self) -> dict[str, list[tuple[int, int]]]:
+        """(row, col) of each cell holding a digit, row-major, under its
+        digit key: its digits in ASCII, less leading and trailing zeros.
 
-    @cached_property
-    def cells_by_magnitude(self) -> dict[Fraction | int, tuple[int, int]]:
-        """(row, col) of the first numeric cell (row-major) holding each
-        absolute value."""
-        return self._first_numeric_cells(magnitude=True)
+        Every digit of a text that parses as a number is a digit of its
+        value, so a cell can hold a value or its negation only if it is
+        listed under the value's key (``_value_key``).
+        """
+        cells: dict[str, list[tuple[int, int]]] = {}
+        remove = _NON_DIGITS_RE.sub
+        for r, row in enumerate(self.context.table.texts):
+            for c, text in enumerate(row):
+                digits = remove("", text)
+                if digits:
+                    if not digits.isascii():
+                        digits = _ascii_digits(digits)
+                    cells.setdefault(digits.strip("0"), []).append((r, c))
+        return cells
 
     @cached_property
     def cell_texts(self) -> tuple[tuple[str, int, int], ...]:
@@ -347,10 +383,10 @@ class _ContextIndex:
         table = self.context.table
         n_cols, cell_positions = table.n_cols, self.cell_positions
         slots = []
-        for r, (texts, numbers) in enumerate(zip(table.texts, table.numbers)):
-            for c, (text, number) in enumerate(zip(texts, numbers)):
+        for r, texts in enumerate(table.texts):
+            for c, text in enumerate(texts):
                 header_words = None
-                if number is not None:
+                if is_number(text):
                     # both header cells come earlier in row-major order, so
                     # their words are in slots already built
                     words: frozenset[str] = frozenset()
@@ -436,8 +472,7 @@ def decode_evidence(tags: TaggedSequence, threshold: float = 0.5) -> list[Eviden
     text parses as a single number.  Question words are never evidence.
     """
     probabilities = tags.probabilities
-    texts = tags.layout.texts
-    owners = tags.layout.owners
+    texts, owners, numbers = tags.layout.texts, tags.layout.owners, tags.layout.numbers
     offset = len(tags.words)  # layout position 0 in the sequence
     positive = compress(range(len(probabilities)), map(lt, repeat(threshold), probabilities))
     candidates: list[EvidenceCandidate] = []
@@ -453,7 +488,11 @@ def decode_evidence(tags: TaggedSequence, threshold: float = 0.5) -> list[Eviden
         if type(segment) is _CellSegment:
             stop = end
             origin: CandidateOrigin = CellOrigin(segment.row, segment.col)
-            text, numeric, start = segment.text, segment.numeric, first
+            text, start = segment.text, first
+            # most reads are repeats; a cell is parsed on its first decode
+            numeric = numbers.get(text, _UNPARSED)
+            if numeric is _UNPARSED:
+                numeric = _parsed(numbers, text)
         else:
             stop = index + 1
             while stop < end and probabilities[stop] > threshold:
@@ -530,12 +569,19 @@ def _evidence_items(question: QuestionRecord) -> list[_EvidenceItem]:
 def _find_in_table(
     index: _ContextIndex, item: _EvidenceItem, loose: bool
 ) -> CellOrigin | None:
-    if item.value is not None:
-        # the loose pass also accepts an exact match, so the first cell
-        # matching either way is the first cell of equal magnitude
-        lookup = index.cells_by_magnitude if loose else index.cells_by_value
-        cell = lookup.get(abs(item.value) if loose else item.value)
-        return None if cell is None else CellOrigin(*cell)
+    value = item.value
+    if value is not None:
+        # only the cells under the value's key can hold it, so only they
+        # are parsed; the loose pass also accepts an exact match, so the
+        # first cell matching either way is the first of equal magnitude
+        texts, numbers = index.context.table.texts, index.numbers
+        for row, col in index.cells_by_digits.get(_value_key(value), ()):
+            number = _parsed(numbers, texts[row][col])
+            if number is not None and (
+                number.value == value or loose and number.value == -value
+            ):
+                return CellOrigin(row, col)
+        return None
     needle = item.surface.casefold()
     for hay, row, col in index.cell_texts:
         if hay == needle or (loose and needle and needle in hay):

@@ -139,6 +139,11 @@ def parse_number(text: str) -> ParsedNumber | None:
     return ParsedNumber(value, pct is not None, text)
 
 
+def is_number(text: str) -> bool:
+    """Whether ``parse_number(text)`` is a number, without building its value."""
+    return _FULL_NUMBER_RE.fullmatch(text) is not None
+
+
 def json_decimal(text: str) -> Decimal:
     """A JSON number with a fraction or exponent as an exact ``Decimal``
     (``json.load``'s ``parse_float``).

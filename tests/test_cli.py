@@ -10,7 +10,7 @@ import pytest
 
 from conftest import CORPUS_DOCS, REVENUE_DOC, TEXT_DOC, bench_module
 from oracles import reference_ablation, reference_margins
-from tatqa_symbolic import cli, evaluation
+from tatqa_symbolic import cli, evaluation, evidence
 from tatqa_symbolic.cli import main
 from tatqa_symbolic.evaluation import RoundingPolicy, evaluate, read_predictions
 from tatqa_symbolic.numerics import parse_number
@@ -109,25 +109,31 @@ class TestCollector:
     def test_cells_parsed_once_with_the_collector_off(
         self, collector, corpus_path, tmp_path, monkeypatch
     ):
+        """Every number is parsed with the collector off, and a cell text
+        is parsed at most once in a context, when a lookup or a decoded
+        candidate first reads it; no command reads ``Table.numbers``."""
         loaded = self.capture_datasets(monkeypatch)
-        parses = []
+        parses, cell_parses = [], Counter()
 
         def parse(text):
             parses.append((gc.isenabled(), gc.get_freeze_count()))
+            if sys._getframe(1).f_code is evidence._parsed.__code__:
+                cell_parses[id(evidence._current_index.context), text] += 1
             return parse_number(text)
 
-        monkeypatch.setattr("tatqa_symbolic.corpus.parse_number", parse)
+        monkeypatch.setattr(evidence, "parse_number", parse)
+        monkeypatch.setattr(evidence, "_current_index", None)
         out = tmp_path / "out.json"
-        for argv in (("run", "--out", out), ("validate",),
-                     ("ablate",), ("export-supervision", "--out", out)):
+        for argv in (("run", "--out", out), ("validate",), ("ablate",),
+                     ("export-supervision", "--out", out),
+                     ("run", "--out", out, *CONFIGS["lexical"][0])):
             assert self.call(collector, argv[0], "--dataset", corpus_path, *argv[1:]) == 0
-        assert len(loaded) == 4
-        # a table's numbers are built on first read, so a command parses
-        # only the tables it reads, each cell once, with the collector off
-        read = [context.table for dataset in loaded for context, _ in dataset
-                if "numbers" in vars(context.table)]
-        assert read
-        assert parses == [(False, 0)] * sum(table.n_rows * table.n_cols for table in read)
+        assert len(loaded) == 5
+        assert len(parses) > len(cell_parses) > 0
+        assert parses == [(False, 0)] * len(parses)
+        assert set(cell_parses.values()) == {1}
+        assert not any("numbers" in vars(context.table) for dataset in loaded
+                       for context, _ in dataset)
 
     def test_eval_and_stats_build_no_cells(self, collector, corpus_path, tmp_path, monkeypatch):
         loaded = self.capture_datasets(monkeypatch)
@@ -243,6 +249,34 @@ class TestDeepDerivations:
         printed = capsys.readouterr().out
         assert "(1 skipped," in printed
         assert "  skipped q-text-arith: more than" in printed
+
+
+class TestDeeplyNestedJson:
+    """A JSON file nested deeper than the decoder can recurse ends in one
+    ``error:`` line and exit 1, not a RecursionError traceback."""
+
+    DEPTH = 100_000
+
+    def assert_error(self, capsys, message, *argv):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * self.DEPTH + "]" * self.DEPTH, encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["validate", "stats", "schema-report"])
+    def test_dataset(self, deep, capsys, command):
+        self.assert_error(capsys, "$: invalid JSON: nested too deeply to read",
+                          command, "--dataset", deep)
+
+    def test_eval_predictions(self, corpus_path, tmp_path, capsys):
+        preds = tmp_path / "preds.json"
+        preds.write_text('{"a": ' + "[" * self.DEPTH + "]" * self.DEPTH + "}", encoding="utf-8")
+        self.assert_error(capsys, f"{preds}: $: invalid JSON: nested too deeply to read",
+                          "eval", "--dataset", corpus_path, "--pred", preds)
 
 
 class TestDirectoryPaths:
@@ -516,6 +550,20 @@ class TestRunAndEval:
                 traces = tmp_path / f"{out.name}.traces.jsonl"
                 outputs.append((out.read_bytes(), traces.read_bytes()))
             assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_traces_are_one_json_dumps_per_line(self, corpus, corpus_path, tmp_path, config):
+        """The shared trace encoder writes what ``json.dumps`` of each
+        trace would."""
+        flags, in_process = CONFIGS[config]
+        out = tmp_path / "preds.json"
+        assert run_cli("run", "--dataset", corpus_path, "--out", out, *flags) == 0
+        expected = "".join(
+            json.dumps(cli._trace_payload(question_id, prediction)) + "\n"
+            for question_id, prediction in run_pipeline(corpus, in_process).items()
+        )
+        traces = tmp_path / "preds.json.traces.jsonl"
+        assert traces.read_bytes() == expected.encode("utf-8")
 
     def test_heuristic_run_is_deterministic(self, corpus_path, tmp_path):
         first = tmp_path / "h1.json"
