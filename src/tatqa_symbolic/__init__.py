@@ -3,7 +3,6 @@
 from .corpus import (
     AnswerSource,
     AnswerType,
-    Cell,
     HybridContext,
     Paragraph,
     QuestionRecord,

@@ -21,12 +21,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator, Union
 
 from .errors import DatasetParseError, DatasetValidationError, NumberTooLongError
-from .numerics import ParsedNumber, Scale, json_decimal, parse_number, render_decimal
+from .numerics import Scale, json_decimal, parse_number, render_decimal
 
 logger = logging.getLogger(__name__)
 
@@ -92,30 +91,10 @@ AnswerValue = Union[str, list, Fraction]
 
 
 @dataclass(frozen=True)
-class Cell:
-    text: str
-    row: int
-    col: int
-    numeric: ParsedNumber | None = None
-
-
-@dataclass(frozen=True)
 class Table:
-    """A table's cell texts, row by row, every row the same width.
-
-    ``numbers`` parses every cell on its first read, and ``cell`` and
-    ``iter_cells`` build ``Cell`` views from the two grids on each call.
-    They are for library callers: no command reads them, and the
-    evidence index parses a cell only when a lookup or a candidate reads
-    its number.
-    """
+    """A table's cell texts, row by row, every row the same width."""
 
     texts: tuple[tuple[str, ...], ...]
-
-    @cached_property
-    def numbers(self) -> tuple[tuple[ParsedNumber | None, ...], ...]:
-        """Each cell's number, or None, row by row."""
-        return tuple(tuple(map(parse_number, row)) for row in self.texts)
 
     @property
     def n_rows(self) -> int:
@@ -124,18 +103,6 @@ class Table:
     @property
     def n_cols(self) -> int:
         return len(self.texts[0]) if self.texts else 0
-
-    def cell(self, row: int, col: int) -> Cell:
-        text, numeric = self.texts[row][col], self.numbers[row][col]
-        # a negative index names the cell it reaches
-        return Cell(text, row % self.n_rows, col % self.n_cols, numeric)
-
-    def iter_cells(self) -> Iterator[Cell]:
-        """The cells in row-major order, the order in which the evidence
-        index reads ``texts`` and ``numbers``."""
-        for r, (texts, numbers) in enumerate(zip(self.texts, self.numbers)):
-            for c, (text, numeric) in enumerate(zip(texts, numbers)):
-                yield Cell(text, r, c, numeric)
 
 
 @dataclass(frozen=True)
@@ -218,20 +185,30 @@ def _problem(message: str, location: str, strict: bool) -> None:
     logger.warning("%s: %s", location, message)
 
 
+def read_json(path: str | Path, **hooks) -> Any:
+    """The JSON of the UTF-8 file at ``path``, floats as ``Decimal``; a string
+    with a lone surrogate, which UTF-8 cannot encode, raises ``UnicodeEncodeError``."""
+    text = Path(path).read_text(encoding="utf-8")
+    raw = json.loads(text, parse_float=json_decimal, **hooks)
+    if "\\" in text and ("\\ud" in text or "\\uD" in text):  # it may escape a surrogate
+        json.dumps(raw, ensure_ascii=False, default=str).encode("utf-8")
+    return raw
+
+
 def read_documents(path: str | Path) -> Any:
-    """Decode a dataset file's JSON, with floats as ``Decimal`` so that
-    gold numeric answers stay exact.  Text that is not UTF-8 or not JSON,
-    nested deeper than the decoder can recurse, or a number too long to
-    read exactly, raises ``DatasetParseError``."""
+    """Decode a dataset file's JSON (``read_json``).  Text that is not UTF-8
+    or not JSON, nested deeper than the decoder can recurse, or a number
+    too long to read exactly, raises ``DatasetParseError``."""
     try:
-        with Path(path).open("r", encoding="utf-8") as handle:
-            return json.load(handle, parse_float=json_decimal)
+        return read_json(path)
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"invalid JSON: {exc}", "$") from exc
     except RecursionError as exc:
         raise DatasetParseError("invalid JSON: nested too deeply to read", "$") from exc
     except UnicodeDecodeError as exc:
         raise DatasetParseError("not UTF-8 text", f"byte {exc.start}") from exc
+    except UnicodeEncodeError as exc:
+        raise DatasetParseError("not UTF-8 text: a lone surrogate in a string", "$") from exc
     except ValueError as exc:  # a number past the digit limit, JSON integers included
         raise DatasetParseError(f"unreadable number: {exc}", "$") from exc
 
@@ -291,7 +268,7 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
     for r, raw_row in enumerate(grid):
         row = tuple(map(str, raw_row)) + ("",) * (n_cols - len(raw_row))
         # a text no longer than the digit limit cannot hold more digits,
-        # so only a longer one can fail to parse when the numbers are built
+        # so only a longer one can fail to parse when the index reads it
         if max(map(len, row)) > NumberTooLongError.LIMIT:
             for c, text in enumerate(row):
                 try:

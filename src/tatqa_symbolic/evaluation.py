@@ -45,10 +45,11 @@ from .corpus import (
     Dataset,
     QuestionRecord,
     iter_questions,
+    read_json,
     repeated_question_id,
 )
 from .errors import NumberTooLongError, ScoringError
-from .numerics import Scale, json_decimal, parse_number, render_decimal, round_fraction
+from .numerics import Scale, parse_number, render_decimal, round_fraction
 
 # ---------------------------------------------------------------------------
 # Rounding policy and numeric comparison
@@ -520,14 +521,15 @@ def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
         return dict(pairs)
 
     try:
-        with Path(path).open("r", encoding="utf-8") as handle:
-            raw = json.load(handle, object_pairs_hook=keep_pairs, parse_float=json_decimal)
+        raw = read_json(path, object_pairs_hook=keep_pairs)
     except json.JSONDecodeError as exc:
         raise error(f"line {exc.lineno} column {exc.colno}", f"invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise error("$", "invalid JSON: nested too deeply to read") from exc
     except UnicodeDecodeError as exc:
         raise error(f"byte {exc.start}", "not UTF-8 text") from exc
+    except UnicodeEncodeError as exc:
+        raise error("$", "not UTF-8 text: a lone surrogate in a string") from exc
     except ValueError as exc:  # a number past the digit limit, JSON integers included
         raise error("$", f"unreadable number: {exc}") from exc
     if not isinstance(raw, dict):

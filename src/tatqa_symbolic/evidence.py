@@ -10,8 +10,9 @@ adjacent within one paragraph forms one span.
 A tagged sequence is built from a question, its context and one
 probability per unit.  It holds the question's words, the probabilities
 and the context's layout: the unit texts after the question, and one
-segment (positions, and a cell's number) per non-empty cell and per
-paragraph.  Decoding builds an origin only for a candidate it emits.
+segment (positions, and a cell's row, column and text) per non-empty
+cell and per paragraph.  Decoding builds an origin only for a candidate
+it emits.
 
 An origin names a paragraph by its index in ``context.paragraphs``, so
 paragraphs that share a uid are never mixed; the uid is read only where
@@ -41,10 +42,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from operator import lt
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from .corpus import (
     AnswerSource,
@@ -283,11 +284,6 @@ _SENTENCE_END_RE = re.compile(r"[.!?;]\s+|\Z")
 _NON_DIGITS_RE = re.compile(r"\D+")
 
 
-def _ascii_digits(digits: str) -> str:
-    """``digits``, decimal digits of any script, in ASCII."""
-    return "".join(str(int(digit)) for digit in digits)
-
-
 def _value_key(value: Fraction) -> str | None:
     """The digit key of ``value``'s terminating decimal form, or None when
     it has none, and so no cell can hold it."""
@@ -316,18 +312,23 @@ class _ContextIndex:
         # each cell text read as a number so far, and its number (``_parsed``)
         self.numbers: dict[str, ParsedNumber | None] = {}
 
+    def cells(self) -> Iterator[tuple[tuple[int, int], str]]:
+        """((row, col), text) of each cell, row-major: the order of the layout,
+        the digit keys' lists, the text lookups and the lexical slots."""
+        table = self.context.table
+        return zip(product(range(table.n_rows), range(table.n_cols)), chain(*table.texts))
+
     @cached_property
     def layout(self) -> _Layout:
         """Cell and paragraph units of the input sequence, in order."""
         texts: list[str] = []
         cells = []
-        for r, row in enumerate(self.context.table.texts):
-            for c, cell_text in enumerate(row):
-                words = cell_text.split()
-                if words:
-                    positions = range(len(texts), len(texts) + len(words))
-                    cells.append(_CellSegment(r, c, positions, " ".join(words)))
-                    texts += words
+        for (r, c), cell_text in self.cells():
+            words = cell_text.split()
+            if words:
+                positions = range(len(texts), len(texts) + len(words))
+                cells.append(_CellSegment(r, c, positions, " ".join(words)))
+                texts += words
         paragraphs = []
         for number, paragraph in enumerate(self.context.paragraphs):
             words = paragraph.text.split()
@@ -357,46 +358,39 @@ class _ContextIndex:
         """
         cells: dict[str, list[tuple[int, int]]] = {}
         remove = _NON_DIGITS_RE.sub
-        for r, row in enumerate(self.context.table.texts):
-            for c, text in enumerate(row):
-                digits = remove("", text)
-                if digits:
-                    if not digits.isascii():
-                        digits = _ascii_digits(digits)
-                    cells.setdefault(digits.strip("0"), []).append((r, c))
+        for place, text in self.cells():
+            digits = remove("", text)
+            if digits:
+                if not digits.isascii():  # decimal digits of any script
+                    digits = "".join(str(int(digit)) for digit in digits)
+                cells.setdefault(digits.strip("0"), []).append(place)
         return cells
 
     @cached_property
     def cell_texts(self) -> tuple[tuple[str, int, int], ...]:
         """Each cell's stripped, casefolded text, row and column, row-major."""
-        return tuple(
-            (text.strip().casefold(), r, c)
-            for r, row in enumerate(self.context.table.texts)
-            for c, text in enumerate(row)
-        )
+        return tuple((text.strip().casefold(), r, c) for (r, c), text in self.cells())
 
     @cached_property
     def lexical(self) -> tuple[tuple[frozenset[str], frozenset[str] | None, range], ...]:
         """The question-independent half of the lexical tagger: one slot
         per cell, then one per sentence, each with its content words, a
         numeric cell's header words, and its layout positions."""
-        table = self.context.table
-        n_cols, cell_positions = table.n_cols, self.cell_positions
+        n_cols, cell_positions = self.context.table.n_cols, self.cell_positions
         slots = []
-        for r, texts in enumerate(table.texts):
-            for c, text in enumerate(texts):
-                header_words = None
-                if is_number(text):
-                    # both header cells come earlier in row-major order, so
-                    # their words are in slots already built
-                    words: frozenset[str] = frozenset()
-                    if r > 0:
-                        words |= slots[c][0]
-                    if c > 0:
-                        words |= slots[r * n_cols][0]
-                    header_words = words
-                positions = cell_positions.get((r, c), range(0))
-                slots.append((_content_words(text), header_words, positions))
+        for (r, c), text in self.cells():
+            header_words = None
+            if is_number(text):
+                # both header cells come earlier in row-major order, so
+                # their words are in slots already built
+                words: frozenset[str] = frozenset()
+                if r > 0:
+                    words |= slots[c][0]
+                if c > 0:
+                    words |= slots[r * n_cols][0]
+                header_words = words
+            positions = cell_positions.get((r, c), range(0))
+            slots.append((_content_words(text), header_words, positions))
 
         # a sentence ends in whitespace or at the end of the text, so it
         # holds the next run of its paragraph's words
@@ -489,10 +483,7 @@ def decode_evidence(tags: TaggedSequence, threshold: float = 0.5) -> list[Eviden
             stop = end
             origin: CandidateOrigin = CellOrigin(segment.row, segment.col)
             text, start = segment.text, first
-            # most reads are repeats; a cell is parsed on its first decode
-            numeric = numbers.get(text, _UNPARSED)
-            if numeric is _UNPARSED:
-                numeric = _parsed(numbers, text)
+            numeric = _parsed(numbers, text)  # parsed on its first decode in the context
         else:
             stop = index + 1
             while stop < end and probabilities[stop] > threshold:
@@ -762,8 +753,9 @@ _STOPWORDS = frozenset(
     + [""]  # a word of punctuation alone
 )
 
-# each whitespace-separated word, less its leading and trailing punctuation
-_WORD_RE = re.compile(r"(?<!\S)[^\w\s]*(\S*?)[^\w\s]*(?!\S)")
+# each whitespace-separated word from its first to its last word character;
+# that core matches one way only, so a long word is read in linear time
+_WORD_RE = re.compile(r"(?<!\S)[^\w\s]*(\w(?:\S*\w)?)?[^\w\s]*(?!\S)")
 
 
 def _content_words(text: str) -> frozenset[str]:

@@ -97,9 +97,11 @@ _CURRENCY = "$£€¥"
 _NUMBER_CORE = r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+"
 
 # A whole cell: an accountant's parentheses, when present, wrap the rest.
+# Each inner run of spaces follows a token that must be present, so a
+# run is matched one way only and a long one fails in linear time.
 _FULL_NUMBER_RE = re.compile(
-    rf"\s*(?P<wrap>\(\s*)?[{_CURRENCY}]?\s*(?P<sign>[+\-−])?\s*[{_CURRENCY}]?\s*"
-    rf"(?P<core>{_NUMBER_CORE})\s*(?P<pct>%)?(?(wrap)\s*\))\s*"
+    rf"\s*(?:(?P<wrap>\()\s*)?(?:[{_CURRENCY}]\s*)?(?:(?P<sign>[+\-−])\s*)?"
+    rf"(?:[{_CURRENCY}]\s*)?(?P<core>{_NUMBER_CORE})(?:\s*(?P<pct>%))?(?(wrap)\s*\))\s*"
 )
 
 _SCAN_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?")

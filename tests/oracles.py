@@ -11,9 +11,10 @@ module ran before it kept a per-context index, the lexical tagger's
 Jaccard loop over every slot and its token-by-token word cleaning, the
 heuristic scale guess that scanned the table and paragraphs per
 question, and the unit-by-unit decoder it ran before it decoded from
-the positive units.  They use the
-library's data types and its number and derivation parsers, but none of
-its tagging, lookup or decoding code; tags are plain ``TagUnit`` tuples,
+the positive units.  They read a table's cells through
+``reference_cells``, built from its texts and ``parse_number``, and use
+the library's data types and its number and derivation parsers, but
+none of its tagging, lookup or decoding code; tags are plain ``TagUnit`` tuples,
 not the library's ``TaggedSequence``, so its layout is checked against
 units laid out here.  The aggregation section keeps the
 ablation that scored the dataset once per row and the report grid whose
@@ -44,7 +45,7 @@ from tatqa_symbolic import evidence as ev
 from tatqa_symbolic.corpus import AnswerSource, AnswerType
 from tatqa_symbolic.errors import DerivationParseError, UnlocatableEvidenceError
 from tatqa_symbolic.evaluation import CellScore, _fmt_cell, _max_assignment, _pairwise_sum, evaluate
-from tatqa_symbolic.numerics import Scale, extract_numbers, parse_number
+from tatqa_symbolic.numerics import ParsedNumber, Scale, extract_numbers, parse_number
 from tatqa_symbolic.reasoning import abstained as make_abstained
 
 # ---------------------------------------------------------------------------
@@ -273,11 +274,31 @@ def brute_force_alignment_f1(pred_spans: list[str], gold_spans: list[str]) -> fl
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ReferenceCell:
+    text: str
+    row: int
+    col: int
+    numeric: ParsedNumber | None
+
+
+def reference_cell(table, row, col):
+    """The cell at (row, col) with its number parsed; a negative index
+    names the cell it reaches."""
+    text = table.texts[row][col]
+    return ReferenceCell(text, row % table.n_rows, col % table.n_cols, parse_number(text))
+
+
+def reference_cells(table):
+    """Every cell of ``table``, row-major."""
+    return [reference_cell(table, r, c) for r in range(table.n_rows) for c in range(table.n_cols)]
+
+
 def reference_context_units(question_text, context):
     units = []
     for index, word in enumerate(question_text.split()):
         units.append((word, ev.QuestionWord(index)))
-    for cell in context.table.iter_cells():
+    for cell in reference_cells(context.table):
         for word_index, word in enumerate(cell.text.split()):
             units.append((word, ev.CellWord(cell.row, cell.col, word_index)))
     for number, paragraph in enumerate(context.paragraphs):
@@ -331,7 +352,7 @@ def _reference_locate(context, item, table_first):
 
     def in_table(loose):
         needle = surface.casefold()
-        for cell in context.table.iter_cells():
+        for cell in reference_cells(context.table):
             if value is not None:
                 if cell.numeric is None:
                     continue
@@ -489,14 +510,14 @@ def reference_lexical_tags(question, context, floor=0.01):
     question_words = _reference_content_words(question.text)
     table = context.table
     cell_scores = {}
-    for cell in table.iter_cells():
+    for cell in reference_cells(table):
         score = _reference_jaccard(question_words, _reference_content_words(cell.text))
         if cell.numeric is not None:
             header_words = set()
             if cell.row > 0:
-                header_words |= _reference_content_words(table.cell(0, cell.col).text)
+                header_words |= _reference_content_words(reference_cell(table, 0, cell.col).text)
             if cell.col > 0:
-                header_words |= _reference_content_words(table.cell(cell.row, 0).text)
+                header_words |= _reference_content_words(reference_cell(table, cell.row, 0).text)
             score = max(score, _reference_jaccard(question_words, frozenset(header_words)))
         cell_scores[(cell.row, cell.col)] = score
 
@@ -564,17 +585,17 @@ def reference_heuristic_scale(question, context, candidates):
 
     table = context.table
     ordered = sorted(candidates, key=lambda c: (-c.probability, c.position))
-    header_and_captions = [table.cell(0, c).text for c in range(table.n_cols)]
+    header_and_captions = [reference_cell(table, 0, c).text for c in range(table.n_cols)]
     for r in range(table.n_rows):  # caption rows: single filled leading cell
-        cells = [table.cell(r, c).text.strip() for c in range(table.n_cols)]
+        cells = [reference_cell(table, r, c).text.strip() for c in range(table.n_cols)]
         if cells[0] and not any(cells[1:]):
             header_and_captions.append(cells[0])
     for candidate in ordered:
         if not isinstance(candidate.origin, ev.CellOrigin):
             continue
         row, col = candidate.origin.row, candidate.origin.col
-        governing = header_and_captions + [table.cell(r, col).text for r in range(row)]
-        governing += [table.cell(row, c).text for c in range(col)]
+        governing = header_and_captions + [reference_cell(table, r, col).text for r in range(row)]
+        governing += [reference_cell(table, row, c).text for c in range(col)]
         for text in governing:
             scale = _reference_scale_in_text(text)
             if scale is not None:

@@ -8,17 +8,20 @@ hook target, or a change to what the hook reads (the ``question``
 argument's ``question_id``, the ``tags`` units' ``probability``, the
 ``threshold``), fails here as well as in a traced benchmark run.  So
 does a change to what its counters count (no ``parse_number`` call on
-load, one per table cell on the first read of the table's numbers) or to
-how its traced validate job calls the package (``schema_deviations``
-with a path).
+load, and one per cell text that a value lookup reads first in its
+context) or to how its traced validate job calls the package
+(``schema_deviations`` with a path).
 """
 
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tatqa_symbolic
+from oracles import reference_cells
+from tatqa_symbolic import evidence
 from tatqa_symbolic.corpus import load_dataset
 from tatqa_symbolic.reasoning import PipelineConfig, answer_question
 from tatqa_symbolic.validation import schema_deviations
@@ -74,18 +77,34 @@ def test_hooked_answer_is_traced(tracing, corpus, config):
 
 
 def test_cells_are_parsed_once_on_first_read(tracing, corpus_path):
+    """Loading parses no cell; a value lookup parses only cells listed
+    under the value's digit key, and a cell text is parsed at most once
+    in its context, however many lookups read it."""
     tracer = tracing.Tracer(tracing.resolve_hooks(tatqa_symbolic)[0])
     with tracer.hooked():
         dataset = load_dataset(corpus_path)
     assert tracer.calls["numerics:parse_number"] == 0
-    cells = sum(len(row) for context, _ in dataset for row in context.table.texts)
-    with tracer.hooked():
-        numbers = sum(len(row) for context, _ in dataset for row in context.table.numbers)
-    assert numbers == cells > 0
-    assert tracer.calls["numerics:parse_number"] == cells
-    with tracer.hooked():  # a second read finds the numbers parsed
-        assert sum(len(context.table.numbers) for context, _ in dataset) > 0
-    assert tracer.calls["numerics:parse_number"] == cells
+    n_cells = n_parsed = 0
+    for context, _ in dataset:
+        index = evidence._ContextIndex(context)
+        texts = context.table.texts
+        cells = reference_cells(context.table)
+        values = {cell.numeric.value for cell in cells if cell.numeric is not None}
+        probes = sorted(values | {-v for v in values} | {v * 10 for v in values} | {Fraction(1, 3)})
+        for _ in range(2):  # the second round finds every text it reads parsed
+            for value in probes:
+                for loose in (False, True):
+                    before, calls = set(index.numbers), tracer.calls["numerics:parse_number"]
+                    with tracer.hooked():
+                        evidence._find_in_table(index, evidence._EvidenceItem("", value), loose)
+                    parsed = set(index.numbers) - before
+                    assert tracer.calls["numerics:parse_number"] - calls == len(parsed)
+                    keyed = index.cells_by_digits.get(evidence._value_key(value), ())
+                    assert parsed <= {texts[row][col] for row, col in keyed}
+        n_cells += len(cells)
+        n_parsed += len(index.numbers)
+    assert tracer.calls["numerics:parse_number"] == n_parsed
+    assert 0 < n_parsed < n_cells
 
 
 def test_schema_deviations_takes_a_path(corpus_path):

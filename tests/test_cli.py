@@ -12,6 +12,7 @@ from conftest import CORPUS_DOCS, REVENUE_DOC, TEXT_DOC, bench_module
 from oracles import reference_ablation, reference_margins
 from tatqa_symbolic import cli, evaluation, evidence
 from tatqa_symbolic.cli import main
+from tatqa_symbolic.corpus import read_documents
 from tatqa_symbolic.evaluation import RoundingPolicy, evaluate, read_predictions
 from tatqa_symbolic.numerics import parse_number
 from tatqa_symbolic.reasoning import PipelineConfig, run_pipeline
@@ -111,7 +112,7 @@ class TestCollector:
     ):
         """Every number is parsed with the collector off, and a cell text
         is parsed at most once in a context, when a lookup or a decoded
-        candidate first reads it; no command reads ``Table.numbers``."""
+        candidate first reads it through the context's index."""
         loaded = self.capture_datasets(monkeypatch)
         parses, cell_parses = [], Counter()
 
@@ -132,18 +133,24 @@ class TestCollector:
         assert len(parses) > len(cell_parses) > 0
         assert parses == [(False, 0)] * len(parses)
         assert set(cell_parses.values()) == {1}
-        assert not any("numbers" in vars(context.table) for dataset in loaded
-                       for context, _ in dataset)
 
     def test_eval_and_stats_build_no_cells(self, collector, corpus_path, tmp_path, monkeypatch):
+        """Neither builds a context's index, which alone reads cells."""
         loaded = self.capture_datasets(monkeypatch)
+        indexed = []
+        monkeypatch.setattr(evidence, "_ContextIndex",
+                            lambda context, real=evidence._ContextIndex:
+                            indexed.append(context) or real(context))
+        monkeypatch.setattr(evidence, "_current_index", None)
         preds = tmp_path / "preds.json"
         preds.write_text("{}", encoding="utf-8")
         assert self.call(collector, "eval", "--dataset", corpus_path, "--pred", preds) == 0
         assert self.call(collector, "stats", "--dataset", corpus_path) == 0
         assert len(loaded) == 2
-        assert all("numbers" not in vars(context.table) for dataset in loaded
-                   for context, _ in dataset)
+        assert indexed == []
+        # the counter counts: an oracle run indexes each context
+        assert self.call(collector, "run", "--dataset", corpus_path, "--out", preds) == 0
+        assert len(indexed) == len(loaded[0]) > 0
 
 
 class TestCyclicGarbage:
@@ -279,6 +286,48 @@ class TestDeeplyNestedJson:
                           "eval", "--dataset", corpus_path, "--pred", preds)
 
 
+class TestLoneSurrogate:
+    """A string holding a lone surrogate, which JSON can escape but UTF-8
+    cannot encode, is refused where the file is read, with one ``error:``
+    line and exit 1, before any command can print it."""
+
+    MESSAGE = "$: not UTF-8 text: a lone surrogate in a string"
+
+    @pytest.fixture
+    def dataset(self, tmp_path):
+        """An unlocatable question, so that both commands print its uid."""
+        doc = json.loads(json.dumps(REVENUE_DOC))
+        doc["questions"][0].update(uid="q\ud800", answer=5554, derivation="5,555 - 1",
+                                   answer_type="arithmetic", answer_from="table")
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps([doc]), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["validate", "export-supervision"])
+    def test_dataset_with_utf8_stdout(self, dataset, tmp_path, command):
+        result = fresh_python(
+            "import sys; sys.stdout.reconfigure(encoding='utf-8', errors='strict')\n"
+            "from tatqa_symbolic.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n",
+            command, "--dataset", dataset, "--out", tmp_path / "out",
+        )
+        assert (result.returncode, result.stderr) == (1, f"error: {self.MESSAGE}\n")
+
+    @pytest.mark.parametrize("entry", [{"q\udc00": ["x", ""]}, {"q-rev-span": ["x\ud800", ""]}],
+                             ids=["id", "answer"])
+    def test_predictions(self, corpus_path, tmp_path, capsys, entry):
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps(entry), encoding="utf-8")
+        assert run_cli("eval", "--dataset", corpus_path, "--pred", preds) == 1
+        assert capsys.readouterr().err == f"error: {preds}: {self.MESSAGE}\n"
+
+    def test_pairs_and_escaped_backslashes_are_read(self, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(["\U0001f600", "\\ud800", "\ud7ff"]), encoding="utf-8")
+        assert "\\ud83d" in path.read_text(encoding="utf-8")
+        assert read_documents(path) == ["\U0001f600", "\\ud800", "\ud7ff"]
+
+
 class TestDirectoryPaths:
     """A directory given as an input or output file ends in one
     ``error:`` line and exit 1, not a traceback."""
@@ -333,13 +382,13 @@ class TestValidate:
 
     def test_decodes_the_file_once(self, corpus_path, monkeypatch):
         decoded = []
-        load = json.load
+        loads = json.loads  # which ``json.load`` calls too
 
         def counted(*args, **kwargs):
             decoded.append(args)
-            return load(*args, **kwargs)
+            return loads(*args, **kwargs)
 
-        monkeypatch.setattr(json, "load", counted)
+        monkeypatch.setattr(json, "loads", counted)
         assert run_cli("validate", "--dataset", corpus_path) == 0
         assert len(decoded) == 1
 

@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 from conftest import bench_module, word_inputs
 from oracles import (
     _reference_content_words,
+    reference_cell,
+    reference_cells,
     reference_context_units,
     reference_decode,
     reference_heuristic_scale,
@@ -30,6 +33,7 @@ from tatqa_symbolic.derivation import _NUMBER_TOKEN_RE, parsed_derivation
 from tatqa_symbolic.errors import DerivationParseError, PipelineError
 from tatqa_symbolic.evidence import (
     CellOrigin,
+    CellWord,
     EvidenceCandidate,
     LexicalTagger,
     OracleTagger,
@@ -226,6 +230,35 @@ def test_layout_tags_and_decoding_match_the_references(dataset, generated, corpu
     assert tagged > sum(len(questions) for _, questions in corpus)
 
 
+@pytest.mark.parametrize("corpus_index", [None, 0], ids=["fixture-and-edge", "dense-3"])
+def test_cell_walks_follow_the_reference_order(dataset, generated, corpus_index):
+    """The layout's cell segments, the digit keys' lists, the text
+    lookups and the lexical cell slots list cells in ``reference_cells``
+    order, at the positions the reference units give each cell."""
+    corpus = dataset if corpus_index is None else generated[corpus_index]
+    for context, _ in corpus:
+        index = evidence._ContextIndex(context)
+        cells = reference_cells(context.table)
+        places = [(cell.row, cell.col) for cell in cells]
+        positions = {place: [] for place in places}
+        for position, (_, origin) in enumerate(reference_context_units("", context)):
+            if isinstance(origin, CellWord):
+                positions[origin.row, origin.col].append(position)
+        filled = [place for place in places if positions[place]]
+        assert [(s.row, s.col) for s in index.layout.cells] == filled
+        assert [list(s.positions) for s in index.layout.cells] == [positions[p] for p in filled]
+        for listed in index.cells_by_digits.values():
+            assert listed == [place for place in places if place in listed]
+        assert sorted(chain.from_iterable(index.cells_by_digits.values())) == [
+            place for place, cell in zip(places, cells) if any(map(str.isdecimal, cell.text))
+        ]
+        assert [(r, c) for _, r, c in index.cell_texts] == places
+        assert [(words, list(span)) for words, _, span in index.lexical[: len(cells)]] == [
+            (evidence._content_words(cell.text), positions[place])
+            for cell, place in zip(cells, places)
+        ]
+
+
 def test_lexical_answers_parse_no_cell_candidate_twice(dataset, generated, monkeypatch):
     """A cell candidate's number is parsed on its text's first decode in
     a context and never again; span candidates are parsed once each."""
@@ -278,7 +311,7 @@ def test_lexical_slots_take_one_word_set_per_cell_and_sentence(dataset, generate
             texts.clear()
             slots = evidence._ContextIndex(context).lexical
             table = context.table
-            cells = list(table.iter_cells())
+            cells = reference_cells(table)
             assert len(texts) == len(slots) > len(cells)
             assert texts[: len(cells)] == [cell.text for cell in cells]
             for cell, (_, header_words, _) in zip(cells, slots):
@@ -287,9 +320,9 @@ def test_lexical_slots_take_one_word_set_per_cell_and_sentence(dataset, generate
                     continue
                 expected = frozenset()
                 if cell.row > 0:
-                    expected |= real_words(table.cell(0, cell.col).text)
+                    expected |= real_words(reference_cell(table, 0, cell.col).text)
                 if cell.col > 0:
-                    expected |= real_words(table.cell(cell.row, 0).text)
+                    expected |= real_words(reference_cell(table, cell.row, 0).text)
                 assert header_words == expected
                 n_headed += bool(expected)
     assert n_headed > 100
@@ -411,7 +444,7 @@ def test_lexical_run_reads_each_scale_word_once_per_context(dataset, generated, 
     for corpus in [dataset, *generated]:
         run_pipeline(corpus, LEXICAL)
         for context, _ in corpus:
-            once.update(cell.text for cell in context.table.iter_cells())
+            once.update(cell.text for cell in reference_cells(context.table))
             once.update(word for p in context.paragraphs for word in p.text.split())
     assert Counter(texts) - once == Counter()
     assert len(texts) > sum(len(questions) for corpus in generated for _, questions in corpus)
@@ -493,7 +526,7 @@ def fraction_keyed_cells(context, magnitude):
     """(row, col) of the first numeric cell (row-major) of each value, or
     of each absolute value, keyed by the Fraction itself."""
     found = {}
-    for cell in context.table.iter_cells():
+    for cell in reference_cells(context.table):
         if cell.numeric is not None:
             value = cell.numeric.value
             found.setdefault(abs(value) if magnitude else value, (cell.row, cell.col))

@@ -10,10 +10,17 @@ not as before, with nothing frozen.
 
 ``hypothesis`` draws the mutations, seeded, with a few examples each,
 so the gate adds seconds to the suite.
+
+The gate also bounds the time that the text readers take on long
+strings of each family that has made a pattern backtrack: runs of
+spaces between optional tokens, digits and separators, repeated words.
 """
 
 import gc
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -183,3 +190,66 @@ def test_mutated_predictions(files, mutation, rng):
     predictions = json.loads(files.preds.read_text(encoding="utf-8"))
     files.mutated_preds.write_text(mutation(predictions, rng), encoding="utf-8")
     call("eval", "--dataset", files.gold, "--pred", files.mutated_preds)
+
+
+def filled(head: str, unit: str, tail: str = "") -> str:
+    """``head``, then ``unit`` repeated, then ``tail``: 10,000 characters."""
+    return head + (unit * 10_000)[: 10_000 - len(head) - len(tail)] + tail
+
+
+TEXT_FAMILIES = {
+    "whitespace": [filled("", " ", "x"), filled("5", " ", "x"), filled("", " \t\n", "x"),
+                   filled("$5", " ", "%x")],
+    "parenthesis": [filled("(", " "), filled("(", " ", "5"), filled("( 5", " ", "x")],
+    "currency": [filled("$", " ", "x"), filled("€", " ", "-5x"), filled("-", " ", "$x")],
+    "minus": [filled("", "−"), filled("−", " ", "x"), filled("", "−5 ")],
+    "nbsp": [filled("", "\u00a0", "x"), filled("(", "\u00a0"), filled("5", "\u00a0", "x")],
+    "invisible": [filled("", "\u200b"), filled("", " \u200b"), filled("", "\x00\x01\x1f\x7f "),
+                  filled("5", "\u200d\u2060", "x")],
+    "digits": [filled("", "1"), filled("", "9", "x"), filled("(", "1", " x"), filled("", "٥")],
+    "separators": [filled("", "1,"), filled("", "1."), filled("", "1,", "000")],
+    "how-many": [filled("", "how many "), filled("", "how many ", "exceed")],
+}
+
+# Times each reader on each text of stdin's JSON list; prints the
+# slowest call per reader
+_TIMED_READERS = """
+import json, sys, time
+from tatqa_symbolic.errors import PipelineError
+from tatqa_symbolic.evaluation import normalize_answer
+from tatqa_symbolic.evidence import _content_words
+from tatqa_symbolic.numerics import extract_numbers, is_number, parse_number
+from tatqa_symbolic.reasoning import KeywordOperator
+readers = {f.__name__: f for f in (parse_number, is_number, extract_numbers,
+                                   normalize_answer, _content_words)}
+readers.update((f"rule {i}", p.search) for i, (p, _) in enumerate(KeywordOperator._RULES))
+slowest = dict.fromkeys(readers, 0.0)
+for text in json.load(sys.stdin):
+    for name, read in readers.items():
+        start = time.perf_counter()
+        try:
+            read(text)
+        except PipelineError:  # a number too long to read
+            pass
+        slowest[name] = max(slowest[name], time.perf_counter() - start)
+print(json.dumps(slowest))
+"""
+
+
+@pytest.mark.parametrize("family", TEXT_FAMILIES)
+def test_text_readers_take_bounded_time(family):
+    """Each reader takes under 1 s on each 10,000-character text.  The
+    calls run in a child, so a reader that backtracks for ever fails the
+    test at its timeout instead of hanging the suite."""
+    texts = TEXT_FAMILIES[family]
+    assert {len(text) for text in texts} == {10_000}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    try:
+        result = subprocess.run([sys.executable, "-c", _TIMED_READERS], input=json.dumps(texts),
+                                capture_output=True, text=True, timeout=60, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"the {family} texts took over 60 s")
+    assert result.returncode == 0, result.stderr
+    slowest = json.loads(result.stdout)
+    assert len(slowest) == 13
+    assert {name: seconds for name, seconds in slowest.items() if seconds >= 1.0} == {}
