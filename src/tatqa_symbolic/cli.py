@@ -21,7 +21,7 @@ from .corpus import (
     AnswerType,
     load_dataset,
     parse_documents,
-    read_documents,
+    read_json,
     scale_distribution,
     schema_report,
     split_stats,
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    documents = read_documents(args.dataset)
+    documents = read_json(args.dataset)
     dataset = parse_documents(documents, strict=args.strict)
     deviations = field_deviations(documents)
     del documents  # the checks below need only the records

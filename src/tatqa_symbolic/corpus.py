@@ -186,41 +186,38 @@ def _problem(message: str, location: str, strict: bool) -> None:
 
 
 def read_json(path: str | Path, **hooks) -> Any:
-    """The JSON of the UTF-8 file at ``path``, floats as ``Decimal``; a string
-    with a lone surrogate, which UTF-8 cannot encode, raises ``UnicodeEncodeError``."""
-    text = Path(path).read_text(encoding="utf-8")
-    raw = json.loads(text, parse_float=json_decimal, **hooks)
-    if "\\" in text and ("\\ud" in text or "\\uD" in text):  # it may escape a surrogate
-        json.dumps(raw, ensure_ascii=False, default=str).encode("utf-8")
-    return raw
-
-
-def read_documents(path: str | Path) -> Any:
-    """Decode a dataset file's JSON (``read_json``).  Text that is not UTF-8
-    or not JSON, nested deeper than the decoder can recurse, or a number
-    too long to read exactly, raises ``DatasetParseError``."""
+    """The JSON of the UTF-8 file at ``path``, floats as ``Decimal``: the one
+    decoder of input files.  A file that cannot be decoded raises
+    ``DatasetParseError`` at ``byte N`` (not UTF-8), ``line L column C``
+    (not JSON) or ``$`` (nested too deeply, a lone surrogate, which UTF-8
+    cannot encode, or a number too long to read exactly)."""
     try:
-        return read_json(path)
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(f"invalid JSON: {exc}", "$") from exc
-    except RecursionError as exc:
-        raise DatasetParseError("invalid JSON: nested too deeply to read", "$") from exc
+        text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(text, parse_float=json_decimal, **hooks)
+        if "\\" in text and ("\\ud" in text or "\\uD" in text):  # it may escape a surrogate
+            json.dumps(raw, ensure_ascii=False, default=str).encode("utf-8")
     except UnicodeDecodeError as exc:
         raise DatasetParseError("not UTF-8 text", f"byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise DatasetParseError(f"invalid JSON: {exc.msg}",
+                                f"line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise DatasetParseError("invalid JSON: nested too deeply to read", "$") from exc
     except UnicodeEncodeError as exc:
         raise DatasetParseError("not UTF-8 text: a lone surrogate in a string", "$") from exc
     except ValueError as exc:  # a number past the digit limit, JSON integers included
         raise DatasetParseError(f"unreadable number: {exc}", "$") from exc
+    return raw
 
 
 def load_dataset(path: str | Path, strict: bool = False) -> Dataset:
     """Load a dataset file into validated, immutable records."""
-    return parse_documents(read_documents(path), strict)
+    return parse_documents(read_json(path), strict)
 
 
 def parse_documents(raw: Any, strict: bool = False) -> Dataset:
     """Build validated, immutable records from decoded documents
-    (:func:`read_documents`).
+    (:func:`read_json`).
 
     In tolerant mode (the default) recoverable deviations are logged as
     warnings; ``strict=True`` turns every deviation into an error.
@@ -398,7 +395,17 @@ def _parse_questions(
     return questions
 
 
-def _render_answer(answer: AnswerValue) -> Any:
+def render_answer(value: Any) -> str | list[str]:
+    """An answer value as text: an exact number as a plain decimal, a list
+    as its item strings, anything else as ``str``."""
+    if isinstance(value, (Fraction, int)):
+        return render_decimal(value)
+    if isinstance(value, list):
+        return [str(item) for item in value]
+    return str(value)
+
+
+def _json_answer(answer: AnswerValue) -> Any:
     if isinstance(answer, Fraction):
         if answer.denominator == 1:
             return int(answer)
@@ -443,7 +450,7 @@ def dump_dataset(dataset: Dataset, path: str | Path) -> None:
                     {
                         "uid": q.question_id,
                         "question": q.text,
-                        "answer": _render_answer(q.answer),
+                        "answer": _json_answer(q.answer),
                         "derivation": q.derivation,
                         "answer_type": q.answer_type,
                         "answer_from": q.answer_source,
@@ -580,12 +587,12 @@ def schema_report(path: str | Path) -> dict[str, dict]:
     new dataset release can be diffed against the expected schema before
     anything is loaded.
     """
-    return field_inventory(read_documents(path))
+    return field_inventory(read_json(path))
 
 
 def field_inventory(raw: Any) -> dict[str, dict]:
     """:func:`schema_report` of documents already decoded by
-    :func:`read_documents`.
+    :func:`read_json`.
 
     The walk is breadth-first: each level groups the items of every
     container found at one path by key, so a path is spelled once per

@@ -8,7 +8,8 @@ class PipelineError(Exception):
 
 
 class DatasetParseError(PipelineError):
-    """A dataset file is malformed.  ``location`` is a JSON-path-like string."""
+    """An input file is malformed.  ``location`` is a JSON-path-like string,
+    or the byte or line of text that cannot be decoded."""
 
     def __init__(self, message: str, location: str = "$"):
         super().__init__(f"{location}: {message}")

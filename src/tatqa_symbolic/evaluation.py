@@ -46,10 +46,11 @@ from .corpus import (
     QuestionRecord,
     iter_questions,
     read_json,
+    render_answer,
     repeated_question_id,
 )
-from .errors import NumberTooLongError, ScoringError
-from .numerics import Scale, parse_number, render_decimal, round_fraction
+from .errors import DatasetParseError, NumberTooLongError, ScoringError
+from .numerics import Scale, parse_number, round_fraction
 
 # ---------------------------------------------------------------------------
 # Rounding policy and numeric comparison
@@ -315,12 +316,9 @@ def _as_fraction(value) -> Fraction | None:
 
 
 def _as_spans(value, scale: Scale) -> list[str]:
-    if isinstance(value, (Fraction, int)):
-        spans = [render_decimal(value)]
-    elif isinstance(value, list):
-        spans = [str(item) for item in value]
-    else:
-        spans = [str(value)] if str(value) else []
+    spans = render_answer(value)
+    if isinstance(spans, str):
+        spans = [spans] if spans else []
     if scale is not Scale.NONE:
         spans = [f"{span} {scale.word}" for span in spans]
     return spans
@@ -482,19 +480,9 @@ def _fmt_cell(cell: CellScore) -> str:
 # ---------------------------------------------------------------------------
 
 
-def prediction_file_entry(value, scale: Scale) -> list:
-    if isinstance(value, (Fraction, int)):
-        entry_value: object = render_decimal(value)
-    elif isinstance(value, list):
-        entry_value = [str(item) for item in value]
-    else:
-        entry_value = str(value)
-    return [entry_value, scale.word]
-
-
 def write_predictions(predictions: Mapping[str, tuple[object, Scale]], path: str | Path) -> None:
     payload = {
-        question_id: prediction_file_entry(value, scale)
+        question_id: [render_answer(value), scale.word]
         for question_id, (value, scale) in predictions.items()
     }
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
@@ -522,16 +510,8 @@ def read_predictions(path: str | Path) -> dict[str, tuple[object, Scale]]:
 
     try:
         raw = read_json(path, object_pairs_hook=keep_pairs)
-    except json.JSONDecodeError as exc:
-        raise error(f"line {exc.lineno} column {exc.colno}", f"invalid JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise error("$", "invalid JSON: nested too deeply to read") from exc
-    except UnicodeDecodeError as exc:
-        raise error(f"byte {exc.start}", "not UTF-8 text") from exc
-    except UnicodeEncodeError as exc:
-        raise error("$", "not UTF-8 text: a lone surrogate in a string") from exc
-    except ValueError as exc:  # a number past the digit limit, JSON integers included
-        raise error("$", f"unreadable number: {exc}") from exc
+    except DatasetParseError as exc:
+        raise ScoringError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise error("$", "top level must be an object of {question id: [answer, scale word]}")
     if len(raw) < len(top_level_pairs):

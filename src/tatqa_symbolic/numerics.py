@@ -196,15 +196,11 @@ def extract_numbers(text: str) -> list[tuple[ParsedNumber, tuple[int, int]]]:
 
 def round_fraction(value: Fraction, places: int) -> Fraction:
     """Round to ``places`` decimal places, ties to even."""
-    q = 10**places
-    scaled = value * q
-    floor = scaled.numerator // scaled.denominator
-    remainder_twice = 2 * (scaled.numerator - floor * scaled.denominator)
-    if remainder_twice > scaled.denominator or (
-        remainder_twice == scaled.denominator and floor % 2
-    ):
-        floor += 1
-    return Fraction(floor, q)
+    return round(Fraction(value), places)
+
+
+# the smallest whole part that ``str`` refuses to write: it has 4,301 digits
+_UNWRITABLE = 10**NumberTooLongError.LIMIT
 
 
 def render_decimal(value: Fraction | int, max_places: int = 17) -> str:
@@ -212,13 +208,14 @@ def render_decimal(value: Fraction | int, max_places: int = 17) -> str:
 
     Terminating decimals within ``max_places`` render exactly; anything
     longer (repeating expansions) is rounded to ``max_places`` places.
-    Trailing zeros are stripped.
+    Trailing zeros are stripped.  A whole part of more than 4,300 digits
+    raises ``NumberTooLongError``.
     """
-    f = Fraction(value)
-    rounded = round_fraction(f, max_places)
+    rounded = round_fraction(value, max_places)
+    unit = 10**max_places  # exact: the rounded denominator divides it
+    whole, places = divmod(abs(rounded.numerator) * unit // rounded.denominator, unit)
+    if whole >= _UNWRITABLE:
+        raise NumberTooLongError(Decimal(whole).adjusted() + 1)
     sign = "-" if rounded < 0 else ""
-    scaled = abs(rounded) * 10**max_places
-    digits = str(scaled.numerator // scaled.denominator).rjust(max_places + 1, "0")
-    int_part, frac_part = digits[:-max_places], digits[-max_places:]
-    frac_part = frac_part.rstrip("0")
-    return f"{sign}{int_part}.{frac_part}" if frac_part else f"{sign}{int_part}"
+    frac_part = str(places).rjust(max_places, "0").rstrip("0")
+    return f"{sign}{whole}.{frac_part}" if frac_part else f"{sign}{whole}"

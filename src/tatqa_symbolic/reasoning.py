@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Protocol
 
-from .corpus import Dataset, HybridContext, QuestionRecord, repeated_question_id
+from .corpus import Dataset, HybridContext, QuestionRecord, render_answer, repeated_question_id
 from .derivation import (
     ORDER_SENSITIVE,
     Operator,
@@ -95,12 +95,9 @@ class Prediction:
 
     def display(self) -> str:
         """Human-readable final answer with the scale word attached."""
-        if isinstance(self.value, list):
-            text = ", ".join(str(v) for v in self.value)
-        elif isinstance(self.value, (Fraction, int)):
-            text = render_decimal(self.value)
-        else:
-            text = str(self.value)
+        text = render_answer(self.value)
+        if isinstance(text, list):
+            text = ", ".join(text)
         if self.scale is not Scale.NONE and text:
             return f"{text} {self.scale.word}"
         return text
@@ -115,15 +112,18 @@ def abstained(note: str) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
+def _rank(candidate: EvidenceCandidate) -> tuple:
+    """Probability descending; ties keep input-sequence order (earlier first)."""
+    return -candidate.probability, candidate.position
+
+
 def rank_candidates(candidates: list[EvidenceCandidate]) -> list[EvidenceCandidate]:
-    """Numeric-only candidates by probability descending; ties keep
-    input-sequence order (earlier first)."""
-    numeric = [c for c in candidates if c.numeric is not None]
-    return sorted(numeric, key=lambda c: (-c.probability, c.position))
+    """Numeric-only candidates in ``_rank`` order."""
+    return sorted((c for c in candidates if c.numeric is not None), key=_rank)
 
 
 def _best(candidates: list[EvidenceCandidate]) -> EvidenceCandidate:
-    return min(candidates, key=lambda c: (-c.probability, c.position))
+    return min(candidates, key=_rank)
 
 
 def _top_two(
@@ -229,6 +229,23 @@ class OracleOperator:
         return classify_question(question)
 
 
+class _HowManyExceed:
+    r"""The rule ``\bhow many\b.*\bexceed`` in linear time: the regex would
+    retry ``.*`` from every "how many" of a line, but an "exceed" after
+    the line's first one is all it can find."""
+
+    HOW_MANY = re.compile(r"\bhow many\b", re.I)
+    EXCEED = re.compile(r"\bexceed", re.I)
+
+    @classmethod
+    def search(cls, text: str) -> bool:
+        for line in text.split("\n"):
+            found = cls.HOW_MANY.search(line)
+            if found and cls.EXCEED.search(line, found.end()):
+                return True
+        return False
+
+
 class KeywordOperator:
     """Fixed keyword-to-operator rule table, evaluated in priority order.
 
@@ -239,7 +256,7 @@ class KeywordOperator:
     """
 
     _RULES = (
-        (re.compile(r"\bhow many\b.*\bexceed", re.I), Operator.COUNT),
+        (_HowManyExceed, Operator.COUNT),
         (re.compile(r"percentage change|percent change|change ratio", re.I), Operator.CHANGE_RATIO),
         (re.compile(r"\bchange in\b|\bdifference\b", re.I), Operator.DIFFERENCE),
         (re.compile(r"\baverage\b", re.I), Operator.AVERAGE),
@@ -314,7 +331,7 @@ class HeuristicScale:
             return Scale.PERCENT
 
         index = _context_index(context)
-        ordered = sorted(candidates, key=lambda c: (-c.probability, c.position))
+        ordered = sorted(candidates, key=_rank)
         cells = [c.origin for c in ordered if isinstance(c.origin, CellOrigin)]
         if cells and index.header_scale is not None:
             return index.header_scale

@@ -12,11 +12,12 @@ question empirically rather than by assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .corpus import AnswerType, Dataset, field_inventory, iter_questions, read_documents
+from .corpus import AnswerType, Dataset, field_inventory, iter_questions, read_json
 from .derivation import eval_derivation, parsed_derivation
 from .errors import (
     DerivationParseError,
@@ -117,10 +118,18 @@ def check_question(question, policy: RoundingPolicy = DEFAULT_POLICY) -> Derivat
         question_id,
         MISMATCH,
         detail=(
-            f"derivation {question.derivation!r} = {float(result):.6g}, "
-            f"gold {float(gold):.6g} @ {question.gold_scale.label}"
+            f"derivation {question.derivation!r} = {_approximate(result)}, "
+            f"gold {_approximate(gold)} @ {question.gold_scale.label}"
         ),
     )
+
+
+def _approximate(value: Fraction) -> str:
+    """``value`` to 6 significant digits, through a float where one holds it."""
+    try:
+        return f"{float(value):.6g}"
+    except OverflowError:
+        return f"{Decimal(value.numerator) / value.denominator:.6g}"
 
 
 def validate_dataset(
@@ -182,12 +191,12 @@ def schema_deviations(path: str | Path) -> dict[str, list[str]]:
     Extra fields are informational (the loader preserves and ignores
     them); missing expected fields usually mean a format revision.
     """
-    return field_deviations(read_documents(path))
+    return field_deviations(read_json(path))
 
 
 def field_deviations(raw: Any) -> dict[str, list[str]]:
     """:func:`schema_deviations` of documents already decoded by
-    :func:`~.corpus.read_documents`."""
+    :func:`~.corpus.read_json`."""
     observed = set(field_inventory(raw))
     return {
         "missing": sorted(EXPECTED_FIELDS - observed),

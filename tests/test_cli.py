@@ -12,7 +12,7 @@ from conftest import CORPUS_DOCS, REVENUE_DOC, TEXT_DOC, bench_module
 from oracles import reference_ablation, reference_margins
 from tatqa_symbolic import cli, evaluation, evidence
 from tatqa_symbolic.cli import main
-from tatqa_symbolic.corpus import read_documents
+from tatqa_symbolic.corpus import read_json
 from tatqa_symbolic.evaluation import RoundingPolicy, evaluate, read_predictions
 from tatqa_symbolic.numerics import parse_number
 from tatqa_symbolic.reasoning import PipelineConfig, run_pipeline
@@ -325,7 +325,34 @@ class TestLoneSurrogate:
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(["\U0001f600", "\\ud800", "\ud7ff"]), encoding="utf-8")
         assert "\\ud83d" in path.read_text(encoding="utf-8")
-        assert read_documents(path) == ["\U0001f600", "\\ud800", "\ud7ff"]
+        assert read_json(path) == ["\U0001f600", "\\ud800", "\ud7ff"]
+
+
+class TestDecodingFailures:
+    """A file that cannot be decoded gives the same ``<location>: <message>``
+    whether it is read as a dataset or as a prediction file, the latter
+    after the file's name."""
+
+    FILES = {
+        "not-utf8": (b'["caf\xe9"]', "byte 5: not UTF-8 text"),
+        "not-json": (b"[1,\n", "line 2 column 1: invalid JSON: Expecting value"),
+        "too-deep": (b"[" * 100_000 + b"]" * 100_000,
+                     "$: invalid JSON: nested too deeply to read"),
+        "lone-surrogate": (b'["\\ud800"]', "$: not UTF-8 text: a lone surrogate in a string"),
+        "digit-limit": (b"[1e5000]", "$: unreadable number: Exceeds the limit (4300 digits)"
+                                     " for an exact number: value has 5001 digits"),
+    }
+
+    @pytest.mark.parametrize("case", FILES)
+    def test_one_line_for_both_files(self, corpus_path, tmp_path, capsys, case):
+        content, message = self.FILES[case]
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        for command in ("validate", "schema-report"):
+            assert run_cli(command, "--dataset", path) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert run_cli("eval", "--dataset", corpus_path, "--pred", path) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 class TestDirectoryPaths:
@@ -859,6 +886,26 @@ class TestNumbersPastTheDigitLimit:
         assert run_cli("stats", "--dataset", dataset) == 0
 
 
+    def test_result_past_the_limit(self, tmp_path):
+        """Operands that can be read, summing to one more digit than can
+        be written: ``run`` abstains, and ``validate`` reports the
+        mismatch with a value no float can hold."""
+        doc = json.loads(json.dumps(REVENUE_DOC))
+        big = "9" * 4300
+        doc["table"]["table"][7][2] = big
+        doc["questions"][2]["derivation"] = f"{big} + 5,134"
+        dataset = self.write_dataset(tmp_path, json.dumps([doc]))
+        notes = self.abstained_by_oracle_run(tmp_path, dataset)
+        assert list(notes) == ["q-rev-diff"]
+        assert notes["q-rev-diff"].endswith("value has 4301 digits")
+        out = tmp_path / "validate.json"
+        assert run_cli("validate", "--dataset", dataset, "--out", out) == 0
+        [check] = [c for c in json.loads(out.read_text(encoding="utf-8"))["checks"]
+                   if c["question_id"] == "q-rev-diff"]
+        assert check["status"] == "mismatch"
+        assert check["detail"].endswith(" = 1.00000e+4300, gold 105226 @ Million")
+
+
 class TestPipelineArgumentRanges:
     @pytest.mark.parametrize(
         "flag, value",
@@ -977,7 +1024,7 @@ class TestSchemaReport:
         path.write_text("[1,\n", encoding="utf-8")
         assert run_cli("schema-report", "--dataset", path) == 1
         assert capsys.readouterr().err == (
-            "error: $: invalid JSON: Expecting value: line 2 column 1 (char 4)\n"
+            "error: line 2 column 1: invalid JSON: Expecting value\n"
         )
 
 

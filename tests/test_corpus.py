@@ -12,7 +12,7 @@ from tatqa_symbolic.corpus import (
     dump_dataset,
     field_inventory,
     load_dataset,
-    read_documents,
+    read_json,
     scale_distribution,
     schema_report,
     split_stats,
@@ -279,7 +279,7 @@ class TestFieldInventory:
             "NoneType", "bool", "float", "int", "str"]
 
     def test_fixture_corpus(self, corpus_path):
-        raw = read_documents(corpus_path)
+        raw = read_json(corpus_path)
         assert field_inventory(raw) == reference_field_inventory(raw)
         assert len(field_inventory(raw)) > 10
 
@@ -292,5 +292,5 @@ class TestFieldInventory:
         for n, payload in enumerate(files):
             path = tmp_path / f"{kind}-{n}.json"
             path.write_text(gen.dumps(payload), encoding="utf-8")
-            raw = read_documents(path)
+            raw = read_json(path)
             assert field_inventory(raw) == reference_field_inventory(raw)

@@ -37,7 +37,7 @@ CONFIGS = {
 @cache
 def documents() -> tuple:
     """The fixture and a dense corpus of 8 contexts, decoded as
-    ``corpus.read_documents`` decodes a file."""
+    ``corpus.read_json`` decodes a file."""
     gen = bench_module("gen")
     text = json.dumps(CORPUS_DOCS + gen.dense_corpus(29, 8)[0])
     return tuple(json.loads(text, parse_float=json_decimal))

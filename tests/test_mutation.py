@@ -2,10 +2,12 @@
 
 Seeded mutations of the fixture corpus and of a predictions file: a
 field deleted, retyped or blanked, a table made ragged or empty, an id
-duplicated, a 5,000-digit number planted.  Each mutated file goes
-through the commands that read it, in process.  Every call must exit 0
-or 1, let no exception escape ``main`` (which turns ``PipelineError``
-into exit 1), and leave the cyclic collector as it found it: enabled or
+duplicated, a 5,000-digit number planted, and text planted inside a
+question, cell, paragraph, answer or derivation string.  Each mutated
+file goes through the commands that read it, in process.  Every call
+must exit 0 or 1, let no exception escape ``main`` (which turns
+``PipelineError`` into exit 1), print at most one ``error:`` line and no
+traceback, and leave the cyclic collector as it found it: enabled or
 not as before, with nothing frozen.
 
 ``hypothesis`` draws the mutations, seeded, with a few examples each,
@@ -16,7 +18,9 @@ strings of each family that has made a pattern backtrack: runs of
 spaces between optional tokens, digits and separators, repeated words.
 """
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -127,8 +131,54 @@ def duplicated_prediction(predictions, rng) -> str:
     return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
 
 
+# Text of each family that has tripped a reader: runs of spaces, an
+# opening parenthesis, currency signs, digits other than ASCII, the
+# minus sign U+2212, NBSP, invisible and control characters, and digit
+# runs at and past the 4,300-digit limit
+PLANTED_TEXTS = {
+    "whitespace": [" " * 300, " \t\n" * 100, "\u3000" * 10, "5" + " " * 300 + "%"],
+    "parenthesis": ["(", "( " * 100, ")(", "(" + " " * 300],
+    "currency": ["$", "€ ", "£¥", "$ " * 100, "$" + " " * 300 + "5"],
+    "non-ascii-digits": ["٣٤٥", "१२३.४", "１２", "٥" * 300],
+    "minus": ["−", "−5", "(−", "− " * 100],
+    "nbsp": ["\u00a0", "5\u00a0000", "\u00a0" * 300, "(\u00a0" * 100],
+    "invisible": ["\u200b", "\u200d\u2060" * 100, "\x00", "\x01\x1f\x7f", "\ufeff"],
+    "digit-runs": ["9" * 300, "1," * 300, "1" * 4300, "1" * 4301],
+}
+
+
+def text_fields(docs):
+    """(container, key) of every question, cell, paragraph, answer and
+    derivation string; a numeric answer counts by its text."""
+    for doc in docs:
+        for row in doc["table"]["table"]:
+            yield from ((row, col) for col in range(len(row)))
+        yield from ((paragraph, "text") for paragraph in doc["paragraphs"])
+        for question in doc["questions"]:
+            yield question, "question"
+            yield question, "derivation"
+            answer = question["answer"]
+            if isinstance(answer, list):
+                yield from ((answer, i) for i in range(len(answer)))
+            else:
+                yield question, "answer"
+
+
+def planted_text(family):
+    def planted(docs, rng) -> str:
+        """A text of ``family`` replaces a string, or is inserted into it."""
+        container, key = rng.choice(list(text_fields(docs)))
+        text, piece = str(container[key]), rng.choice(PLANTED_TEXTS[family])
+        at = rng.randrange(len(text) + 1)
+        container[key] = rng.choice([piece, text[:at] + piece + text[at:]])
+        return dumps(docs)
+
+    planted.__name__ = f"planted_{family}"
+    return planted
+
+
 DATASET_MUTATIONS = [deleted, retyped, blanked, big_number, ragged_table, empty_table,
-                     duplicated_ids]
+                     duplicated_ids, *map(planted_text, PLANTED_TEXTS)]
 PREDICTION_MUTATIONS = [deleted, retyped, blanked, big_number, duplicated_prediction]
 
 LEXICAL = ("--tagger", "lexical", "--operator", "keyword", "--order", "positional",
@@ -152,6 +202,7 @@ class Files:
             ("validate", "--dataset", dataset, "--strict", "--out", out),
             ("run", "--dataset", dataset, "--out", out),
             ("run", "--dataset", dataset, "--out", out, *LEXICAL),
+            ("eval", "--dataset", dataset, "--pred", out),
             ("eval", "--dataset", dataset, "--pred", self.preds),
             ("stats", "--dataset", dataset),
             ("export-supervision", "--dataset", dataset, "--out", out),
@@ -159,10 +210,16 @@ class Files:
 
 
 def call(*argv) -> int:
-    """``main(argv)``, checked against the exit and collector contract."""
+    """``main(argv)``, checked against the exit, error-line and collector
+    contract."""
     enabled = gc.isenabled()
-    code = main([str(a) for a in argv])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
     assert code in (0, 1), argv
+    lines = err.getvalue().splitlines()
+    assert sum(line.startswith("error:") for line in lines) <= 1, argv
+    assert "Traceback" not in err.getvalue(), argv
     assert gc.isenabled() == enabled
     assert gc.get_freeze_count() == 0
     return code
@@ -192,9 +249,9 @@ def test_mutated_predictions(files, mutation, rng):
     call("eval", "--dataset", files.gold, "--pred", files.mutated_preds)
 
 
-def filled(head: str, unit: str, tail: str = "") -> str:
-    """``head``, then ``unit`` repeated, then ``tail``: 10,000 characters."""
-    return head + (unit * 10_000)[: 10_000 - len(head) - len(tail)] + tail
+def filled(head: str, unit: str, tail: str = "", length: int = 10_000) -> str:
+    """``head``, then ``unit`` repeated, then ``tail``: ``length`` characters."""
+    return head + (unit * length)[: length - len(head) - len(tail)] + tail
 
 
 TEXT_FAMILIES = {
@@ -209,6 +266,9 @@ TEXT_FAMILIES = {
     "digits": [filled("", "1"), filled("", "9", "x"), filled("(", "1", " x"), filled("", "٥")],
     "separators": [filled("", "1,"), filled("", "1."), filled("", "1,", "000")],
     "how-many": [filled("", "how many "), filled("", "how many ", "exceed")],
+    # a reader quadratic in the length can pass at 10,000 characters
+    "how-many-long": [filled("", "how many ", length=100_000),
+                      filled("", "how many ", "exceed", length=100_000)],
 }
 
 # Times each reader on each text of stdin's JSON list; prints the
@@ -238,11 +298,12 @@ print(json.dumps(slowest))
 
 @pytest.mark.parametrize("family", TEXT_FAMILIES)
 def test_text_readers_take_bounded_time(family):
-    """Each reader takes under 1 s on each 10,000-character text.  The
-    calls run in a child, so a reader that backtracks for ever fails the
-    test at its timeout instead of hanging the suite."""
+    """Each reader takes under 1 s on each text of 10,000 characters, or
+    of 100,000 in the long family.  The calls run in a child, so a reader
+    that backtracks for ever fails the test at its timeout instead of
+    hanging the suite."""
     texts = TEXT_FAMILIES[family]
-    assert {len(text) for text in texts} == {10_000}
+    assert {len(text) for text in texts} == {100_000 if family.endswith("-long") else 10_000}
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     try:
         result = subprocess.run([sys.executable, "-c", _TIMED_READERS], input=json.dumps(texts),

@@ -346,6 +346,12 @@ class TestRounding:
         assert render_decimal(Fraction(-1657)) == "-1657"
         assert render_decimal(Fraction(0)) == "0"
 
+    def test_render_up_to_the_digit_limit(self):
+        assert render_decimal(10**4300 - 1) == "9" * 4300
+        assert render_decimal(Fraction(10**4300 - 1, 2)) == "4" + "9" * 4299 + ".5"
+        with pytest.raises(NumberTooLongError, match="value has 4301 digits"):
+            render_decimal(Fraction(10**4300) + Fraction(1, 3))
+
     def test_render_repeating_is_rounded(self):
         text = render_decimal(Fraction(1, 3), max_places=6)
         assert text == "0.333333"
