@@ -56,9 +56,7 @@ from .evidence import (
     export_supervision,
 )
 from .numerics import (
-    ParsedNumber,
     Scale,
-    apply_scale,
     extract_numbers,
     parse_number,
     render_decimal,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -410,10 +411,11 @@ def _json_answer(answer: AnswerValue) -> Any:
         if answer.denominator == 1:
             return int(answer)
         # json prints the shortest float repr; use it only when that
-        # decimal text reconstructs the exact value
-        candidate = float(answer)
-        if Fraction(Decimal(repr(candidate))) == answer:
-            return candidate
+        # decimal text reconstructs the exact value (and a float can hold it)
+        with suppress(OverflowError):
+            candidate = float(answer)
+            if Fraction(Decimal(repr(candidate))) == answer:
+                return candidate
         return render_decimal(answer)
     return answer
 

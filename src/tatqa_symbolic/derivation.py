@@ -16,7 +16,7 @@ from typing import Union
 
 from .corpus import AnswerSource, AnswerType, Dataset, iter_questions, percent_tally
 from .errors import DerivationParseError, ExecutionError, NumberTooLongError
-from .numerics import _CURRENCY, _NUMBER_CORE, ParsedNumber, parse_number
+from .numerics import _CURRENCY, _NUMBER_CORE, _exact
 
 
 class Operator:
@@ -70,11 +70,10 @@ ORDER_SENSITIVE = frozenset(
 
 @dataclass(frozen=True)
 class NumberLeaf:
-    number: ParsedNumber
+    """An operand's exact face value ("39%" is 39) and its derivation text."""
 
-    @property
-    def value(self) -> Fraction:
-        return self.number.value
+    value: Fraction
+    source_text: str
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ _OPERATOR_CHARS = {
 class _Token:
     kind: str  # "number" | "op" | "lparen" | "rparen"
     offset: int
-    number: ParsedNumber | None = None
+    number: NumberLeaf | None = None
     op: str = ""
 
 
@@ -145,8 +144,8 @@ def _lex(text: str) -> list[_Token]:
             continue
         match = _NUMBER_TOKEN_RE.match(text, i)
         if match and match.group(1):
-            parsed = parse_number(match.group(0).strip())
-            tokens.append(_Token("number", i, number=parsed))
+            leaf = NumberLeaf(_exact(match.group(1)), match.group(0).strip())
+            tokens.append(_Token("number", i, number=leaf))
             i = match.end()
             continue
         if ch.lower() in _OPERATOR_CHARS:
@@ -213,7 +212,7 @@ class _Parser:
         if token.kind == "number":
             self.advance()
             assert token.number is not None
-            return NumberLeaf(token.number)
+            return token.number
         if token.kind == "lparen":
             self.advance()
             node = self.expr()
@@ -227,10 +226,7 @@ class _Parser:
             child = self.factor()
             if isinstance(child, NumberLeaf):
                 # fold "-39" into a single negative operand
-                n = child.number
-                return NumberLeaf(
-                    ParsedNumber(-n.value, n.had_percent_sign, f"-{n.source_text}")
-                )
+                return NumberLeaf(-child.value, f"-{child.source_text}")
             return UnaryNeg(child)
         raise self.fail(f"unexpected token {token.kind}")
 
@@ -315,16 +311,16 @@ def _eval_expr(node: ExprNode) -> Fraction:
     return left / right
 
 
-def operand_sequence(ast: DerivationAst) -> list[ParsedNumber]:
+def operand_sequence(ast: DerivationAst) -> list[NumberLeaf]:
     """Expression leaves in left-to-right derivation order."""
     if isinstance(ast, ItemSet):
         raise ValueError("item sets have no numeric operands")
-    leaves: list[ParsedNumber] = []
+    leaves: list[NumberLeaf] = []
     stack: list[ExprNode] = [ast]
     while stack:
         node = stack.pop()
         if isinstance(node, NumberLeaf):
-            leaves.append(node.number)
+            leaves.append(node)
         elif isinstance(node, UnaryNeg):
             stack.append(node.child)
         else:
@@ -344,7 +340,7 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 def _render_expr(node: ExprNode, parent_prec: int = 0, right_side: bool = False) -> str:
     if isinstance(node, NumberLeaf):
-        return node.number.source_text or str(node.value)
+        return node.source_text
     if isinstance(node, UnaryNeg):
         return f"-({_render_expr(node.child)})"
     prec = _PRECEDENCE[node.op]

@@ -310,8 +310,7 @@ def _as_fraction(value) -> Fraction | None:
     if isinstance(value, (int, Decimal)):
         return Fraction(value)
     if isinstance(value, str):
-        parsed = parse_number(value)
-        return parsed.value if parsed else None
+        return parse_number(value)
     return None
 
 

@@ -67,14 +67,7 @@ from .derivation import (
     parsed_derivation,
 )
 from .errors import DerivationParseError, NumberTooLongError, UnlocatableEvidenceError
-from .numerics import (
-    ParsedNumber,
-    Scale,
-    extract_numbers,
-    is_number,
-    parse_number,
-    scale_in_text,
-)
+from .numerics import Scale, extract_numbers, is_number, parse_number, scale_in_text
 
 # ---------------------------------------------------------------------------
 # Sequence units and origins
@@ -112,7 +105,7 @@ class TagUnit:
 _UNPARSED = object()
 
 
-def _parsed(numbers: dict[str, ParsedNumber | None], text: str) -> ParsedNumber | None:
+def _parsed(numbers: dict[str, Fraction | None], text: str) -> Fraction | None:
     """The number of ``text``, parsed on its first read and kept in
     ``numbers``, a context's cell numbers by text."""
     number = numbers.get(text, _UNPARSED)
@@ -230,10 +223,12 @@ CandidateOrigin = Union[CellOrigin, SpanOrigin]
 
 @dataclass(frozen=True)
 class EvidenceCandidate:
+    """A decoded cell or span; ``numeric`` is its text's face value or None."""
+
     text: str
     probability: float
     origin: CandidateOrigin
-    numeric: ParsedNumber | None
+    numeric: Fraction | None
     position: int  # index of the first constituent unit in the input sequence
 
 
@@ -265,7 +260,7 @@ class _ParagraphIndex:
         return _word_spans(self.paragraph.text)
 
     @cached_property
-    def numbers(self) -> list[tuple[ParsedNumber, tuple[int, int]]]:
+    def numbers(self) -> list[tuple[Fraction, tuple[int, int]]]:
         return extract_numbers(self.paragraph.text)
 
     @cached_property
@@ -310,7 +305,7 @@ class _ContextIndex:
         self.context = context
         self.paragraphs = tuple(_ParagraphIndex(p) for p in context.paragraphs)
         # each cell text read as a number so far, and its number (``_parsed``)
-        self.numbers: dict[str, ParsedNumber | None] = {}
+        self.numbers: dict[str, Fraction | None] = {}
 
     def cells(self) -> Iterator[tuple[tuple[int, int], str]]:
         """((row, col), text) of each cell, row-major: the order of the layout,
@@ -522,8 +517,7 @@ def _answer_spans(answer) -> list[str]:
 def _text_item(surface: str) -> _EvidenceItem:
     # strings that are themselves numbers match by value, so "5134"
     # still locates a cell printed as "5,134"
-    parsed = parse_number(surface)
-    return _EvidenceItem(surface, parsed.value if parsed else None)
+    return _EvidenceItem(surface, parse_number(surface))
 
 
 def _evidence_items(question: QuestionRecord) -> list[_EvidenceItem]:
@@ -568,9 +562,7 @@ def _find_in_table(
         texts, numbers = index.context.table.texts, index.numbers
         for row, col in index.cells_by_digits.get(_value_key(value), ()):
             number = _parsed(numbers, texts[row][col])
-            if number is not None and (
-                number.value == value or loose and number.value == -value
-            ):
+            if number is not None and (number == value or loose and number == -value):
                 return CellOrigin(row, col)
         return None
     needle = item.surface.casefold()
@@ -596,10 +588,8 @@ def _find_in_paragraphs(
 ) -> SpanOrigin | None:
     for number, entry in enumerate(index.paragraphs):
         if item.value is not None:
-            for parsed, (start, end) in entry.numbers:
-                if parsed.value == item.value or (
-                    loose and abs(parsed.value) == abs(item.value)
-                ):
+            for value, (start, end) in entry.numbers:
+                if value == item.value or (loose and abs(value) == abs(item.value)):
                     word_range = _char_to_word_range(entry.word_spans, start, end)
                     if word_range:
                         return SpanOrigin(number, *word_range)

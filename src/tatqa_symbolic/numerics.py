@@ -7,14 +7,14 @@ or a nearby sentence rather than on the value itself.  This module owns
 both concerns: exact parsing of surface numbers, and the five-way scale
 taxonomy with its multiplicative factors.
 
-All parsed values are ``fractions.Fraction`` so that downstream
-arithmetic is exact; binary floats never enter the pipeline.
+A parsed number is its exact ``fractions.Fraction`` at face value ("39%"
+is 39, not 0.39; a scale applies as a multiplication by ``Scale.factor``),
+so downstream arithmetic is exact; binary floats never enter the pipeline.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -78,20 +78,6 @@ _SCALE_FACTORS = {
 }
 
 
-@dataclass(frozen=True)
-class ParsedNumber:
-    """An exact number recovered from a surface string.
-
-    ``value`` is the face value: "39%" parses to 39 with
-    ``had_percent_sign`` set, not to 0.39.  Scale application is a
-    separate, explicit step (:func:`apply_scale`).
-    """
-
-    value: Fraction
-    had_percent_sign: bool = False
-    source_text: str = ""
-
-
 _CURRENCY = "$£€¥"
 # Either comma-grouped digits or a plain run, with an optional decimal part.
 _NUMBER_CORE = r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+"
@@ -101,7 +87,7 @@ _NUMBER_CORE = r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+"
 # run is matched one way only and a long one fails in linear time.
 _FULL_NUMBER_RE = re.compile(
     rf"\s*(?:(?P<wrap>\()\s*)?(?:[{_CURRENCY}]\s*)?(?:(?P<sign>[+\-−])\s*)?"
-    rf"(?:[{_CURRENCY}]\s*)?(?P<core>{_NUMBER_CORE})(?:\s*(?P<pct>%))?(?(wrap)\s*\))\s*"
+    rf"(?:[{_CURRENCY}]\s*)?(?P<core>{_NUMBER_CORE})(?:\s*%)?(?(wrap)\s*\))\s*"
 )
 
 _SCAN_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?")
@@ -123,22 +109,21 @@ def _exact(digits: str) -> Fraction:
     return Fraction(int(whole))
 
 
-def parse_number(text: str) -> ParsedNumber | None:
+def parse_number(text: str) -> Fraction | None:
     """Parse a whole string as one financial number, or return None.
 
     Recognizes currency symbols, thousands separators, decimal points,
-    leading minus (ASCII or U+2212), trailing percent signs, and
-    accountant's parenthesized negatives like "(1,033)".
+    leading minus (ASCII or U+2212), trailing percent signs (at face value:
+    "39%" is 39), and accountant's parenthesized negatives like "(1,033)".
     """
     match = _FULL_NUMBER_RE.fullmatch(text)
     if match is None:
         return None
-    wrap, sign, core, pct = match.groups()
+    wrap, sign, core = match.groups()
     value = _exact(core)
     if (sign in ("-", "−")) != (wrap is not None):
-        value = -value
-    # positional, which is cheaper than by keyword; this runs once per numeric cell
-    return ParsedNumber(value, pct is not None, text)
+        return -value
+    return value
 
 
 def is_number(text: str) -> bool:
@@ -161,19 +146,14 @@ def json_decimal(text: str) -> Decimal:
     return value
 
 
-def apply_scale(value: Fraction, scale: Scale) -> Fraction:
-    """Multiply a face value by its scale factor."""
-    return value * scale.factor
-
-
-def extract_numbers(text: str) -> list[tuple[ParsedNumber, tuple[int, int]]]:
+def extract_numbers(text: str) -> list[tuple[Fraction, tuple[int, int]]]:
     """Find all numeric tokens in running text, left to right.
 
-    Returns (parsed number, (start, end)) pairs with strictly increasing,
-    non-overlapping character offsets.  A hyphen directly between two
-    digits ("2018-2019") is a range separator, not a minus sign.
+    Returns (value, (start, end)) pairs, ``text[start:end]`` being the number,
+    with strictly increasing, non-overlapping offsets.  A hyphen directly
+    between two digits ("2018-2019") is a range separator, not a minus sign.
     """
-    found: list[tuple[ParsedNumber, tuple[int, int]]] = []
+    found: list[tuple[Fraction, tuple[int, int]]] = []
     for match in _SCAN_RE.finditer(text):
         start, end = match.span()
         value = _exact(match.group())
@@ -182,15 +162,9 @@ def extract_numbers(text: str) -> list[tuple[ParsedNumber, tuple[int, int]]]:
             if not (before.isdigit() or before.isalpha()):
                 start -= 1
                 value = -value
-        had_percent = end < len(text) and text[end] == "%"
-        if had_percent:
+        if end < len(text) and text[end] == "%":
             end += 1
-        found.append(
-            (
-                ParsedNumber(value, had_percent, text[start:end]),
-                (start, end),
-            )
-        )
+        found.append((value, (start, end)))
     return found
 
 

@@ -140,7 +140,7 @@ def _top_two(
     if order_flag == 1:
         first, second = second, first
     assert first.numeric is not None and second.numeric is not None
-    return first.numeric.value, second.numeric.value
+    return first.numeric, second.numeric
 
 
 def execute_operator(
@@ -178,7 +178,7 @@ def execute_operator(
         numeric = rank_candidates(candidates)
         if not numeric:
             raise InsufficientEvidenceError("no numeric candidates")
-        values = [c.numeric.value for c in numeric]
+        values = [c.numeric for c in numeric]
         if operator == Operator.SUM:
             return sum(values, Fraction(0))
         if operator == Operator.AVERAGE:
@@ -301,9 +301,7 @@ class OracleOrder:
         if len(operands) < 2 or len(top_two) < 2:
             return 0
         a, b = operands[0].value, operands[1].value
-        v1 = top_two[0].numeric.value if top_two[0].numeric else None
-        v2 = top_two[1].numeric.value if top_two[1].numeric else None
-        if (v1, v2) == (b, a) and a != b:
+        if (top_two[0].numeric, top_two[1].numeric) == (b, a) and a != b:
             return 1
         return 0
 

@@ -45,7 +45,7 @@ from tatqa_symbolic import evidence as ev
 from tatqa_symbolic.corpus import AnswerSource, AnswerType
 from tatqa_symbolic.errors import DerivationParseError, UnlocatableEvidenceError
 from tatqa_symbolic.evaluation import CellScore, _fmt_cell, _max_assignment, _pairwise_sum, evaluate
-from tatqa_symbolic.numerics import ParsedNumber, Scale, extract_numbers, parse_number
+from tatqa_symbolic.numerics import Scale, extract_numbers, parse_number
 from tatqa_symbolic.reasoning import abstained as make_abstained
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ class ReferenceCell:
     text: str
     row: int
     col: int
-    numeric: ParsedNumber | None
+    numeric: Fraction | None
 
 
 def reference_cell(table, row, col):
@@ -313,8 +313,7 @@ def _reference_word_spans(text):
 
 def _reference_items(question):
     def text_item(surface):
-        parsed = parse_number(surface)
-        return (surface, parsed.value if parsed else None)
+        return (surface, parse_number(surface))
 
     if question.answer_type in (AnswerType.SPAN, AnswerType.SPANS):
         answer = question.answer
@@ -356,9 +355,7 @@ def _reference_locate(context, item, table_first):
             if value is not None:
                 if cell.numeric is None:
                     continue
-                if cell.numeric.value == value or (
-                    loose and abs(cell.numeric.value) == abs(value)
-                ):
+                if cell.numeric == value or (loose and abs(cell.numeric) == abs(value)):
                     return ev.CellOrigin(cell.row, cell.col)
             else:
                 hay = cell.text.strip().casefold()
@@ -370,8 +367,8 @@ def _reference_locate(context, item, table_first):
         for number, paragraph in enumerate(context.paragraphs):
             spans = _reference_word_spans(paragraph.text)
             if value is not None:
-                for parsed, (start, end) in extract_numbers(paragraph.text):
-                    if parsed.value == value or (loose and abs(parsed.value) == abs(value)):
+                for found, (start, end) in extract_numbers(paragraph.text):
+                    if found == value or (loose and abs(found) == abs(value)):
                         word_range = _reference_word_range(spans, start, end)
                         if word_range:
                             return ev.SpanOrigin(number, *word_range)

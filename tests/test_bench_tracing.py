@@ -89,7 +89,7 @@ def test_cells_are_parsed_once_on_first_read(tracing, corpus_path):
         index = evidence._ContextIndex(context)
         texts = context.table.texts
         cells = reference_cells(context.table)
-        values = {cell.numeric.value for cell in cells if cell.numeric is not None}
+        values = {cell.numeric for cell in cells if cell.numeric is not None}
         probes = sorted(values | {-v for v in values} | {v * 10 for v in values} | {Fraction(1, 3)})
         for _ in range(2):  # the second round finds every text it reads parsed
             for value in probes:

@@ -528,7 +528,7 @@ def fraction_keyed_cells(context, magnitude):
     found = {}
     for cell in reference_cells(context.table):
         if cell.numeric is not None:
-            value = cell.numeric.value
+            value = cell.numeric
             found.setdefault(abs(value) if magnitude else value, (cell.row, cell.col))
     return found
 
@@ -605,8 +605,8 @@ def test_a_number_cell_keys_as_its_value(text):
         return
     _, context = word_inputs(table=[[[text]]])
     assert evidence._ContextIndex(context).cells_by_digits == {
-        evidence._value_key(number.value): [(0, 0)]}
-    assert evidence._value_key(-number.value) == evidence._value_key(number.value)
+        evidence._value_key(number): [(0, 0)]}
+    assert evidence._value_key(-number) == evidence._value_key(number)
 
 
 @pytest.mark.parametrize(

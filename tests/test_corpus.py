@@ -19,6 +19,7 @@ from tatqa_symbolic.corpus import (
     type_source_matrix,
 )
 from tatqa_symbolic.errors import DatasetParseError, DatasetValidationError
+from tatqa_symbolic.evaluation import _as_fraction
 from tatqa_symbolic.numerics import Scale
 
 
@@ -34,12 +35,12 @@ class TestLoad:
 
     def test_cells_carry_numerics(self, contexts):
         table = contexts["ctx-revenue"].table
-        assert reference_cell(table, 7, 1).numeric.value == 125843
-        assert reference_cell(table, 0, 1).numeric.value == 2019
+        assert reference_cell(table, 7, 1).numeric == 125843
+        assert reference_cell(table, 0, 1).numeric == 2019
         assert reference_cell(table, 2, 0).numeric is None
 
     def test_parenthesized_negative_cell(self, contexts):
-        assert reference_cell(contexts["ctx-expenses"].table, 3, 1).numeric.value == -1033
+        assert reference_cell(contexts["ctx-expenses"].table, 3, 1).numeric == -1033
 
     def test_gold_answer_decimals_are_exact(self, questions):
         _, question = questions["q-rev-ratio"]
@@ -172,6 +173,21 @@ class TestRoundTrip:
         for (ctx_a, qs_a), (ctx_b, qs_b) in zip(corpus, again):
             assert ctx_a == ctx_b
             assert qs_a == qs_b
+
+    def test_answer_past_a_floats_range(self, tmp_path):
+        """A non-integer answer no float can hold is written as its plain
+        decimal, and reads back as the same value."""
+        literal = "1" + "0" * 400 + ".5"
+        text = json.dumps([REVENUE_DOC]).replace('"answer": 105226', f'"answer": {literal}')
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        dataset = load_dataset(path)
+        (answer,) = [q.answer for q in dataset[0][1] if q.question_id == "q-rev-diff"]
+        assert answer == Fraction(literal)
+        out = tmp_path / "again.json"
+        dump_dataset(dataset, out)
+        (again,) = [q.answer for q in load_dataset(out)[0][1] if q.question_id == "q-rev-diff"]
+        assert _as_fraction(again) == answer
 
 
 class TestStats:

@@ -48,7 +48,7 @@ class TestDecode:
         tags = tagged([1.0], table=[[[], []], [[], []], [[], ["5,134"]]])
         (candidate,) = decode_evidence(tags)
         assert candidate.origin == CellOrigin(2, 1)
-        assert candidate.numeric.value == 5134
+        assert candidate.numeric == 5134
 
     def test_any_subtoken_marks_cell(self):
         tags = tagged([0.2, 0.8], table=[[[]]] * 5 + [[["Enterprise", "Services"]]])

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from tatqa_symbolic.errors import NumberTooLongError
 from tatqa_symbolic.numerics import (
     _NUMBER_CORE,
-    ParsedNumber,
     Scale,
     _exact,
-    apply_scale,
     extract_numbers,
     parse_number,
     render_decimal,
@@ -44,13 +42,12 @@ class TestParseNumber:
     )
     def test_values(self, text, value):
         parsed = parse_number(text)
-        assert parsed is not None
-        assert parsed.value == Fraction(value)
-        assert not parsed.had_percent_sign
+        assert type(parsed) is Fraction
+        assert parsed == Fraction(value)
 
     def test_percent_sign(self):
-        parsed = parse_number("39%")
-        assert parsed == ParsedNumber(Fraction(39), True, "39%")
+        # the face value, not 0.39
+        assert parse_number("39%") == Fraction(39)
 
     @pytest.mark.parametrize(
         "text", ["", "   ", "abc", "1,23", "3-4", "10 20", "()", "fiscal 2019"]
@@ -58,24 +55,23 @@ class TestParseNumber:
     def test_rejects_non_numbers(self, text):
         assert parse_number(text) is None
 
-    def test_source_text_preserved(self):
-        assert parse_number(" (2,500) ").source_text == " (2,500) "
-
 
 class TestApplyScale:
+    """A scale applies to a face value as a multiplication by its factor."""
+
     def test_million(self):
-        assert apply_scale(Fraction("0.22"), Scale.MILLION) == 220000
+        assert Fraction("0.22") * Scale.MILLION.factor == 220000
 
     def test_none_is_identity(self):
-        assert apply_scale(Fraction(41, 7), Scale.NONE) == Fraction(41, 7)
+        assert Fraction(41, 7) * Scale.NONE.factor == Fraction(41, 7)
 
     def test_percent(self):
-        assert apply_scale(Fraction("9.98"), Scale.PERCENT) == Fraction("0.0998")
+        assert Fraction("9.98") * Scale.PERCENT.factor == Fraction("0.0998")
 
     def test_linearity(self):
         for scale in Scale:
-            assert apply_scale(Fraction(3), scale) + apply_scale(Fraction(4), scale) == apply_scale(
-                Fraction(7), scale
+            assert Fraction(3) * scale.factor + Fraction(4) * scale.factor == (
+                Fraction(7) * scale.factor
             )
 
 
@@ -121,23 +117,24 @@ class TestScale:
 class TestExtractNumbers:
     def test_derivation_operands_in_text(self):
         numbers = extract_numbers("increased from $10,353 to $11,386")
-        assert [n.value for n, _ in numbers] == [10353, 11386]
+        assert [value for value, _ in numbers] == [10353, 11386]
 
     def test_empty(self):
         assert extract_numbers("") == []
 
     def test_year_and_percent(self):
         # cross-checked against a brute-force scan of the same text
-        expected = [(Fraction(2019), False), (Fraction(14), True)]
-        got = [(n.value, n.had_percent_sign) for n, _ in extract_numbers("fiscal 2019 grew 14%")]
+        text = "fiscal 2019 grew 14%"
+        expected = [(Fraction(2019), "2019"), (Fraction(14), "14%")]
+        got = [(value, text[start:end]) for value, (start, end) in extract_numbers(text)]
         assert got == expected
 
     def test_hyphen_between_digits_is_a_range(self):
-        values = [n.value for n, _ in extract_numbers("2018-2019")]
+        values = [value for value, _ in extract_numbers("2018-2019")]
         assert values == [2018, 2019]
 
     def test_sign_after_space(self):
-        values = [n.value for n, _ in extract_numbers("fell to -14 points")]
+        values = [value for value, _ in extract_numbers("fell to -14 points")]
         assert values == [-14]
 
     def test_offsets_increasing_nonoverlapping(self):
@@ -171,27 +168,34 @@ def _render(value: Fraction, comma: bool, percent: bool, parens: bool) -> str:
 )
 def test_parse_render_round_trip(numerator, places, comma, percent, parens):
     value = Fraction(numerator, 10**places)
-    parsed = parse_number(_render(value, comma, percent, parens))
-    assert parsed is not None
-    assert parsed.value == value
-    assert parsed.had_percent_sign == percent
+    assert parse_number(_render(value, comma, percent, parens)) == value
 
 
-def _fields(parsed):
-    """A parsed number as plain fields; the reference copy has its own class."""
-    if parsed is None:
+def _fields(value):
+    """A value as (numerator, denominator), or None; a plain int would
+    equal a Fraction, so this also tells the two apart."""
+    if value is None:
         return None
-    value = parsed.value
-    return value.numerator, value.denominator, parsed.had_percent_sign, parsed.source_text
+    assert type(value) is Fraction
+    return value.numerator, value.denominator
+
+
+def _reference_fields(parsed):
+    """``_fields`` of the reference copy's value, which it wraps in its own class."""
+    return None if parsed is None else _fields(parsed.value)
 
 
 def _extracted(found):
-    return [(_fields(parsed), span) for parsed, span in found]
+    return [(_fields(value), span) for value, span in found]
+
+
+def _reference_extracted(found):
+    return [(_reference_fields(parsed), span) for parsed, span in found]
 
 
 class TestAgainstStringBuiltFractions:
     """Values built from integers equal the ``Fraction(str)`` values of the
-    reference copies, with the same flags, source texts and offsets."""
+    reference copies, with the same offsets."""
 
     ALPHABET = "0123456789,.$-−()% "
     # digits and commas weigh more, so that many draws are numbers, some
@@ -200,8 +204,10 @@ class TestAgainstStringBuiltFractions:
 
     def assert_same(self, texts):
         for text in texts:
-            assert _fields(parse_number(text)) == _fields(reference_parse_number(text)), text
-            assert _extracted(extract_numbers(text)) == _extracted(
+            assert _fields(parse_number(text)) == _reference_fields(
+                reference_parse_number(text)
+            ), text
+            assert _extracted(extract_numbers(text)) == _reference_extracted(
                 reference_extract_numbers(text)
             ), text
 
@@ -213,16 +219,17 @@ class TestAgainstStringBuiltFractions:
         ]
         self.assert_same(texts)
         # the draws reach every branch of the construction
-        parsed = [p for p in map(parse_number, texts) if p is not None]
-        assert sum(p.value.denominator > 1 for p in parsed) > 100
-        assert sum("," in p.source_text for p in parsed) > 50
-        assert sum(p.had_percent_sign for p in parsed) > 50
-        assert sum(p.source_text.lstrip("(−-$ ").startswith(".") for p in parsed) > 50
-        assert any("(" in p.source_text and p.value < 0 for p in parsed)
-        assert any("−" in p.source_text and p.value < 0 for p in parsed)
-        found = [n for text in texts for n, _ in extract_numbers(text)]
-        assert sum("," in n.source_text and n.value.denominator > 1 for n in found) > 10
-        assert sum(n.source_text.startswith("−") for n in found) > 100
+        parsed = [(t, v) for t, v in zip(texts, map(parse_number, texts)) if v is not None]
+        assert sum(v.denominator > 1 for _, v in parsed) > 100
+        assert sum("," in t for t, _ in parsed) > 50
+        assert sum("%" in t for t, _ in parsed) > 50
+        assert sum(t.lstrip("(−-$ ").startswith(".") for t, _ in parsed) > 50
+        assert any("(" in t and v < 0 for t, v in parsed)
+        assert any("−" in t and v < 0 for t, v in parsed)
+        found = [(text[start:end], value) for text in texts
+                 for value, (start, end) in extract_numbers(text)]
+        assert sum("," in t and v.denominator > 1 for t, v in found) > 10
+        assert sum(t.startswith("−") for t, _ in found) > 100
 
     def test_fixture_cells_and_paragraphs(self):
         texts = [
@@ -262,7 +269,7 @@ def _number_texts(draw):
 def test_parse_number_matches_the_reference(text):
     """One anchored match, with the parentheses as an optional group, reads
     what stripping and unwrapping did."""
-    assert _fields(parse_number(text)) == _fields(reference_parse_number(text)), text
+    assert _fields(parse_number(text)) == _reference_fields(reference_parse_number(text)), text
 
 
 @pytest.mark.parametrize(
@@ -271,7 +278,7 @@ def test_parse_number_matches_the_reference(text):
      "\u3000(\t5 )\t", "(\u30005\u3000)", "( 1,033.5 % )", "$(5)", "+(5)"],
 )
 def test_parse_number_wrap_edges(text):
-    assert _fields(parse_number(text)) == _fields(reference_parse_number(text))
+    assert _fields(parse_number(text)) == _reference_fields(reference_parse_number(text))
 
 
 # ASCII digits, then Arabic-Indic, Devanagari and fullwidth ones, which

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import word_inputs
 from tatqa_symbolic.corpus import AnswerSource, AnswerType, QuestionRecord
 from tatqa_symbolic.derivation import Operator
 from tatqa_symbolic.errors import (
@@ -11,11 +13,17 @@ from tatqa_symbolic.errors import (
     UnlocatableEvidenceError,
     UnsupportedOperatorError,
 )
+from tatqa_symbolic.evaluation import score_question
 from tatqa_symbolic.evidence import (
     CellOrigin,
     EvidenceCandidate,
     SpanOrigin,
+    TaggedSequence,
+    _ContextIndex,
+    _locate,
+    _text_item,
     build_supervision,
+    decode_evidence,
 )
 from tatqa_symbolic.numerics import Scale, parse_number
 from tatqa_symbolic.reasoning import (
@@ -236,6 +244,38 @@ class TestOrderDeciders:
             answer=5134,
         )
         assert build_supervision(question, contexts["ctx-revenue"]).g_order is None
+
+
+class TestZeroIsANumber:
+    """A number is its ``Fraction``, and ``Fraction(0)`` is falsy: each
+    reader that asks whether a text is a number tests ``is None``."""
+
+    def test_zero_cell_and_span_decode_as_numbers(self):
+        record, context = word_inputs(table=[[["0"]]], paragraphs=[("p1", ["fell", "0.00"])])
+        tags = TaggedSequence(record, context, [0.9, 0.1, 0.8])
+        candidates = decode_evidence(tags)
+        assert [(c.text, c.numeric) for c in candidates] == [("0", 0), ("0.00", 0)]
+        assert rank_candidates(candidates) == candidates
+
+    @pytest.mark.parametrize("gold", ["0", Fraction(0)], ids=["string", "number"])
+    def test_zero_gold_matches_a_zero_prediction(self, gold):
+        question = make_question("q", answer=gold, answer_type=AnswerType.ARITHMETIC)
+        assert score_question("0.00", Scale.NONE, question) == (1.0, 1.0)
+        # compared as numbers, so the scales apply to 0 and still match
+        million = replace(question, gold_scale=Scale.MILLION)
+        assert score_question("0.00", Scale.NONE, million) == (1.0, 1.0)
+
+    def test_zero_answer_locates_its_cell_by_value(self):
+        # read as text, "0" would be found first in the paragraph's "2020"
+        _, context = word_inputs(table=[[["0"]]], paragraphs=[("p1", ["in", "2020"])])
+        item = _text_item("0")
+        assert item.value == 0
+        assert _locate(_ContextIndex(context), item, table_first=False) == CellOrigin(0, 0)
+
+    def test_oracle_order_reverses_a_pair_with_zero(self):
+        question = make_question("q", answer_type=AnswerType.ARITHMETIC, derivation="0 - 5")
+        assert OracleOrder().decide(question, [cell("5", 0.9, 0), cell("0", 0.8, 1)]) == 1
+        assert OracleOrder().decide(question, [cell("0", 0.9, 0), cell("5", 0.8, 1)]) == 0
 
 
 class TestHeuristicScale:
