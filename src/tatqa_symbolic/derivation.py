@@ -105,7 +105,10 @@ DerivationAst = Union[NumberLeaf, UnaryNeg, BinaryOp, ItemSet]
 
 _NUMBER_TOKEN_RE = re.compile(rf"[{_CURRENCY}]?\s*({_NUMBER_CORE})\s*(%)?")
 
-_OPERATOR_CHARS = {
+# The token of each parenthesis and operator character.
+_SYMBOLS = {
+    "(": "(",
+    ")": ")",
     "+": "+",
     "-": "-",
     "−": "-",  # minus sign
@@ -117,118 +120,82 @@ _OPERATOR_CHARS = {
     "÷": "/",  # division sign
 }
 
+# How tightly each binary operator binds, for parsing and rendering.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "op" | "lparen" | "rparen"
-    offset: int
-    number: NumberLeaf | None = None
-    op: str = ""
+# (offset, token) pairs; a token is a NumberLeaf or one of ( ) + - * /
+_Tokens = list[tuple[int, Union[NumberLeaf, str]]]
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _lex(text: str) -> _Tokens:
+    tokens: _Tokens = []
     i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        if ch == "(":
-            tokens.append(_Token("lparen", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", i))
+        symbol = _SYMBOLS.get(ch.lower())
+        if symbol:
+            tokens.append((i, symbol))
             i += 1
             continue
         match = _NUMBER_TOKEN_RE.match(text, i)
         if match and match.group(1):
             leaf = NumberLeaf(_exact(match.group(1)), match.group(0).strip())
-            tokens.append(_Token("number", i, number=leaf))
+            tokens.append((i, leaf))
             i = match.end()
-            continue
-        if ch.lower() in _OPERATOR_CHARS:
-            tokens.append(_Token("op", i, op=_OPERATOR_CHARS[ch.lower()]))
-            i += 1
             continue
         raise DerivationParseError(f"unexpected character {ch!r}", text, i)
     return tokens
 
 
-# The parser recurses three frames per pair of parentheses and one per
-# unary minus, and the tree walks one frame per level of a tree no deeper
-# than its token count, so this bound keeps both far inside the
-# interpreter's recursion limit.  Real derivations have a few dozen tokens.
+# The parser recurses at most three frames per pair of parentheses
+# (``_operand`` for the pair, ``_level`` for a sum inside it and ``_level``
+# again for a product on the sum's right) and one per unary minus, and the
+# tree walks one frame per level of a tree no deeper than its token count,
+# so this bound keeps both far inside the interpreter's recursion limit.
+# Real derivations have a few dozen tokens.
 MAX_TOKENS = 256
 
 
-class _Parser:
-    """Recursive descent for: expr := term (('+'|'-') term)*;
-    term := factor (('*'|'/') factor)*; factor := number | '(' expr ')' | '-' factor.
-    """
+def _operand(text: str, tokens: _Tokens, pos: int) -> tuple[ExprNode, int]:
+    """Read a number, a parenthesised expression or a negated operand at
+    ``pos``; return it with the position after it."""
+    if pos == len(tokens):
+        raise DerivationParseError("expected a number or '('", text, len(text))
+    offset, token = tokens[pos]
+    if isinstance(token, NumberLeaf):
+        return token, pos + 1
+    if token == "(":
+        node, pos = _level(text, tokens, *_operand(text, tokens, pos + 1), 1)
+        offset, closing = tokens[pos] if pos < len(tokens) else (len(text), None)
+        if closing != ")":
+            raise DerivationParseError("expected ')'", text, offset)
+        return node, pos + 1
+    if token == "-":
+        child, pos = _operand(text, tokens, pos + 1)
+        if isinstance(child, NumberLeaf):
+            # fold "-39" into a single negative operand
+            return NumberLeaf(-child.value, f"-{child.source_text}"), pos
+        return UnaryNeg(child), pos
+    kind = "rparen" if token == ")" else "op"
+    raise DerivationParseError(f"unexpected token {kind}", text, offset)
 
-    def __init__(self, text: str, tokens: list[_Token]):
-        self.text = text
-        self.tokens = tokens
-        self.pos = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def fail(self, message: str) -> DerivationParseError:
-        offset = self.tokens[self.pos].offset if self.pos < len(self.tokens) else len(self.text)
-        return DerivationParseError(message, self.text, offset)
-
-    def parse(self) -> ExprNode:
-        node = self.expr()
-        if self.pos != len(self.tokens):
-            raise self.fail("unexpected trailing input")
-        return node
-
-    def expr(self) -> ExprNode:
-        node = self.term()
-        while (tok := self.peek()) and tok.kind == "op" and tok.op in "+-":
-            op = self.advance().op
-            node = BinaryOp(op, node, self.term())
-        return node
-
-    def term(self) -> ExprNode:
-        node = self.factor()
-        while (tok := self.peek()) and tok.kind == "op" and tok.op in "*/":
-            op = self.advance().op
-            node = BinaryOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> ExprNode:
-        token = self.peek()
-        if token is None:
-            raise self.fail("expected a number or '('")
-        if token.kind == "number":
-            self.advance()
-            assert token.number is not None
-            return token.number
-        if token.kind == "lparen":
-            self.advance()
-            node = self.expr()
-            closing = self.peek()
-            if closing is None or closing.kind != "rparen":
-                raise self.fail("expected ')'")
-            self.advance()
-            return node
-        if token.kind == "op" and token.op == "-":
-            self.advance()
-            child = self.factor()
-            if isinstance(child, NumberLeaf):
-                # fold "-39" into a single negative operand
-                return NumberLeaf(-child.value, f"-{child.source_text}")
-            return UnaryNeg(child)
-        raise self.fail(f"unexpected token {token.kind}")
+def _level(
+    text: str, tokens: _Tokens, left: ExprNode, pos: int, min_prec: int
+) -> tuple[ExprNode, int]:
+    """Extend ``left`` by the operators from ``pos`` on that bind at least
+    as tightly as ``min_prec``, left to right (precedence climbing);
+    return the tree with the position after it."""
+    while pos < len(tokens) and _PRECEDENCE.get(op := tokens[pos][1], 0) >= min_prec:
+        prec = _PRECEDENCE[op]
+        right, pos = _operand(text, tokens, pos + 1)
+        while pos < len(tokens) and _PRECEDENCE.get(tokens[pos][1], 0) > prec:
+            right, pos = _level(text, tokens, right, pos, prec + 1)
+        left = BinaryOp(op, left, right)
+    return left, pos
 
 
 def parse_derivation(text: str, answer_type: str | None = None) -> DerivationAst:
@@ -248,9 +215,12 @@ def parse_derivation(text: str, answer_type: str | None = None) -> DerivationAst
         return ItemSet(items)
     tokens = _lex(text)
     if len(tokens) > MAX_TOKENS:
-        offset = tokens[MAX_TOKENS].offset
+        offset = tokens[MAX_TOKENS][0]
         raise DerivationParseError(f"more than {MAX_TOKENS} tokens", text, offset)
-    return _Parser(text, tokens).parse()
+    node, pos = _level(text, tokens, *_operand(text, tokens, 0), 1)
+    if pos != len(tokens):
+        raise DerivationParseError("unexpected trailing input", text, tokens[pos][0])
+    return node
 
 
 _last_parse: tuple = (None, None)  # (question record, its AST or parse error)
@@ -333,9 +303,6 @@ def render_derivation(ast: DerivationAst) -> str:
     if isinstance(ast, ItemSet):
         return " ## ".join(ast.items)
     return _render_expr(ast)
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _render_expr(node: ExprNode, parent_prec: int = 0, right_side: bool = False) -> str:

@@ -586,6 +586,8 @@ def _char_to_word_range(
 def _find_in_paragraphs(
     index: _ContextIndex, item: _EvidenceItem, loose: bool
 ) -> SpanOrigin | None:
+    if loose and item.value is None:
+        return None  # text matches one way only, and the exact pass found none
     for number, entry in enumerate(index.paragraphs):
         if item.value is not None:
             for value, (start, end) in entry.numbers:

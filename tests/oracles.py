@@ -1,9 +1,10 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately share no code with the library: a shunting-yard
-expression evaluator, a faithful transcription of the published DROP
-metric, a brute-force span-alignment scorer, and a random expression
-generator.  Keep them boring and obviously correct.
+translation of expressions into reverse Polish order and its evaluator,
+a faithful transcription of the published DROP metric, a brute-force
+span-alignment scorer, and a random expression generator.  Keep them
+boring and obviously correct.
 
 The exceptions are the sections at the end.  The evidence sections keep
 the per-question unit loops and gold-label search that the evidence
@@ -84,8 +85,9 @@ def _oracle_tokens(text: str):
     return tokens
 
 
-def shunting_yard_eval(text: str) -> Fraction:
-    """Independent exact evaluator; raises ZeroDivisionError on /0."""
+def shunting_yard_rpn(text: str) -> list:
+    """The expression in reverse Polish order: Fractions, the binary
+    operators and ``u`` for a unary minus."""
     output: list = []
     stack: list[str] = []
     previous = "start"
@@ -116,9 +118,14 @@ def shunting_yard_eval(text: str) -> Fraction:
             previous = "op"
     while stack:
         output.append(stack.pop())
+    return output
 
+
+def eval_rpn(rpn: list) -> Fraction:
+    """Exact value of a ``shunting_yard_rpn`` output; raises
+    ZeroDivisionError on /0."""
     values: list[Fraction] = []
-    for token in output:
+    for token in rpn:
         if isinstance(token, Fraction):
             values.append(token)
         elif token == "u":

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import word_inputs
-from oracles import brute_force_alignment_f1, random_expression, shunting_yard_eval
+from oracles import brute_force_alignment_f1, eval_rpn, random_expression, shunting_yard_rpn
 from tatqa_symbolic import reference
 from tatqa_symbolic.corpus import (
     AnswerSource,
@@ -206,7 +206,7 @@ def test_criterion_6a_expression_oracle_equivalence():
     for _ in range(10_000):
         text = random_expression(rng)
         try:
-            expected = shunting_yard_eval(text)
+            expected = eval_rpn(shunting_yard_rpn(text))
         except ZeroDivisionError:
             zero_divisions += 1
             with pytest.raises(ExecutionError):

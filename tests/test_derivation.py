@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_expression, shunting_yard_eval
+from oracles import eval_rpn, random_expression, shunting_yard_rpn
 from tatqa_symbolic.corpus import AnswerSource, AnswerType
 from tatqa_symbolic.derivation import (
     BinaryOp,
     ItemSet,
     MAX_TOKENS,
+    NumberLeaf,
     Operator,
+    UnaryNeg,
     classify_operator,
     eval_derivation,
     operand_sequence,
@@ -18,6 +20,21 @@ from tatqa_symbolic.derivation import (
     render_derivation,
 )
 from tatqa_symbolic.errors import DerivationParseError, ExecutionError
+
+
+# derivations for each place a parse can fail, with their full messages
+PARSE_ERRORS = [
+    ("1 2", "unexpected trailing input at offset 2 in '1 2'"),
+    ("1 +", "expected a number or '(' at offset 3 in '1 +'"),
+    ("-", "expected a number or '(' at offset 1 in '-'"),
+    ("(1 + 2", "expected ')' at offset 6 in '(1 + 2'"),
+    ("(1 2)", "expected ')' at offset 3 in '(1 2)'"),
+    (")", "unexpected token rparen at offset 0 in ')'"),
+    ("* 2", "unexpected token op at offset 0 in '* 2'"),
+    (" ## ", "item set has no items at offset 0 in ' ## '"),
+    ("   ", "empty derivation at offset 0 in '   '"),
+    ("12 + ?", "unexpected character '?' at offset 5 in '12 + ?'"),
+]
 
 
 class TestParse:
@@ -50,6 +67,12 @@ class TestParse:
     def test_unbalanced_parens(self):
         with pytest.raises(DerivationParseError):
             parse_derivation("(1 + 2", AnswerType.ARITHMETIC)
+
+    @pytest.mark.parametrize("text, message", PARSE_ERRORS)
+    def test_parse_error_message(self, text, message):
+        with pytest.raises(DerivationParseError) as excinfo:
+            parse_derivation(text, AnswerType.ARITHMETIC)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("text, offset", [
         (" + ".join(["1"] * 1501), 2 * MAX_TOKENS),
@@ -126,6 +149,12 @@ class TestOperandSequence:
         try:
             operand_sequence(parse_derivation("(1 + 2) / 3"))
             assert gc.collect() == 0
+            for text, _ in PARSE_ERRORS:
+                try:
+                    parse_derivation(text)
+                except DerivationParseError:
+                    pass
+                assert gc.collect() == 0, text
         finally:
             if enabled:
                 gc.enable()
@@ -208,17 +237,44 @@ def test_numeric_questions_never_classify_as_span_family(questions):
             assert classify_question(question) not in span_family
 
 
+def _postorder(node) -> list:
+    """Leaf values, ``u`` for a negation and the binary operators, each
+    node after its children."""
+    if isinstance(node, NumberLeaf):
+        return [node.value]
+    if isinstance(node, UnaryNeg):
+        return _postorder(node.child) + ["u"]
+    return _postorder(node.left) + _postorder(node.right) + [node.op]
+
+
+def _folded(rpn: list) -> list:
+    """Reverse Polish order with a number followed by ``u`` read as its
+    negative, as the parser folds "-39" into one operand."""
+    folded: list = []
+    for token in rpn:
+        if token == "u" and folded and isinstance(folded[-1], Fraction):
+            folded[-1] = -folded[-1]
+        else:
+            folded.append(token)
+    return folded
+
+
 def test_evaluator_agrees_with_shunting_yard_oracle():
+    # the tree's shape as well as its value: a right-leaning "1 + 2 + 3"
+    # has the right value but not the reference's order
     rng = random.Random(20240811)
     checked = 0
     for _ in range(500):
         text = random_expression(rng)
+        rpn = shunting_yard_rpn(text)
+        ast = parse_derivation(text, ARITH)
+        assert _postorder(ast) == _folded(rpn), text
         try:
-            expected = shunting_yard_eval(text)
+            expected = eval_rpn(rpn)
         except ZeroDivisionError:
             with pytest.raises(ExecutionError):
-                eval_derivation(parse_derivation(text, ARITH))
+                eval_derivation(ast)
             continue
-        assert eval_derivation(parse_derivation(text, ARITH)) == expected
+        assert eval_derivation(ast) == expected
         checked += 1
     assert checked > 400

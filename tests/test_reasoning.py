@@ -130,9 +130,18 @@ class TestExecute:
         with pytest.raises(ExecutionError):
             execute_operator(Operator.DIVISION, candidates, 0)
 
+    def test_change_ratio_against_zero(self):
+        candidates = [cell("5", 0.9, 0), cell("0", 0.8, 1)]
+        with pytest.raises(ExecutionError, match="change ratio against zero"):
+            execute_operator(Operator.CHANGE_RATIO, candidates, 0)
+
     def test_span_in_text_without_spans(self):
         with pytest.raises(InsufficientEvidenceError):
             execute_operator(Operator.SPAN_IN_TEXT, [cell("5", 1.0, 0)])
+
+    def test_cell_in_table_without_cells(self):
+        with pytest.raises(InsufficientEvidenceError, match="no cell candidates"):
+            execute_operator(Operator.CELL_IN_TABLE, [span("subscription growth", 1.0, 0)])
 
     def test_empty_candidates(self):
         with pytest.raises(InsufficientEvidenceError):
