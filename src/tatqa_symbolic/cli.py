@@ -11,6 +11,7 @@ import argparse
 import gc
 import json
 import logging
+import os
 import sys
 from itertools import zip_longest
 from pathlib import Path
@@ -98,6 +99,26 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=_workers, default=1, help="worker processes, at least 1")
 
 
+def _paths_clash(inputs: dict[str, str], outputs: dict[str, str | None]) -> bool:
+    """Whether an output path resolves to an input path or to an earlier
+    output path; the first that does is reported as a usage error.
+
+    Each mapping goes from an option to its path, and an output of None is
+    not written.  Paths resolve as ``Path.resolve`` does, through
+    ``os.path.realpath``, which leaves a symlink loop for ``open`` to report.
+    """
+    taken = {os.path.realpath(path): option for option, path in inputs.items()}
+    for option, path in outputs.items():
+        if path is None:
+            continue
+        resolved = os.path.realpath(path)
+        if resolved in taken:
+            print(f"error: {option}: {path} is also the {taken[resolved]} file", file=sys.stderr)
+            return True
+        taken[resolved] = option
+    return False
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tatqa-symbolic",
@@ -163,6 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
+    if _paths_clash({"--dataset": args.dataset}, {"--out": args.out}):
+        return 2
     documents = read_json(args.dataset)
     dataset = parse_documents(documents, strict=args.strict)
     deviations = field_deviations(documents)
@@ -295,6 +318,9 @@ _TRACE_ENCODER = json.JSONEncoder(check_circular=False)
 
 
 def cmd_run(args) -> int:
+    traces_path = args.traces or f"{args.out}.traces.jsonl"
+    if _paths_clash({"--dataset": args.dataset}, {"--out": args.out, "--traces": traces_path}):
+        return 2
     dataset = load_dataset(args.dataset, strict=args.strict)
     config = _pipeline_config(args)
     predictions = run_pipeline(dataset, config, workers=args.workers)
@@ -302,7 +328,6 @@ def cmd_run(args) -> int:
     write_predictions(
         {qid: (p.value, p.scale) for qid, p in predictions.items()}, args.out
     )
-    traces_path = args.traces or f"{args.out}.traces.jsonl"
     with Path(traces_path).open("w", encoding="utf-8") as handle:
         for question_id, prediction in predictions.items():
             handle.write(_TRACE_ENCODER.encode(_trace_payload(question_id, prediction)) + "\n")
@@ -315,6 +340,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if _paths_clash({"--dataset": args.dataset, "--pred": args.pred}, {"--out": args.out}):
+        return 2
     dataset = load_dataset(args.dataset, strict=args.strict)
     predictions = read_predictions(args.pred)
     report = evaluate(predictions, dataset, RoundingPolicy(places=args.rounding))
@@ -343,6 +370,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if _paths_clash({"--dataset": args.dataset}, {"--out": args.out}):
+        return 2
     dataset = load_dataset(args.dataset, strict=args.strict)
     predictions = run_pipeline(dataset, _pipeline_config(args), workers=args.workers)
     report = evaluate(
@@ -381,6 +410,8 @@ def cmd_schema_report(args) -> int:
 
 
 def cmd_export_supervision(args) -> int:
+    if _paths_clash({"--dataset": args.dataset}, {"--out": args.out}):
+        return 2
     dataset = load_dataset(args.dataset, strict=args.strict)
     export = export_supervision(dataset, args.out)
     print(

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Iterator, Union
 
 from .errors import DatasetParseError, DatasetValidationError, NumberTooLongError
-from .numerics import Scale, json_decimal, parse_number, render_decimal
+from .numerics import Scale, _decimal_places, json_decimal, parse_number, render_decimal
 
 logger = logging.getLogger(__name__)
 
@@ -416,7 +416,14 @@ def _json_answer(answer: AnswerValue) -> Any:
             candidate = float(answer)
             if Fraction(Decimal(repr(candidate))) == answer:
                 return candidate
-        return render_decimal(answer)
+        # a terminating decimal is written with all its places; only a
+        # repeating one is rounded, to 17
+        places = _decimal_places(answer.denominator)
+        if places is None:
+            return render_decimal(answer)
+        if places > NumberTooLongError.LIMIT:
+            raise NumberTooLongError(places)
+        return render_decimal(answer, places)
     return answer
 
 

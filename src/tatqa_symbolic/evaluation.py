@@ -50,7 +50,7 @@ from .corpus import (
     repeated_question_id,
 )
 from .errors import DatasetParseError, NumberTooLongError, ScoringError
-from .numerics import Scale, parse_number, round_fraction
+from .numerics import Scale, _round_half_even, parse_number
 
 # ---------------------------------------------------------------------------
 # Rounding policy and numeric comparison
@@ -60,12 +60,22 @@ from .numerics import Scale, parse_number, round_fraction
 @dataclass(frozen=True)
 class RoundingPolicy:
     """Both sides of a numeric comparison are rounded to ``places``
-    decimal places after scale application (ties to even)."""
+    decimal places after scale application (half to even)."""
 
     places: int = 4
 
 
 DEFAULT_POLICY = RoundingPolicy()
+
+
+def _scaled_units(value: Fraction, scale: Scale, places: int) -> int:
+    """``value`` times ``scale``'s factor, in units of ``10**-places``,
+    rounded half to even: the factor is folded into the value's numerator
+    and denominator, so no ``Fraction`` is built."""
+    factor = scale.factor
+    return _round_half_even(
+        value.numerator * factor.numerator, value.denominator * factor.denominator, places
+    )
 
 
 def numbers_match(
@@ -75,9 +85,16 @@ def numbers_match(
     gold_scale: Scale,
     policy: RoundingPolicy = DEFAULT_POLICY,
 ) -> bool:
-    pred = round_fraction(pred_value * pred_scale.factor, policy.places)
-    gold = round_fraction(gold_value * gold_scale.factor, policy.places)
-    return pred == gold
+    """Whether both values, each times its scale's factor, are equal once
+    rounded half to even to ``policy.places`` places.
+
+    Exact and float-free: the rounding is done in integers, and equals
+    comparing ``round_fraction(value * scale.factor, places)`` of both.
+    """
+    places = policy.places
+    return _scaled_units(pred_value, pred_scale, places) == _scaled_units(
+        gold_value, gold_scale, places
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,14 @@ from .derivation import (
     parsed_derivation,
 )
 from .errors import DerivationParseError, NumberTooLongError, UnlocatableEvidenceError
-from .numerics import Scale, extract_numbers, is_number, parse_number, scale_in_text
+from .numerics import (
+    Scale,
+    _decimal_places,
+    extract_numbers,
+    is_number,
+    parse_number,
+    scale_in_text,
+)
 
 # ---------------------------------------------------------------------------
 # Sequence units and origins
@@ -284,13 +291,10 @@ def _value_key(value: Fraction) -> str | None:
     it has none, and so no cell can hold it."""
     numerator, denominator = abs(value.numerator), value.denominator
     if denominator != 1:
-        twos = (denominator & -denominator).bit_length() - 1
-        rest, fives = denominator >> twos, 0
-        while rest % 5 == 0:
-            rest, fives = rest // 5, fives + 1
-        if rest != 1:
+        places = _decimal_places(denominator)
+        if places is None:
             return None
-        numerator = numerator * 10 ** max(twos, fives) // denominator
+        numerator = numerator * 10**places // denominator
     return str(numerator).strip("0")
 
 

@@ -10,6 +10,8 @@ taxonomy with its multiplicative factors.
 A parsed number is its exact ``fractions.Fraction`` at face value ("39%"
 is 39, not 0.39; a scale applies as a multiplication by ``Scale.factor``),
 so downstream arithmetic is exact; binary floats never enter the pipeline.
+Rounding to decimal places is half to even and done on the integer
+numerator and denominator, so it builds no ``Fraction`` and takes no gcd.
 """
 
 from __future__ import annotations
@@ -168,9 +170,42 @@ def extract_numbers(text: str) -> list[tuple[Fraction, tuple[int, int]]]:
     return found
 
 
-def round_fraction(value: Fraction, places: int) -> Fraction:
-    """Round to ``places`` decimal places, ties to even."""
-    return round(Fraction(value), places)
+def _decimal_places(denominator: int) -> int | None:
+    """How many decimal places a reduced fraction over ``denominator``
+    takes: the larger of the powers of 2 and 5 in it, or None when another
+    prime divides it and the decimal does not terminate."""
+    twos = (denominator & -denominator).bit_length() - 1
+    rest, fives = denominator >> twos, 0
+    while rest % 5 == 0:
+        rest, fives = rest // 5, fives + 1
+    return max(twos, fives) if rest == 1 else None
+
+
+def _round_half_even(numerator: int, denominator: int, places: int) -> int:
+    """``numerator * 10**places / denominator`` rounded half to even, for a
+    positive ``denominator``: the value in units of ``10**-places``.
+
+    One ``divmod`` and the tie rule of ``Fraction.__round__``, with no
+    ``Fraction`` built and so no gcd taken.
+    """
+    if places >= 0:
+        numerator *= 10**places
+    else:
+        denominator *= 10**-places
+    quotient, remainder = divmod(numerator, denominator)
+    doubled = remainder * 2
+    if doubled > denominator or (doubled == denominator and quotient & 1):
+        return quotient + 1
+    return quotient
+
+
+def round_fraction(value: Fraction | int, places: int) -> Fraction:
+    """Round to ``places`` decimal places, half to even.
+
+    Equal to ``round(Fraction(value), places)``, computed in integers.
+    """
+    units = _round_half_even(value.numerator, value.denominator, places)
+    return Fraction(units, 10**places) if places >= 0 else Fraction(units * 10**-places)
 
 
 # the smallest whole part that ``str`` refuses to write: it has 4,301 digits
@@ -181,15 +216,15 @@ def render_decimal(value: Fraction | int, max_places: int = 17) -> str:
     """Render an exact value as a plain decimal string.
 
     Terminating decimals within ``max_places`` render exactly; anything
-    longer (repeating expansions) is rounded to ``max_places`` places.
-    Trailing zeros are stripped.  A whole part of more than 4,300 digits
-    raises ``NumberTooLongError``.
+    longer (repeating expansions) is rounded half to even, in integers, to
+    ``max_places`` places.  Trailing zeros are stripped, and a value that
+    rounds to zero renders as "0", never "-0".  A whole part of more than
+    4,300 digits raises ``NumberTooLongError``.
     """
-    rounded = round_fraction(value, max_places)
-    unit = 10**max_places  # exact: the rounded denominator divides it
-    whole, places = divmod(abs(rounded.numerator) * unit // rounded.denominator, unit)
+    units = _round_half_even(value.numerator, value.denominator, max_places)
+    whole, places = divmod(abs(units), 10**max_places)
     if whole >= _UNWRITABLE:
         raise NumberTooLongError(Decimal(whole).adjusted() + 1)
-    sign = "-" if rounded < 0 else ""
+    sign = "-" if units < 0 else ""
     frac_part = str(places).rjust(max_places, "0").rstrip("0")
     return f"{sign}{whole}.{frac_part}" if frac_part else f"{sign}{whole}"

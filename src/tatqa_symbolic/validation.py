@@ -25,7 +25,7 @@ from .errors import (
     NumberTooLongError,
     UnlocatableEvidenceError,
 )
-from .evaluation import DEFAULT_POLICY, RoundingPolicy, _as_fraction, numbers_match
+from .evaluation import DEFAULT_POLICY, RoundingPolicy, _as_fraction, _scaled_units
 from .evidence import build_supervision
 from .numerics import Scale
 
@@ -109,8 +109,11 @@ def check_question(question, policy: RoundingPolicy = DEFAULT_POLICY) -> Derivat
             question_id, NO_NUMERIC_GOLD, detail=f"gold answer {question.answer!r}"
         )
 
-    face = numbers_match(result, Scale.NONE, gold, Scale.NONE, policy)
-    scaled = numbers_match(result, Scale.NONE, gold, question.gold_scale, policy)
+    # the result is rounded once, and compared under both conventions
+    places = policy.places
+    rounded = _scaled_units(result, Scale.NONE, places)
+    face = rounded == _scaled_units(gold, Scale.NONE, places)
+    scaled = rounded == _scaled_units(gold, question.gold_scale, places)
     if face or scaled:
         convention = "both" if (face and scaled) else ("face" if face else "scaled")
         return DerivationCheck(question_id, CONSISTENT, convention=convention)

@@ -28,7 +28,9 @@ every span was normalized once for EM and again for F1 and each number
 set was built per pair; it calls the library's assignment solver and
 pairwise mean, but none of its normalization or gating.  The schema
 section keeps the recursive walk that recorded each field path once per
-item.
+item.  The rounding section keeps ``round_fraction``, ``render_decimal``
+and ``numbers_match`` as they were when every rounding went through
+``round(Fraction, places)``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,11 @@ from fractions import Fraction
 from tatqa_symbolic import derivation
 from tatqa_symbolic import evidence as ev
 from tatqa_symbolic.corpus import AnswerSource, AnswerType
-from tatqa_symbolic.errors import DerivationParseError, UnlocatableEvidenceError
+from tatqa_symbolic.errors import (
+    DerivationParseError,
+    NumberTooLongError,
+    UnlocatableEvidenceError,
+)
 from tatqa_symbolic.evaluation import CellScore, _fmt_cell, _max_assignment, _pairwise_sum, evaluate
 from tatqa_symbolic.numerics import Scale, extract_numbers, parse_number
 from tatqa_symbolic.reasoning import abstained as make_abstained
@@ -981,3 +987,37 @@ def reference_field_inventory(raw):
         json_path: {"count": entry["count"], "types": sorted(entry["types"])}
         for json_path, entry in sorted(inventory.items())
     }
+
+
+# ---------------------------------------------------------------------------
+# Rounding, as it ran through ``round(Fraction, places)``
+# ---------------------------------------------------------------------------
+
+
+def reference_round_fraction(value, places: int) -> Fraction:
+    """Round to ``places`` decimal places, ties to even."""
+    return round(Fraction(value), places)
+
+
+# the smallest whole part that ``str`` refuses to write: it has 4,301 digits
+_REFERENCE_UNWRITABLE = 10**NumberTooLongError.LIMIT
+
+
+def reference_render_decimal(value, max_places: int = 17) -> str:
+    """Render an exact value as a plain decimal string, rounded to
+    ``max_places`` places and with trailing zeros stripped."""
+    rounded = reference_round_fraction(value, max_places)
+    unit = 10**max_places  # exact: the rounded denominator divides it
+    whole, places = divmod(abs(rounded.numerator) * unit // rounded.denominator, unit)
+    if whole >= _REFERENCE_UNWRITABLE:
+        raise NumberTooLongError(Decimal(whole).adjusted() + 1)
+    sign = "-" if rounded < 0 else ""
+    frac_part = str(places).rjust(max_places, "0").rstrip("0")
+    return f"{sign}{whole}.{frac_part}" if frac_part else f"{sign}{whole}"
+
+
+def reference_numbers_match(pred_value, pred_scale: Scale, gold_value, gold_scale: Scale,
+                            places: int = 4) -> bool:
+    pred = reference_round_fraction(pred_value * pred_scale.factor, places)
+    gold = reference_round_fraction(gold_value * gold_scale.factor, places)
+    return pred == gold

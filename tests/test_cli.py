@@ -380,6 +380,87 @@ class TestDirectoryPaths:
         self.assert_error(capsys, "run", "--dataset", corpus_path, "--out", tmp_path)
 
 
+class TestOutputPathClashes:
+    """An output path that resolves to an input path, or to another output
+    of the same command, is a usage error: exit 2, one ``error:`` line,
+    and every file left as it was."""
+
+    @pytest.fixture
+    def files(self, corpus_path, tmp_path):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_bytes(corpus_path.read_bytes())
+        preds = tmp_path / "preds.json"
+        assert run_cli("run", "--dataset", dataset, "--out", preds) == 0
+        return dataset, preds
+
+    def assert_refused(self, capsys, files, argv, option):
+        before = {path: path.read_bytes() for path in files}
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: ") and err.count("\n") == 1, err
+        assert {path: path.read_bytes() for path in files} == before
+
+    def test_run_out_is_the_dataset(self, files, capsys):
+        dataset, _ = files
+        self.assert_refused(capsys, files, ("run", "--dataset", dataset, "--out", dataset), "--out")
+
+    def test_run_traces_is_the_dataset(self, files, capsys, tmp_path):
+        dataset, _ = files
+        argv = ("run", "--dataset", dataset, "--out", tmp_path / "p.json", "--traces", dataset)
+        self.assert_refused(capsys, files, argv, "--traces")
+
+    def test_run_traces_is_the_out_file(self, files, capsys, tmp_path):
+        dataset, preds = files
+        # spelled another way, through a parent directory
+        other = tmp_path / "sub" / ".." / preds.name
+        (tmp_path / "sub").mkdir()
+        argv = ("run", "--dataset", dataset, "--out", preds, "--traces", other)
+        self.assert_refused(capsys, files, argv, "--traces")
+
+    def test_run_default_traces_is_the_dataset(self, files, capsys, tmp_path):
+        dataset, _ = files
+        traced = tmp_path / "p.json.traces.jsonl"
+        traced.write_bytes(dataset.read_bytes())
+        argv = ("run", "--dataset", traced, "--out", tmp_path / "p.json")
+        self.assert_refused(capsys, (*files, traced), argv, "--traces")
+
+    def test_eval_out_is_the_dataset(self, files, capsys):
+        dataset, preds = files
+        argv = ("eval", "--dataset", dataset, "--pred", preds, "--out", dataset)
+        self.assert_refused(capsys, files, argv, "--out")
+
+    def test_eval_out_is_the_predictions(self, files, capsys):
+        dataset, preds = files
+        argv = ("eval", "--dataset", dataset, "--pred", preds, "--out", preds)
+        self.assert_refused(capsys, files, argv, "--out")
+
+    @pytest.mark.parametrize("command", ["validate", "ablate", "export-supervision"])
+    def test_out_is_the_dataset(self, files, capsys, command):
+        dataset, _ = files
+        self.assert_refused(capsys, files, (command, "--dataset", dataset, "--out", dataset), "--out")
+
+    def test_out_is_a_link_to_the_dataset(self, files, capsys, tmp_path):
+        dataset, _ = files
+        link = tmp_path / "link.json"
+        link.symlink_to(dataset)
+        self.assert_refused(capsys, files, ("validate", "--dataset", dataset, "--out", link), "--out")
+
+    def test_a_link_loop_is_not_a_clash(self, files, capsys, tmp_path):
+        """It still fails as an unwritable output: exit 1 and one line."""
+        dataset, _ = files
+        loop = tmp_path / "loop.json"
+        loop.symlink_to(loop)
+        assert run_cli("validate", "--dataset", dataset, "--out", loop) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_distinct_paths_still_run(self, files, tmp_path):
+        dataset, preds = files
+        traces = tmp_path / "traces.jsonl"
+        assert run_cli("run", "--dataset", dataset, "--out", preds, "--traces", traces) == 0
+        assert run_cli("eval", "--dataset", dataset, "--pred", preds, "--out", tmp_path / "e.json") == 0
+
+
 class TestValidate:
     def test_report_and_exit_code(self, corpus_path, capsys, tmp_path):
         out = tmp_path / "validation.json"
@@ -1098,3 +1179,39 @@ class TestWithoutNumpyOrScipy:
         )
         assert result.returncode == 0, result.stderr
         assert f"EM {100 * 14 / 17:.1f}" in result.stdout
+
+
+class TestHashSeedIndependence:
+    """Outputs do not depend on the string hash seed: ``eval --out`` on a
+    multispan corpus and ``validate --out`` on a sparse one give the same
+    bytes, stdout included, in interpreters started under two seeds."""
+
+    CODE = (
+        "import sys\n"
+        "from tatqa_symbolic.cli import main\n"
+        "multispan, preds, sparse, root = sys.argv[1:]\n"
+        "assert main(['eval', '--dataset', multispan, '--pred', preds,"
+        " '--out', root + '/eval.json']) == 0\n"
+        "assert main(['validate', '--dataset', sparse, '--out', root + '/validate.json']) == 0\n"
+    )
+
+    def test_eval_and_validate(self, tmp_path):
+        gen = bench_module("gen")
+        multispan, preds, _ = gen.multispan_corpus(11, 150)
+        sparse, _ = gen.sparse_corpus(11, 300)
+        inputs = {"multispan.json": multispan, "preds.json": preds, "sparse.json": sparse}
+        for name, payload in inputs.items():
+            (tmp_path / name).write_text(gen.dumps(payload), encoding="utf-8")
+        outputs = {}
+        for seed in ("0", "12345"):
+            root = tmp_path / f"seed-{seed}"
+            root.mkdir()
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": seed}
+            result = subprocess.run(
+                [sys.executable, "-c", self.CODE, *(str(tmp_path / name) for name in inputs), root],
+                capture_output=True, timeout=120, env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs[seed] = (result.stdout, *(path.read_bytes() for path in sorted(root.iterdir())))
+        assert len(outputs["0"]) == 3
+        assert outputs["0"] == outputs["12345"]

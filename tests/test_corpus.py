@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from tatqa_symbolic.corpus import (
     split_stats,
     type_source_matrix,
 )
-from tatqa_symbolic.errors import DatasetParseError, DatasetValidationError
+from tatqa_symbolic.errors import DatasetParseError, DatasetValidationError, NumberTooLongError
 from tatqa_symbolic.evaluation import _as_fraction
 from tatqa_symbolic.numerics import Scale
 
@@ -188,6 +189,40 @@ class TestRoundTrip:
         dump_dataset(dataset, out)
         (again,) = [q.answer for q in load_dataset(out)[0][1] if q.question_id == "q-rev-diff"]
         assert _as_fraction(again) == answer
+
+    @pytest.mark.parametrize("literal", ["0.10000000000000000000001", "-2.000000000000000000005",
+                                         "1" * 30 + "." + "0" * 40 + "1"])
+    def test_answer_past_17_places_keeps_every_place(self, tmp_path, literal):
+        """A terminating answer that no float holds is written with all
+        its places, not rounded to 17."""
+        text = json.dumps([REVENUE_DOC]).replace('"answer": 105226', f'"answer": {literal}')
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "again.json"
+        dump_dataset(load_dataset(path), out)
+        (again,) = [q.answer for q in load_dataset(out)[0][1] if q.question_id == "q-rev-diff"]
+        assert _as_fraction(again) == Fraction(literal)
+
+    def test_repeating_answer_is_rounded_to_17_places(self, tmp_path):
+        path = tmp_path / "revenue.json"
+        path.write_text(json.dumps([REVENUE_DOC]), encoding="utf-8")
+        ((context, questions),) = load_dataset(path)
+        third = [replace(q, answer=Fraction(-1, 3)) if q.question_id == "q-rev-diff" else q
+                 for q in questions]
+        out = tmp_path / "again.json"
+        dump_dataset([(context, third)], out)
+        (again,) = [q.answer for q in load_dataset(out)[0][1] if q.question_id == "q-rev-diff"]
+        assert again == "-0.33333333333333333"
+
+    def test_answer_past_the_digit_limit_is_refused(self, tmp_path):
+        """An answer whose places no reader takes is refused, not rounded."""
+        path = tmp_path / "revenue.json"
+        path.write_text(json.dumps([REVENUE_DOC]), encoding="utf-8")
+        ((context, questions),) = load_dataset(path)
+        long = Fraction(10**4301 - 1, 10**4301)
+        questions = [replace(q, answer=long) for q in questions]
+        with pytest.raises(NumberTooLongError, match="value has 4301 digits"):
+            dump_dataset([(context, questions)], tmp_path / "again.json")
 
 
 class TestStats:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tatqa_symbolic.errors import NumberTooLongError
+from tatqa_symbolic.evaluation import RoundingPolicy, numbers_match
 from tatqa_symbolic.numerics import (
     _NUMBER_CORE,
     Scale,
@@ -18,7 +19,13 @@ from tatqa_symbolic.numerics import (
 )
 
 from conftest import CORPUS_DOCS
-from oracles import reference_extract_numbers, reference_parse_number
+from oracles import (
+    reference_extract_numbers,
+    reference_numbers_match,
+    reference_parse_number,
+    reference_render_decimal,
+    reference_round_fraction,
+)
 
 
 class TestParseNumber:
@@ -362,3 +369,127 @@ class TestRounding:
     def test_render_repeating_is_rounded(self):
         text = render_decimal(Fraction(1, 3), max_places=6)
         assert text == "0.333333"
+
+
+def _sign(rng: random.Random) -> int:
+    return rng.choice((1, -1))
+
+
+def _any_ratio(rng: random.Random, places: int) -> Fraction:
+    numerator = rng.randrange(10 ** rng.randint(1, 25))
+    return Fraction(_sign(rng) * numerator, rng.randint(1, 10 ** rng.randint(1, 12)))
+
+
+def _tie(rng: random.Random, places: int) -> Fraction:
+    """Exactly half a unit of the last place past a whole number of units."""
+    return Fraction(_sign(rng) * (2 * rng.randrange(10**6) + 1), 2 * 10**places)
+
+
+def _near_tie(rng: random.Random, places: int) -> Fraction:
+    off = Fraction(_sign(rng), rng.randint(10**20, 10**25))
+    return _tie(rng, places) + off
+
+
+def _negative_to_zero(rng: random.Random, places: int) -> Fraction:
+    """A negative within half a unit of the last place of 0, the half included."""
+    if rng.random() < 0.5:
+        return Fraction(-rng.randint(1, 5), 10 * 10**places)
+    return Fraction(-1, rng.randint(10 * 10**places, 10**40))
+
+
+def _int(rng: random.Random, places: int) -> int:
+    return _sign(rng) * rng.randrange(10 ** rng.randint(1, 30))
+
+
+_DRAWS = {
+    "any-ratio": _any_ratio,
+    "tie": _tie,
+    "near-tie": _near_tie,
+    "negative-to-zero": _negative_to_zero,
+    "int": _int,
+}
+
+
+def _outcome(function, *args):
+    """What ``function(*args)`` returns, or the type and message it raises."""
+    try:
+        return function(*args)
+    except NumberTooLongError as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegerRoundingMatchesFractionRound:
+    """``round_fraction``, ``render_decimal`` and ``numbers_match`` round in
+    integers; each gives what it gave when it rounded through
+    ``round(Fraction, places)`` (``oracles.reference_*``)."""
+
+    @pytest.mark.parametrize("draw", sorted(_DRAWS))
+    def test_round_and_render(self, draw):
+        rng = random.Random(f"2601-{draw}")
+        for _ in range(400):
+            places = rng.randint(0, 17)
+            value = _DRAWS[draw](rng, places)
+            rounded = round_fraction(value, places)
+            assert type(rounded) is Fraction, value
+            assert rounded == reference_round_fraction(value, places), (value, places)
+            text = render_decimal(value, places)
+            assert text == reference_render_decimal(value, places), (value, places)
+            assert text != "-0"
+
+    def test_negative_round_to_zero_renders_without_a_sign(self):
+        assert render_decimal(Fraction(-1, 10**18)) == "0"
+        assert render_decimal(Fraction(-5, 10**18)) == "0"  # a tie: 0 is even
+        assert render_decimal(Fraction(-6, 10**18)) == "-0.00000000000000001"
+        assert render_decimal(Fraction(-1, 3), 0) == "0"
+        assert round_fraction(Fraction(-1, 10**18), 17) == 0
+
+    def test_at_the_digit_limit(self):
+        values = [
+            10**4300 - 1, -(10**4300 - 1), 10**4300, -(10**4300),
+            Fraction(10**4300 - 1, 2), Fraction(10**4301 - 1, 10),
+            Fraction(10**4300) + Fraction(1, 3), -Fraction(10**4300 * 2 - 1, 2),
+        ]
+        for value in values:
+            for places in (0, 1, 17):
+                assert _outcome(render_decimal, value, places) == _outcome(
+                    reference_render_decimal, value, places
+                )
+                assert round_fraction(value, places) == reference_round_fraction(value, places)
+
+    def test_at_the_digit_limit_raises_past_it(self):
+        with pytest.raises(NumberTooLongError, match="value has 4301 digits"):
+            render_decimal(-(10**4300))
+        assert render_decimal(-(10**4300 - 1)) == "-" + "9" * 4300
+
+    def test_negative_places(self):
+        for value in (Fraction(1250), Fraction(1350), Fraction(-1250), 149, Fraction(1, 3)):
+            for places in (-1, -2, -3):
+                assert round_fraction(value, places) == reference_round_fraction(value, places)
+
+    @pytest.mark.parametrize("places", [0, 4])
+    def test_numbers_match_every_scale_pair(self, places):
+        rng = random.Random(2602 + places)
+        policy = RoundingPolicy(places=places)
+        outcomes = []
+        for pred_scale in Scale:
+            for gold_scale in Scale:
+                for _ in range(120):
+                    pred = _DRAWS[rng.choice(sorted(_DRAWS))](rng, places)
+                    # a gold that matches the prediction, or misses it by a
+                    # tie, a hair or anything
+                    gold = pred * pred_scale.factor / gold_scale.factor
+                    gold += rng.choice((
+                        0, Fraction(1, 2 * 10**places), -Fraction(1, 2 * 10**places),
+                        Fraction(1, 10**30), _any_ratio(rng, places),
+                    )) / gold_scale.factor
+                    if rng.random() < 0.2:
+                        gold = _tie(rng, places)
+                    if gold.denominator == 1 and rng.random() < 0.5:
+                        gold = int(gold)
+                    matched = numbers_match(pred, pred_scale, gold, gold_scale, policy)
+                    assert matched is reference_numbers_match(
+                        pred, pred_scale, gold, gold_scale, places
+                    ), (pred, pred_scale, gold, gold_scale)
+                    outcomes.append(matched)
+        # the draws reach both outcomes
+        assert 500 < sum(outcomes) < len(outcomes) - 500
