@@ -191,14 +191,6 @@ def cmd_validate(args) -> int:
     deviations = field_deviations(documents)
     del documents  # the checks below need only the records
     report = validate_dataset(dataset, RoundingPolicy(places=args.rounding))
-    print(format_validation(report))
-    print()
-    print(f"schema: {len(deviations['missing'])} expected field(s) missing, "
-          f"{len(deviations['unexpected'])} unexpected")
-    for path in deviations["missing"]:
-        print(f"  missing    {path}")
-    for path in deviations["unexpected"]:
-        print(f"  unexpected {path}")
     if args.out:
         payload = {
             "n_questions": report.n_questions,
@@ -215,6 +207,14 @@ def cmd_validate(args) -> int:
             ],
         }
         Path(args.out).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    print(format_validation(report))
+    print()
+    print(f"schema: {len(deviations['missing'])} expected field(s) missing, "
+          f"{len(deviations['unexpected'])} unexpected")
+    for path in deviations["missing"]:
+        print(f"  missing    {path}")
+    for path in deviations["unexpected"]:
+        print(f"  unexpected {path}")
     return 0
 
 
@@ -345,11 +345,6 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.dataset, strict=args.strict)
     predictions = read_predictions(args.pred)
     report = evaluate(predictions, dataset, RoundingPolicy(places=args.rounding))
-    print(f"EM {report.em:.1f}  F1 {report.f1:.1f}  ({report.overall.n} questions)")
-    if report.missing:
-        print(f"missing predictions for {len(report.missing)} question(s), scored 0")
-    print()
-    print(format_report(report))
     if args.out:
         payload = {
             "em": report.em,
@@ -366,6 +361,11 @@ def cmd_eval(args) -> int:
             "missing": report.missing,
         }
         Path(args.out).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    print(f"EM {report.em:.1f}  F1 {report.f1:.1f}  ({report.overall.n} questions)")
+    if report.missing:
+        print(f"missing predictions for {len(report.missing)} question(s), scored 0")
+    print()
+    print(format_report(report))
     return 0
 
 
@@ -382,7 +382,6 @@ def cmd_ablate(args) -> int:
     operators = [predictions[qid].trace.operator for qid, _, _ in report.questions]
 
     rows = []
-    print(f"{'enabled operators':<22}{'EM':>8}{'F1':>8}")
     for k, newest in enumerate(Operator.ALL, 1):
         # a question whose predicted operator is not enabled yet abstains,
         # and an abstention scores (0, 0)
@@ -393,11 +392,12 @@ def cmd_ablate(args) -> int:
                 row.add(em, f1)
             else:
                 row.add(0.0, 0.0)
-        label = f"+ {Operator.LABELS[newest]}"
-        rows.append({"row": label, "em": row.em, "f1": row.f1})
-        print(f"{label:<22}{row.em:>8.1f}{row.f1:>8.1f}")
+        rows.append({"row": f"+ {Operator.LABELS[newest]}", "em": row.em, "f1": row.f1})
     if args.out:
         Path(args.out).write_text(json.dumps(rows, indent=1), encoding="utf-8")
+    print(f"{'enabled operators':<22}{'EM':>8}{'F1':>8}")
+    for row in rows:
+        print(f"{row['row']:<22}{row['em']:>8.1f}{row['f1']:>8.1f}")
     return 0
 
 

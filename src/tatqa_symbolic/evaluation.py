@@ -24,6 +24,8 @@ potentials), run over the shorter side of the gold x predicted score
 matrix, followed by a mean in numpy's summation order.  Both follow the
 published evaluator's ``scipy``/``numpy`` calls operation for operation,
 so tied alignments pick the same pairs and every F1 is bit-identical.
+The solver is skipped where its result is forced: a prediction that
+equals the gold spans as a multiset, and a side that holds one span.
 """
 
 from __future__ import annotations
@@ -273,20 +275,34 @@ def _pairwise_sum(values: list[float]) -> float:
 
 
 def _align_bags(pred_bags: list[_Bag], gold_bags: list[_Bag]) -> float:
+    """Mean gated F1 over the longer side under the optimal one-to-one
+    alignment, unmatched spans scoring 0.
+
+    With one span on either side exactly one pair is aligned, and the
+    solver picks a highest score; every other term of the sum is 0.0,
+    which ``_pairwise_sum`` adds exactly at any length.  So that case is
+    the highest score over the longer side's length, with no solver run.
+    """
     if not pred_bags or not gold_bags:
         return float(not pred_bags and not gold_bags)
     scores = [[_gated_f1(pred_bag, gold_bag) for pred_bag in pred_bags] for gold_bag in gold_bags]
-    per_span = [0.0] * max(len(gold_bags), len(pred_bags))
+    longer = max(len(gold_bags), len(pred_bags))
+    if len(gold_bags) == 1 or len(pred_bags) == 1:
+        return max(map(max, scores)) / longer
+    per_span = [0.0] * longer
     for row, col in _max_assignment(scores):
         per_span[row] = scores[row][col]
     return _pairwise_sum(per_span) / len(per_span)
 
 
 def align_spans_f1(pred_spans: list[str], gold_spans: list[str]) -> float:
-    """Mean F1 under the optimal one-to-one span alignment.
+    """Mean F1 under the optimal one-to-one span alignment; unmatched
+    spans on either side score 0.  Equal to brute-force enumeration over
+    alignments.
 
-    Solved exactly as an assignment problem; unmatched spans on either
-    side score 0.  Equal to brute-force enumeration over alignments.
+    The assignment solver runs only when both sides hold two or more
+    spans; with one span on a side the alignment is forced, and its
+    score is read off directly (see ``_align_bags``).
     """
     return _align_bags(
         [_bag(normalize_answer(span)) for span in pred_spans],
@@ -296,11 +312,21 @@ def align_spans_f1(pred_spans: list[str], gold_spans: list[str]) -> float:
 
 def drop_em_f1(pred_spans: list[str], gold_spans: list[str]) -> tuple[float, float]:
     """Span-bag EM and F1 exactly as the published numeracy-focused
-    evaluator computes them (per-question F1 rounded to 2 decimals)."""
+    evaluator computes them (per-question F1 rounded to 2 decimals).
+
+    When the normalized predicted spans equal the gold ones as a multiset
+    the answer scores (1, 1) with no bags built and no solver run: each
+    span's copy scores a gated F1 of exactly 1.0, no score exceeds 1.0,
+    so every optimal alignment sums to the number of spans.  Equal sets
+    are not enough: ``["x", "x", "y"]`` against ``["x", "y", "y"]`` is
+    EM 1 with an F1 below 1, and goes to the alignment.
+    """
     pred_tokens = [normalize_answer(span) for span in pred_spans]
     gold_tokens = [normalize_answer(span) for span in gold_spans]
     pred_strings = [" ".join(tokens) for tokens in pred_tokens]
     gold_strings = [" ".join(tokens) for tokens in gold_tokens]
+    if sorted(pred_strings) == sorted(gold_strings):
+        return 1.0, 1.0
     em = float(
         set(pred_strings) == set(gold_strings)
         and len(pred_strings) == len(gold_strings)

@@ -461,6 +461,36 @@ class TestOutputPathClashes:
         assert run_cli("eval", "--dataset", dataset, "--pred", preds, "--out", tmp_path / "e.json") == 0
 
 
+class TestClosedStdout:
+    """A command that prints a report writes its ``--out`` file first, so a
+    closed stdout does not lose it: the file holds the bytes of a normal
+    run, while the exit stays 1 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("command", ["eval", "validate", "ablate"])
+    def test_out_is_written(self, corpus_path, tmp_path, command):
+        argv = [command, "--dataset", str(corpus_path)]
+        if command == "eval":
+            preds = tmp_path / "preds.json"
+            assert run_cli("run", "--dataset", corpus_path, "--out", preds) == 0
+            argv += ["--pred", str(preds)]
+        expected, out = tmp_path / "expected.json", tmp_path / "out.json"
+        assert run_cli(*argv, "--out", expected) == 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            # unbuffered, so the first print meets the closed pipe
+            result = subprocess.run(
+                [sys.executable, "-u", "-m", "tatqa_symbolic.cli", *argv, "--out", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == "error: [Errno 32] Broken pipe\n"
+        assert out.read_bytes() == expected.read_bytes()
+
+
 class TestValidate:
     def test_report_and_exit_code(self, corpus_path, capsys, tmp_path):
         out = tmp_path / "validation.json"

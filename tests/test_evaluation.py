@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bench_module
 from oracles import (
     brute_force_alignment_f1,
     drop_metrics,
@@ -14,7 +15,13 @@ from oracles import (
     reference_normalize_answer,
 )
 from tatqa_symbolic import evaluation
-from tatqa_symbolic.corpus import AnswerSource, AnswerType, QuestionRecord, iter_questions
+from tatqa_symbolic.corpus import (
+    AnswerSource,
+    AnswerType,
+    QuestionRecord,
+    iter_questions,
+    load_dataset,
+)
 from tatqa_symbolic.errors import ScoringError
 from tatqa_symbolic.evaluation import (
     RoundingPolicy,
@@ -331,6 +338,114 @@ class TestOneNormalizationPerSpan:
         gold = make_gold(["Singapore", "Germany", "Japan"], AnswerType.SPANS)
         assert score_question(["Japan", "Germany"], Scale.NONE, gold) == (0.0, 0.67)
         assert sorted(calls) == ["Germany", "Germany", "Japan", "Japan", "Singapore"]
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Shapes of the score matrices handed to the assignment solver."""
+    calls = []
+
+    def counted(scores):
+        calls.append((len(scores), len(scores[0])))
+        return _max_assignment(scores)
+
+    monkeypatch.setattr(evaluation, "_max_assignment", counted)
+    return calls
+
+
+class TestForcedAlignments:
+    """The answers scored without the assignment solver, a prediction
+    equal to the gold spans as a multiset and one span on either side,
+    score as the references do, which always run it: equal under ``==``,
+    to the last bit."""
+
+    # "the" and "-" normalize to nothing, "1,033" and "1033" to one number
+    GOLD = ["net income", "the", "-", "tax", "tax", "1,033", "pre-tax loss"]
+    RESPELLED = {"1,033": "1033", "the": "-", "-": "the"}
+
+    def assert_as_reference(self, pred, gold):
+        assert drop_em_f1(pred, gold) == reference_drop_em_f1(pred, gold), (pred, gold)
+        assert align_spans_f1(pred, gold) == reference_align_spans_f1(pred, gold), (pred, gold)
+
+    def test_permutations_of_gold(self):
+        rng = random.Random(27)
+        for n in range(len(self.GOLD) + 1):
+            gold = self.GOLD[:n]
+            for _ in range(30):
+                pred = [
+                    self.RESPELLED.get(span, span) if rng.random() < 0.5 else span
+                    for span in rng.sample(gold, n)
+                ]
+                assert drop_em_f1(pred, gold) == (1.0, 1.0), (pred, gold)
+                self.assert_as_reference(pred, gold)
+
+    @pytest.mark.parametrize(
+        "pred,gold",
+        [
+            (["x", "x", "y"], ["x", "y", "y"]),
+            (["the", "-", "tax"], ["the", "tax", "tax"]),
+            (["net income", "net income", "1,033"], ["1033", "1033", "net income"]),
+        ],
+    )
+    def test_equal_sets_of_unequal_multisets(self, pred, gold, solver_calls):
+        em, f1 = drop_em_f1(pred, gold)
+        assert (em, f1) == (1.0, 0.67)
+        assert solver_calls == [(3, 3)]
+        self.assert_as_reference(pred, gold)
+
+    def test_one_span_against_many(self):
+        """1–12 spans and 129, past both branches of ``_pairwise_sum``;
+        copies of the one span tie at 1.0, other repeats tie below it."""
+        rng = random.Random(2027)
+        vocabulary = ["net", "income", "5", "-5", "tax", "the", "1,033", "loss"]
+
+        def span():
+            return " ".join(rng.choices(vocabulary, k=rng.randint(0, 3)))
+
+        for n in [*range(1, 13), 129]:
+            for _ in range(20):
+                one = [span()]
+                many = [span() for _ in range(n)]
+                for _ in range(rng.randint(0, 3)):
+                    many[rng.randrange(n)] = rng.choice([*one, *many])
+                self.assert_as_reference(one, many)
+                self.assert_as_reference(many, one)
+
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_bench_multispan_predictions(self, seed, tmp_path, monkeypatch, solver_calls):
+        gen = bench_module("gen")
+        docs, preds, _ = gen.multispan_corpus(seed, 150)
+        (tmp_path / "gold.json").write_text(gen.dumps(docs), encoding="utf-8")
+        (tmp_path / "preds.json").write_text(gen.dumps(preds), encoding="utf-8")
+        predictions = read_predictions(tmp_path / "preds.json")
+        questions = [
+            (*predictions[gold.question_id], gold)
+            for _, gold in iter_questions(load_dataset(tmp_path / "gold.json"))
+        ]
+        scores = [score_question(*question) for question in questions]
+        # the corpus reaches the solver, and skips it for most questions
+        assert 0 < len(solver_calls) < len(questions) / 4
+        monkeypatch.setattr(evaluation, "drop_em_f1", reference_drop_em_f1)
+        assert scores == [score_question(*question) for question in questions]
+
+
+class TestSolverCalls:
+    def test_not_called_for_a_permuted_answer(self, solver_calls):
+        assert drop_em_f1(["tax", "net income", "1033"], ["1,033", "tax", "net income"]) == (1.0, 1.0)
+        assert solver_calls == []
+
+    @pytest.mark.parametrize(
+        "pred,gold",
+        [(["net income"], ["net", "income tax", "loss"]), (["net", "income tax", "loss"], ["net income"])],
+    )
+    def test_not_called_for_a_single_span_side(self, solver_calls, pred, gold):
+        assert drop_em_f1(pred, gold) == (0.0, 0.22)
+        assert align_spans_f1(pred, gold) == 2 / 3 / 3
+        assert solver_calls == []
+
+    def test_called_for_a_partial_answer(self, solver_calls):
+        assert drop_em_f1(["net income", "tax"], ["net", "income", "tax"]) == (0.0, 0.56)
+        assert solver_calls == [(3, 2)]
 
 
 # digits, money and number punctuation, both minus signs, letters with
