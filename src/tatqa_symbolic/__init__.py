@@ -7,7 +7,6 @@ from .corpus import (
     Paragraph,
     QuestionRecord,
     Table,
-    dump_dataset,
     iter_questions,
     load_dataset,
     scale_distribution,

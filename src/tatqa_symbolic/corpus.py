@@ -7,10 +7,10 @@ array of cell strings), its associated paragraphs (``uid``, ``order``,
 ``question``, ``answer``, ``derivation``, ``answer_type``,
 ``answer_from``, ``scale``).
 
-The loader is tolerant by default (unknown fields are preserved but
-ignored, shape oddities produce warnings) and pedantic under
-``strict=True`` (any deviation raises).  Loaded objects are immutable
-and safe to share across threads.
+The loader ignores unknown fields, strict or not.  It is tolerant by
+default (shape oddities produce warnings) and pedantic under
+``strict=True`` (any such deviation raises).  Loaded objects are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ from __future__ import annotations
 import json
 import logging
 from collections import defaultdict
-from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Union
 
 from .errors import DatasetParseError, DatasetValidationError, NumberTooLongError
-from .numerics import Scale, _decimal_places, json_decimal, parse_number, render_decimal
+from .numerics import Scale, json_decimal, parse_number, render_decimal
 
 logger = logging.getLogger(__name__)
 
@@ -111,7 +110,6 @@ class Paragraph:
     paragraph_id: str
     order: int
     text: str
-    extras: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,6 @@ class HybridContext:
     context_id: str
     table: Table
     paragraphs: tuple[Paragraph, ...]
-    extras: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,6 @@ class QuestionRecord:
     answer_source: str
     gold_scale: Scale
     derivation: str = ""
-    extras: dict = field(default_factory=dict, compare=False)
 
 
 Dataset = list[tuple[HybridContext, list[QuestionRecord]]]
@@ -153,19 +149,6 @@ def repeated_question_id(dataset: Dataset) -> str | None:
             return question.question_id
         seen.add(question.question_id)
     return None
-
-
-_KNOWN_DOC_FIELDS = {"table", "paragraphs", "questions"}
-_KNOWN_PARAGRAPH_FIELDS = {"uid", "order", "text"}
-_KNOWN_QUESTION_FIELDS = {
-    "uid",
-    "question",
-    "answer",
-    "derivation",
-    "answer_type",
-    "answer_from",
-    "scale",
-}
 
 
 def _coerce_answer(raw: Any) -> AnswerValue:
@@ -321,7 +304,6 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
                 paragraph_id=paragraph_id,
                 order=order,
                 text=str(raw_p.get("text", "")),
-                extras={k: v for k, v in raw_p.items() if k not in _KNOWN_PARAGRAPH_FIELDS},
             )
         )
     paragraphs.sort(key=lambda p: p.order)
@@ -336,7 +318,6 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
         context_id=context_id,
         table=table,
         paragraphs=tuple(paragraphs),
-        extras={k: v for k, v in doc.items() if k not in _KNOWN_DOC_FIELDS},
     )
 
 
@@ -390,7 +371,6 @@ def _parse_questions(
                 answer_source=answer_source,
                 gold_scale=gold_scale,
                 derivation=derivation,
-                extras={k: v for k, v in raw_q.items() if k not in _KNOWN_QUESTION_FIELDS},
             )
         )
     return questions
@@ -404,76 +384,6 @@ def render_answer(value: Any) -> str | list[str]:
     if isinstance(value, list):
         return [str(item) for item in value]
     return str(value)
-
-
-def _json_answer(answer: AnswerValue) -> Any:
-    if isinstance(answer, Fraction):
-        if answer.denominator == 1:
-            return int(answer)
-        # json prints the shortest float repr; use it only when that
-        # decimal text reconstructs the exact value (and a float can hold it)
-        with suppress(OverflowError):
-            candidate = float(answer)
-            if Fraction(Decimal(repr(candidate))) == answer:
-                return candidate
-        # a terminating decimal is written with all its places; only a
-        # repeating one is rounded, to 17
-        places = _decimal_places(answer.denominator)
-        if places is None:
-            return render_decimal(answer)
-        if places > NumberTooLongError.LIMIT:
-            raise NumberTooLongError(places)
-        return render_decimal(answer, places)
-    return answer
-
-
-class _ExtrasEncoder(json.JSONEncoder):
-    def default(self, o: Any) -> Any:  # pragma: no cover - exercised via dump
-        if isinstance(o, Decimal):
-            return float(o)
-        if isinstance(o, Fraction):
-            return render_decimal(o)
-        return super().default(o)
-
-
-def dump_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Serialize back to the release format (retained fields plus extras)."""
-    documents = []
-    for context, questions in dataset:
-        documents.append(
-            {
-                "table": {
-                    "uid": context.context_id,
-                    "table": [list(row) for row in context.table.texts],
-                },
-                "paragraphs": [
-                    {
-                        "uid": p.paragraph_id,
-                        "order": p.order,
-                        "text": p.text,
-                        **p.extras,
-                    }
-                    for p in context.paragraphs
-                ],
-                "questions": [
-                    {
-                        "uid": q.question_id,
-                        "question": q.text,
-                        "answer": _json_answer(q.answer),
-                        "derivation": q.derivation,
-                        "answer_type": q.answer_type,
-                        "answer_from": q.answer_source,
-                        "scale": q.gold_scale.word,
-                        **q.extras,
-                    }
-                    for q in questions
-                ],
-                **context.extras,
-            }
-        )
-    Path(path).write_text(
-        json.dumps(documents, indent=1, cls=_ExtrasEncoder), encoding="utf-8"
-    )
 
 
 # ---------------------------------------------------------------------------

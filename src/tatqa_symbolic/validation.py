@@ -69,9 +69,6 @@ class ValidationReport:
     def failures(self) -> list[DerivationCheck]:
         return [c for c in self.checks if c.status != CONSISTENT]
 
-    def consistent_ids(self) -> set[str]:
-        return {c.question_id for c in self.checks if c.status == CONSISTENT}
-
     def convention_counts(self) -> dict[str, int]:
         counts = {"face": 0, "scaled": 0, "both": 0}
         for check in self.checks:
@@ -191,8 +188,9 @@ EXPECTED_FIELDS = frozenset(
 def schema_deviations(path: str | Path) -> dict[str, list[str]]:
     """Field paths missing from, or extra to, the expected core schema.
 
-    Extra fields are informational (the loader preserves and ignores
-    them); missing expected fields usually mean a format revision.
+    Extra fields are informational (the loader ignores them, so this
+    report is where they show); missing expected fields usually mean a
+    format revision.
     """
     return field_deviations(read_json(path))
 

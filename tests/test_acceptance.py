@@ -45,7 +45,7 @@ from tatqa_symbolic.evaluation import (
 from tatqa_symbolic.evidence import TaggedSequence, context_units, decode_evidence
 from tatqa_symbolic.numerics import Scale
 from tatqa_symbolic.reasoning import PipelineConfig, answer_question, run_pipeline
-from tatqa_symbolic.validation import validate_dataset
+from tatqa_symbolic.validation import CONSISTENT, validate_dataset
 
 from test_evaluation import CONFORMANCE_VECTORS
 
@@ -157,7 +157,8 @@ def test_criterion_4_oracle_upper_bound():
     eval_report = evaluate(
         {qid: (p.value, p.scale) for qid, p in predictions.items()}, dev
     )
-    consistent = validate_dataset(dev).consistent_ids()
+    consistent = {check.question_id for check in validate_dataset(dev).checks
+                  if check.status == CONSISTENT}
     subset = [(qid, em) for qid, em, _ in eval_report.questions if qid in consistent]
     subset_em = 100.0 * sum(em for _, em in subset) / len(subset) if subset else 0.0
     above = eval_report.em > reference.LEARNED_DEV_EM

@@ -1150,6 +1150,63 @@ class TestExportSupervision:
         assert set(record) == {"question_id", "g_op", "g_scale", "g_order", "g_tag"}
 
 
+class TestUnknownFields:
+    """Unknown fields at every level change no output; only the schema
+    check lists them."""
+
+    ADDED = {
+        "$[].source_file",
+        "$[].table.caption",
+        "$[].paragraphs[].note",
+        "$[].paragraphs[].note.page",
+        "$[].questions[].facts",
+        "$[].questions[].mapping",
+        "$[].questions[].mapping.table",
+        "$[].questions[].req_comparison",
+    }
+
+    def outputs(self, docs, root, capsys, monkeypatch):
+        """Stdout and output bytes of each command, run in ``root`` on
+        ``docs`` under the same relative paths."""
+        root.mkdir()
+        monkeypatch.chdir(root)
+        with open("dataset.json", "w", encoding="utf-8") as handle:
+            json.dump(docs, handle)
+        capsys.readouterr()
+        results = {}
+        for argv in (("run", "--out", "preds.json"),
+                     ("eval", "--pred", "preds.json", "--out", "eval.json"),
+                     ("validate", "--out", "validate.json"),
+                     ("export-supervision", "--out", "labels.jsonl")):
+            assert run_cli(argv[0], "--dataset", "dataset.json", *argv[1:]) == 0
+            results[argv[0]] = capsys.readouterr().out
+        for name in ("preds.json", "eval.json", "validate.json", "labels.jsonl"):
+            with open(name, "rb") as handle:
+                results[name] = handle.read()
+        return results
+
+    def test_outputs_are_unchanged(self, tmp_path, capsys, monkeypatch):
+        noisy = json.loads(json.dumps(CORPUS_DOCS))
+        for doc in noisy:
+            doc["source_file"] = "10-K.pdf"
+            doc["table"]["caption"] = "In millions"
+            for paragraph in doc["paragraphs"]:
+                paragraph["note"] = {"page": 3}
+            for question in doc["questions"]:
+                question.update({"req_comparison": False, "facts": ["1.5", 2.25],
+                                 "mapping": {"table": [[1, 2]]}})
+        plain = self.outputs(CORPUS_DOCS, tmp_path / "plain", capsys, monkeypatch)
+        changed = self.outputs(noisy, tmp_path / "noisy", capsys, monkeypatch)
+
+        reports = [json.loads(outputs.pop("validate.json")) for outputs in (plain, changed)]
+        unexpected = [set(report["schema_deviations"].pop("unexpected")) for report in reports]
+        assert unexpected[1] == unexpected[0] | self.ADDED
+        assert reports[0] == reports[1]
+        for outputs in (plain, changed):  # the schema lines close the report
+            outputs["validate"] = outputs["validate"].partition("\nschema:")[0]
+        assert plain == changed
+
+
 def fresh_python(code, *argv):
     # the child finds the package wherever this process found it
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

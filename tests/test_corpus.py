@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,18 +9,18 @@ from oracles import reference_cell, reference_field_inventory
 from tatqa_symbolic.corpus import (
     AnswerSource,
     AnswerType,
-    dump_dataset,
     field_inventory,
     load_dataset,
+    parse_documents,
     read_json,
     scale_distribution,
     schema_report,
     split_stats,
     type_source_matrix,
 )
-from tatqa_symbolic.errors import DatasetParseError, DatasetValidationError, NumberTooLongError
-from tatqa_symbolic.evaluation import _as_fraction
+from tatqa_symbolic.errors import DatasetParseError, DatasetValidationError
 from tatqa_symbolic.numerics import Scale
+from tatqa_symbolic.validation import field_deviations
 
 
 class TestLoad:
@@ -56,10 +55,6 @@ class TestLoad:
     def test_paragraphs_sorted_by_order(self, contexts):
         orders = [p.order for p in contexts["ctx-revenue"].paragraphs]
         assert orders == sorted(orders)
-
-    def test_unknown_fields_preserved(self, questions):
-        _, question = questions["q-rev-span"]
-        assert question.extras.get("order") == 1
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -132,10 +127,13 @@ class TestLoad:
         with pytest.raises(DatasetParseError):
             load_dataset(path, strict=True)
 
-    def test_release_style_annotation_extras_round_trip(self, tmp_path):
-        # public release files carry annotation extras on questions
-        doc = json.loads(json.dumps(REVENUE_DOC))
-        doc["questions"][2].update(
+    @pytest.fixture
+    def decoded_with_unknowns(self, tmp_path):
+        """The raw JSON of REVENUE_DOC as it is ("plain") and with unknown
+        fields at every level ("noisy")."""
+        noisy = json.loads(json.dumps(REVENUE_DOC))
+        # public release files carry these annotations on questions
+        noisy["questions"][2].update(
             {
                 "req_comparison": False,
                 "facts": ["110,360", "5,134"],
@@ -143,16 +141,58 @@ class TestLoad:
                 "rel_paragraphs": [],
             }
         )
-        path = tmp_path / "extras.json"
-        path.write_text(json.dumps([doc]), encoding="utf-8")
-        dataset = load_dataset(path)
-        question = dataset[0][1][2]
-        assert question.extras["facts"] == ["110,360", "5,134"]
-        out = tmp_path / "extras-again.json"
-        dump_dataset(dataset, out)
-        again = load_dataset(out)
-        assert again[0][1][2].extras["mapping"] == {"table": [[7, 2], [6, 2]]}
-        assert load_dataset(out)[0][1] == dataset[0][1]
+        noisy["paragraphs"][0]["note"] = {"source": "annual report"}
+        noisy["table"]["caption"] = "Revenue by year"
+        noisy["source_file"] = "10-K.pdf"
+        decoded = {}
+        for name, doc in (("plain", REVENUE_DOC), ("noisy", noisy)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps([doc]), encoding="utf-8")
+            decoded[name] = read_json(path)
+        return decoded
+
+    def test_unknown_fields_are_ignored(self, decoded_with_unknowns):
+        """Unknown fields at every level leave the records as they are,
+        strict or not."""
+        decoded = decoded_with_unknowns
+        for strict in (False, True):
+            assert (parse_documents(decoded["noisy"], strict)
+                    == parse_documents(decoded["plain"], strict))
+
+    def test_unknown_fields_are_listed(self, decoded_with_unknowns):
+        """The schema check, which reads the raw JSON, is where unknown
+        fields show."""
+        decoded = decoded_with_unknowns
+        added = {
+            "$[].questions[].req_comparison",
+            "$[].questions[].facts",
+            "$[].questions[].mapping",
+            "$[].questions[].mapping.table",
+            "$[].questions[].rel_paragraphs",
+            "$[].paragraphs[].note",
+            "$[].paragraphs[].note.source",
+            "$[].table.caption",
+            "$[].source_file",
+        }
+        unexpected = field_deviations(decoded["noisy"])["unexpected"]
+        assert set(unexpected) == set(field_deviations(decoded["plain"])["unexpected"]) | added
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            pytest.param("1" + "0" * 400 + ".5", id="past-a-floats-range"),
+            pytest.param("0.10000000000000000000001", id="23-places"),
+            pytest.param("-2.000000000000000000005", id="21-places-negative"),
+            pytest.param("1" * 30 + "." + "0" * 40 + "1", id="41-places"),
+        ],
+    )
+    def test_answer_literal_loads_exactly(self, tmp_path, literal):
+        """An answer no float holds loads as the exact value of its literal."""
+        text = json.dumps([REVENUE_DOC]).replace('"answer": 105226', f'"answer": {literal}')
+        path = tmp_path / "exact.json"
+        path.write_text(text, encoding="utf-8")
+        (answer,) = [q.answer for q in load_dataset(path)[0][1] if q.question_id == "q-rev-diff"]
+        assert answer == Fraction(literal)
 
     def test_strict_rejects_ragged_table(self, tmp_path):
         doc = json.loads(json.dumps(REVENUE_DOC))
@@ -163,66 +203,6 @@ class TestLoad:
         assert padded[0][0].table.texts[2][3] == ""
         with pytest.raises(DatasetParseError):
             load_dataset(path, strict=True)
-
-
-class TestRoundTrip:
-    def test_load_dump_load_identity(self, corpus, tmp_path):
-        path = tmp_path / "again.json"
-        dump_dataset(corpus, path)
-        again = load_dataset(path)
-        assert len(again) == len(corpus)
-        for (ctx_a, qs_a), (ctx_b, qs_b) in zip(corpus, again):
-            assert ctx_a == ctx_b
-            assert qs_a == qs_b
-
-    def test_answer_past_a_floats_range(self, tmp_path):
-        """A non-integer answer no float can hold is written as its plain
-        decimal, and reads back as the same value."""
-        literal = "1" + "0" * 400 + ".5"
-        text = json.dumps([REVENUE_DOC]).replace('"answer": 105226', f'"answer": {literal}')
-        path = tmp_path / "huge.json"
-        path.write_text(text, encoding="utf-8")
-        dataset = load_dataset(path)
-        (answer,) = [q.answer for q in dataset[0][1] if q.question_id == "q-rev-diff"]
-        assert answer == Fraction(literal)
-        out = tmp_path / "again.json"
-        dump_dataset(dataset, out)
-        (again,) = [q.answer for q in load_dataset(out)[0][1] if q.question_id == "q-rev-diff"]
-        assert _as_fraction(again) == answer
-
-    @pytest.mark.parametrize("literal", ["0.10000000000000000000001", "-2.000000000000000000005",
-                                         "1" * 30 + "." + "0" * 40 + "1"])
-    def test_answer_past_17_places_keeps_every_place(self, tmp_path, literal):
-        """A terminating answer that no float holds is written with all
-        its places, not rounded to 17."""
-        text = json.dumps([REVENUE_DOC]).replace('"answer": 105226', f'"answer": {literal}')
-        path = tmp_path / "long.json"
-        path.write_text(text, encoding="utf-8")
-        out = tmp_path / "again.json"
-        dump_dataset(load_dataset(path), out)
-        (again,) = [q.answer for q in load_dataset(out)[0][1] if q.question_id == "q-rev-diff"]
-        assert _as_fraction(again) == Fraction(literal)
-
-    def test_repeating_answer_is_rounded_to_17_places(self, tmp_path):
-        path = tmp_path / "revenue.json"
-        path.write_text(json.dumps([REVENUE_DOC]), encoding="utf-8")
-        ((context, questions),) = load_dataset(path)
-        third = [replace(q, answer=Fraction(-1, 3)) if q.question_id == "q-rev-diff" else q
-                 for q in questions]
-        out = tmp_path / "again.json"
-        dump_dataset([(context, third)], out)
-        (again,) = [q.answer for q in load_dataset(out)[0][1] if q.question_id == "q-rev-diff"]
-        assert again == "-0.33333333333333333"
-
-    def test_answer_past_the_digit_limit_is_refused(self, tmp_path):
-        """An answer whose places no reader takes is refused, not rounded."""
-        path = tmp_path / "revenue.json"
-        path.write_text(json.dumps([REVENUE_DOC]), encoding="utf-8")
-        ((context, questions),) = load_dataset(path)
-        long = Fraction(10**4301 - 1, 10**4301)
-        questions = [replace(q, answer=long) for q in questions]
-        with pytest.raises(NumberTooLongError, match="value has 4301 digits"):
-            dump_dataset([(context, questions)], tmp_path / "again.json")
 
 
 class TestStats:
