@@ -27,6 +27,7 @@ from .corpus import (
     schema_report,
     split_stats,
     type_source_matrix,
+    write_json,
 )
 from .derivation import Operator, operator_distribution
 from .errors import PipelineError
@@ -52,7 +53,11 @@ from .validation import field_deviations, format_validation, validate_dataset
 
 
 def _add_strict_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strict", action="store_true", help="fail on any schema deviation")
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail on any shape deviation; unknown fields are ignored",
+    )
 
 
 def _add_dataset_arg(parser: argparse.ArgumentParser) -> None:
@@ -206,7 +211,7 @@ def cmd_validate(args) -> int:
                 for qid, missing in report.unlocatable
             ],
         }
-        Path(args.out).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+        write_json(args.out, payload)
     print(format_validation(report))
     print()
     print(f"schema: {len(deviations['missing'])} expected field(s) missing, "
@@ -360,7 +365,7 @@ def cmd_eval(args) -> int:
             ],
             "missing": report.missing,
         }
-        Path(args.out).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+        write_json(args.out, payload)
     print(f"EM {report.em:.1f}  F1 {report.f1:.1f}  ({report.overall.n} questions)")
     if report.missing:
         print(f"missing predictions for {len(report.missing)} question(s), scored 0")
@@ -394,7 +399,7 @@ def cmd_ablate(args) -> int:
                 row.add(0.0, 0.0)
         rows.append({"row": f"+ {Operator.LABELS[newest]}", "em": row.em, "f1": row.f1})
     if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=1), encoding="utf-8")
+        write_json(args.out, rows)
     print(f"{'enabled operators':<22}{'EM':>8}{'F1':>8}")
     for row in rows:
         print(f"{row['row']:<22}{row['em']:>8.1f}{row['f1']:>8.1f}")

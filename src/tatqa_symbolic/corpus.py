@@ -9,8 +9,10 @@ array of cell strings), its associated paragraphs (``uid``, ``order``,
 
 The loader ignores unknown fields, strict or not.  It is tolerant by
 default (shape oddities produce warnings) and pedantic under
-``strict=True`` (any such deviation raises).  Loaded objects are
-immutable and safe to share across threads.
+``strict=True`` (any such deviation raises).  Loaded records are frozen
+dataclasses, with one exception: a span answer is a ``list`` of strings,
+which a caller could mutate in place.  No code in this package does, so
+loaded records are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator, Union
 
@@ -194,13 +197,86 @@ def read_json(path: str | Path, **hooks) -> Any:
     return raw
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _all_scalars(values) -> bool:
+    return _SCALAR_TYPES.issuperset(map(type, values))
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """Write ``payload`` to ``path`` as exactly the text of
+    ``json.dumps(payload, indent=1)``: the one writer of indented reports.
+
+    ``json.dumps`` takes its pure-Python encoder whenever ``indent`` is
+    set.  Here the C encoder writes each container whose children are all
+    scalars in one call, with the newline and indent in its item separator,
+    and a list of non-empty such dicts in one call and one ``str.replace``.
+    The replace is exact because an encoded string escapes every newline,
+    so a raw newline is only ever a separator.  The text is built whole
+    before the file is opened, and written in one call.
+    """
+    encoders: dict[int, json.JSONEncoder] = {}
+    pieces: list[str] = []
+
+    def encode(value, depth: int) -> str:
+        # depth: the indent of the value's items, in spaces
+        encoder = encoders.get(depth)
+        if encoder is None:
+            encoder = encoders[depth] = json.JSONEncoder(
+                separators=(",\n" + " " * depth, ": "), check_circular=False
+            )
+        return encoder.encode(value)
+
+    def key_text(key) -> str:
+        if isinstance(key, str):
+            return encode(key, 0)
+        if key is None or isinstance(key, (int, float)):
+            return encode(encode(key, 0), 0)  # a scalar key is written as its quoted JSON text
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+    def emit(value, depth: int) -> None:
+        is_dict = isinstance(value, dict)
+        if not (is_dict or isinstance(value, (list, tuple))) or not value:
+            pieces.append(encode(value, depth))  # a scalar, "{}" or "[]"
+            return
+        pad = "\n" + " " * depth
+        close = pad[:-1] + ("}" if is_dict else "]")
+        if _all_scalars(value.values() if is_dict else value):
+            text = encode(value, depth)
+            pieces.extend((text[0], pad, text[1:-1], close))
+        elif (
+            not is_dict
+            and all(type(row) is dict and row for row in value)
+            and _all_scalars(chain.from_iterable(map(dict.values, value)))
+        ):
+            inner = pad + " "
+            rows = encode(value, depth + 1)[2:-2].replace("}," + inner + "{",
+                                                           pad + "}," + pad + "{" + inner)
+            pieces.extend(("[", pad, "{", inner, rows, pad, "}", close))
+        else:
+            separator = "," + pad
+            if is_dict:
+                for i, (key, child) in enumerate(value.items()):
+                    pieces.extend((separator if i else "{" + pad, key_text(key), ": "))
+                    emit(child, depth + 1)
+            else:
+                for i, child in enumerate(value):
+                    pieces.append(separator if i else "[" + pad)
+                    emit(child, depth + 1)
+            pieces.append(close)
+
+    emit(payload, 1)
+    Path(path).write_text("".join(pieces), encoding="utf-8")
+
+
 def load_dataset(path: str | Path, strict: bool = False) -> Dataset:
-    """Load a dataset file into validated, immutable records."""
+    """Load a dataset file into validated, frozen records."""
     return parse_documents(read_json(path), strict)
 
 
 def parse_documents(raw: Any, strict: bool = False) -> Dataset:
-    """Build validated, immutable records from decoded documents
+    """Build validated, frozen records from decoded documents
     (:func:`read_json`).
 
     In tolerant mode (the default) recoverable deviations are logged as

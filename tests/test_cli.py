@@ -1206,6 +1206,17 @@ class TestUnknownFields:
             outputs["validate"] = outputs["validate"].partition("\nschema:")[0]
         assert plain == changed
 
+    def test_strict_commands_ignore_them(self, tmp_path):
+        """``--strict`` fails on shape deviations, not on unknown fields."""
+        noisy = json.loads(json.dumps(CORPUS_DOCS))
+        noisy[0]["source_file"] = "10-K.pdf"
+        noisy[0]["questions"][0]["facts"] = ["1.5"]
+        dataset, preds = tmp_path / "dataset.json", tmp_path / "preds.json"
+        dataset.write_text(json.dumps(noisy), encoding="utf-8")
+        assert run_cli("run", "--dataset", dataset, "--out", preds) == 0
+        assert run_cli("eval", "--strict", "--dataset", dataset, "--pred", preds) == 0
+        assert run_cli("validate", "--strict", "--dataset", dataset) == 0
+
 
 def fresh_python(code, *argv):
     # the child finds the package wherever this process found it
@@ -1270,8 +1281,9 @@ class TestWithoutNumpyOrScipy:
 
 class TestHashSeedIndependence:
     """Outputs do not depend on the string hash seed: ``eval --out`` on a
-    multispan corpus and ``validate --out`` on a sparse one give the same
-    bytes, stdout included, in interpreters started under two seeds."""
+    multispan corpus, ``validate --out`` on a sparse one and ``ablate
+    --out`` on a dense one give the same bytes, stdout included, in
+    interpreters started under two seeds."""
 
     CODE = (
         "import sys\n"
@@ -1281,24 +1293,44 @@ class TestHashSeedIndependence:
         " '--out', root + '/eval.json']) == 0\n"
         "assert main(['validate', '--dataset', sparse, '--out', root + '/validate.json']) == 0\n"
     )
+    ABLATE_CODE = (
+        "import sys\n"
+        "from tatqa_symbolic.cli import main\n"
+        "dense, root = sys.argv[1:]\n"
+        "assert main(['ablate', '--dataset', dense, '--out', root + '/ablate.json']) == 0\n"
+    )
 
-    def test_eval_and_validate(self, tmp_path):
-        gen = bench_module("gen")
-        multispan, preds, _ = gen.multispan_corpus(11, 150)
-        sparse, _ = gen.sparse_corpus(11, 300)
-        inputs = {"multispan.json": multispan, "preds.json": preds, "sparse.json": sparse}
+    @staticmethod
+    def outputs_under_seeds(tmp_path, code, inputs: dict) -> dict:
+        """Stdout and every file the code writes, per hash seed."""
         for name, payload in inputs.items():
-            (tmp_path / name).write_text(gen.dumps(payload), encoding="utf-8")
+            (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
         outputs = {}
         for seed in ("0", "12345"):
             root = tmp_path / f"seed-{seed}"
             root.mkdir()
             env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": seed}
             result = subprocess.run(
-                [sys.executable, "-c", self.CODE, *(str(tmp_path / name) for name in inputs), root],
+                [sys.executable, "-c", code, *(str(tmp_path / name) for name in inputs), root],
                 capture_output=True, timeout=120, env=env,
             )
             assert result.returncode == 0, result.stderr
             outputs[seed] = (result.stdout, *(path.read_bytes() for path in sorted(root.iterdir())))
+        return outputs
+
+    def test_eval_and_validate(self, tmp_path):
+        gen = bench_module("gen")
+        multispan, preds, _ = gen.multispan_corpus(11, 150)
+        sparse, _ = gen.sparse_corpus(11, 300)
+        outputs = self.outputs_under_seeds(
+            tmp_path, self.CODE,
+            {"multispan.json": multispan, "preds.json": preds, "sparse.json": sparse},
+        )
         assert len(outputs["0"]) == 3
+        assert outputs["0"] == outputs["12345"]
+
+    def test_ablate(self, tmp_path):
+        dense, _ = bench_module("gen").dense_corpus(11, 40)
+        outputs = self.outputs_under_seeds(tmp_path, self.ABLATE_CODE, {"dense.json": dense})
+        assert len(outputs["0"]) == 2
         assert outputs["0"] == outputs["12345"]

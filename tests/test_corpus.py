@@ -1,11 +1,15 @@
 import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REVENUE_DOC, bench_module
 from oracles import reference_cell, reference_field_inventory
+from tatqa_symbolic import cli, corpus
 from tatqa_symbolic.corpus import (
     AnswerSource,
     AnswerType,
@@ -17,6 +21,7 @@ from tatqa_symbolic.corpus import (
     schema_report,
     split_stats,
     type_source_matrix,
+    write_json,
 )
 from tatqa_symbolic.errors import DatasetParseError, DatasetValidationError
 from tatqa_symbolic.numerics import Scale
@@ -325,3 +330,83 @@ class TestFieldInventory:
             path.write_text(gen.dumps(payload), encoding="utf-8")
             raw = read_json(path)
             assert field_inventory(raw) == reference_field_inventory(raw)
+
+
+# Strings that look like the separators and brackets write_json relies on,
+# escapes and non-ASCII text.
+_TRICKY_TEXT = st.sampled_from(
+    ["}", "{", "},\n", "},\n {", "},\n  {", "],", ": [", '": ["', "\n", " \n ", "\\n", "\\",
+     '"', "caf\u00e9", "\u20ac 1,234", "\U0001f600", "\u2028", ""]
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and both infinities included
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]),
+    st.text(max_size=8),
+    _TRICKY_TEXT,
+)
+_KEYS = st.one_of(st.text(max_size=6), _TRICKY_TEXT, st.integers(), st.floats(), st.booleans(),
+                  st.none())
+_RECORD = st.dictionaries(_KEYS, _SCALARS, min_size=1, max_size=4)
+# lists of flat, non-empty records, as the reports hold, with {} and
+# dict subclasses mixed in
+_RECORDS = st.lists(st.one_of(_RECORD, _RECORD.map(_Record), st.just({})), max_size=5)
+_EMPTY = st.sampled_from([[], {}, (), _Record()])
+_JSON_TREES = st.recursive(
+    st.one_of(_SCALARS, _EMPTY, _RECORD, _RECORDS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4).map(_Record),
+    ),
+    max_leaves=20,
+)
+
+
+class TestWriteJson:
+    """``write_json`` writes exactly the text of ``json.dumps(v, indent=1)``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tree=_JSON_TREES)
+    def test_matches_json_dumps(self, tree, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "write_json.json"
+        write_json(path, tree)
+        assert path.read_bytes() == json.dumps(tree, indent=1).encode("utf-8")
+
+    @pytest.mark.parametrize("payload", [
+        [1, Decimal("1.5")],
+        {"a": [{"b": 1}, {"b": Fraction(1, 3)}]},
+        {"a": [[1]], (1, 2): [[1]]},
+        [{"a": 1}, {"a": 2, (3,): 4}],
+    ], ids=["value", "value-in-record", "key", "key-in-record"])
+    def test_what_json_dumps_refuses_it_refuses(self, payload, tmp_path):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=1)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "refused.json", payload)
+
+    @pytest.mark.parametrize("command", ["eval", "validate", "ablate"])
+    def test_reports_of_the_fixture_corpus(self, command, corpus_path, tmp_path, monkeypatch,
+                                           capsys):
+        written = []
+
+        def spy(path, payload):
+            written.append(payload)
+            corpus.write_json(path, payload)
+
+        monkeypatch.setattr(cli, "write_json", spy)
+        argv = [command, "--dataset", str(corpus_path), "--out", str(tmp_path / "report.json")]
+        if command == "eval":
+            preds = tmp_path / "preds.json"
+            assert cli.main(["run", "--dataset", str(corpus_path), "--out", str(preds)]) == 0
+            argv += ["--pred", str(preds)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        [payload] = written
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert text == json.dumps(payload, indent=1)
+        # each report holds a list of records, the path that rewrites separators
+        assert text.count("},\n") >= 2
