@@ -308,10 +308,7 @@ def _trace_payload(question_id: str, prediction) -> dict:
         "operator": trace.operator,
         "order_flag": trace.order_flag,
         "scale": trace.scale.word,
-        "candidates": [
-            {"text": text, "probability": probability, "origin": origin}
-            for text, probability, origin in trace.candidates
-        ],
+        "candidates": trace.candidates,
         "raw_value": trace.raw_value,
         "answer": prediction.display(),
         "note": trace.note,

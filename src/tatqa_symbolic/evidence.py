@@ -11,8 +11,9 @@ A tagged sequence is built from a question, its context and one
 probability per unit.  It holds the question's words, the probabilities
 and the context's layout: the unit texts after the question, and one
 segment (positions, and a cell's row, column and text) per non-empty
-cell and per paragraph.  Decoding builds an origin only for a candidate
-it emits.
+cell and per paragraph.  Decoding builds a cell's origin once per
+context, on the cell's first decode, and keeps it on the layout; it
+builds a span's origin once per candidate.
 
 An origin names a paragraph by its index in ``context.paragraphs``, so
 paragraphs that share a uid are never mixed; the uid is read only where
@@ -45,7 +46,7 @@ from functools import cached_property
 from itertools import chain, compress, product, repeat
 from operator import lt
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .corpus import (
     AnswerSource,
@@ -140,15 +141,17 @@ class _ParagraphSegment:
 
 
 class _Layout:
-    """Unit texts and segments, the segment owning each position, and the
+    """Unit texts and segments, the segment owning each position, the
     context's cell numbers by text (``_parsed``), which a cell segment's
-    number is read from."""
+    number is read from, and each cell decoded so far as (origin, number)
+    under its segment's first position."""
 
-    __slots__ = ("texts", "cells", "paragraphs", "owners", "numbers")
+    __slots__ = ("texts", "cells", "paragraphs", "owners", "numbers", "decoded")
 
     def __init__(self, texts: tuple[str, ...], cells: tuple, paragraphs: tuple, numbers: dict):
         self.texts, self.cells, self.paragraphs = texts, cells, paragraphs
         self.numbers = numbers
+        self.decoded: dict[int, tuple[CellOrigin, Fraction | None]] = {}
         # the segments are in position order and cover every position
         self.owners = tuple(
             chain.from_iterable(repeat(s, len(s.positions)) for s in cells + paragraphs)
@@ -228,8 +231,7 @@ class SpanOrigin:
 CandidateOrigin = Union[CellOrigin, SpanOrigin]
 
 
-@dataclass(frozen=True)
-class EvidenceCandidate:
+class EvidenceCandidate(NamedTuple):
     """A decoded cell or span; ``numeric`` is its text's face value or None."""
 
     text: str
@@ -465,7 +467,8 @@ def decode_evidence(tags: TaggedSequence, threshold: float = 0.5) -> list[Eviden
     text parses as a single number.  Question words are never evidence.
     """
     probabilities = tags.probabilities
-    texts, owners, numbers = tags.layout.texts, tags.layout.owners, tags.layout.numbers
+    layout = tags.layout
+    texts, owners, decoded = layout.texts, layout.owners, layout.decoded
     offset = len(tags.words)  # layout position 0 in the sequence
     positive = compress(range(len(probabilities)), map(lt, repeat(threshold), probabilities))
     candidates: list[EvidenceCandidate] = []
@@ -480,9 +483,13 @@ def decode_evidence(tags: TaggedSequence, threshold: float = 0.5) -> list[Eviden
         # the maximum over the candidate's positive units
         if type(segment) is _CellSegment:
             stop = end
-            origin: CandidateOrigin = CellOrigin(segment.row, segment.col)
             text, start = segment.text, first
-            numeric = _parsed(numbers, text)  # parsed on its first decode in the context
+            cell = decoded.get(segment.positions.start)
+            if cell is None:  # its first decode in the context
+                cell = decoded[segment.positions.start] = (
+                    CellOrigin(segment.row, segment.col), _parsed(layout.numbers, text)
+                )
+            origin, numeric = cell
         else:
             stop = index + 1
             while stop < end and probabilities[stop] > threshold:
@@ -746,12 +753,12 @@ _STOPWORDS = frozenset(
     do does did done what which when where who whom whose how why much many and
     or not than that this these those it its their there between during per each
     have has had having will would can could should may might must s""".split()
-    + [""]  # a word of punctuation alone
 )
 
-# each whitespace-separated word from its first to its last word character;
-# that core matches one way only, so a long word is read in linear time
-_WORD_RE = re.compile(r"(?<!\S)[^\w\s]*(\w(?:\S*\w)?)?[^\w\s]*(?!\S)")
+# each whitespace-separated word from its first to its last word character.
+# A match that starts always succeeds, and ``\S*`` cannot cross whitespace,
+# so each word is scanned once and backtracked over once: linear time
+_WORD_RE = re.compile(r"\w(?:\S*\w)?")
 
 
 def _content_words(text: str) -> frozenset[str]:

@@ -212,19 +212,22 @@ def round_fraction(value: Fraction | int, places: int) -> Fraction:
 _UNWRITABLE = 10**NumberTooLongError.LIMIT
 
 
-def render_decimal(value: Fraction | int, max_places: int = 17) -> str:
+_RENDER_PLACES = 17  # the most decimal places ``render_decimal`` writes
+
+
+def render_decimal(value: Fraction | int) -> str:
     """Render an exact value as a plain decimal string.
 
-    Terminating decimals within ``max_places`` render exactly; anything
-    longer (repeating expansions) is rounded half to even, in integers, to
-    ``max_places`` places.  Trailing zeros are stripped, and a value that
-    rounds to zero renders as "0", never "-0".  A whole part of more than
-    4,300 digits raises ``NumberTooLongError``.
+    Terminating decimals within ``_RENDER_PLACES`` (17) places render
+    exactly; anything longer (repeating expansions) is rounded half to
+    even, in integers, to 17 places.  Trailing zeros are stripped, and a
+    value that rounds to zero renders as "0", never "-0".  A whole part of
+    more than 4,300 digits raises ``NumberTooLongError``.
     """
-    units = _round_half_even(value.numerator, value.denominator, max_places)
-    whole, places = divmod(abs(units), 10**max_places)
+    units = _round_half_even(value.numerator, value.denominator, _RENDER_PLACES)
+    whole, places = divmod(abs(units), 10**_RENDER_PLACES)
     if whole >= _UNWRITABLE:
         raise NumberTooLongError(Decimal(whole).adjusted() + 1)
     sign = "-" if units < 0 else ""
-    frac_part = str(places).rjust(max_places, "0").rstrip("0")
+    frac_part = str(places).rjust(_RENDER_PLACES, "0").rstrip("0")
     return f"{sign}{whole}.{frac_part}" if frac_part else f"{sign}{whole}"

@@ -13,7 +13,7 @@ be verified without any learned model.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Protocol
@@ -77,12 +77,14 @@ class ScalePredictor(Protocol):
 
 @dataclass(frozen=True)
 class PredictionTrace:
-    """What the pipeline did for one question, for explainability."""
+    """What the pipeline did for one question, for explainability;
+    ``candidates`` holds the rows written to the trace file, one
+    ``{"text", "probability", "origin"}`` dict per decoded candidate."""
 
     operator: str | None = None
     order_flag: int | None = None
     scale: Scale = Scale.NONE
-    candidates: tuple = ()
+    candidates: list | tuple = ()
     raw_value: str | None = None
     note: str | None = None
 
@@ -329,10 +331,11 @@ class HeuristicScale:
             return Scale.PERCENT
 
         index = _context_index(context)
+        scale = index.header_scale
+        if scale is not None and any(isinstance(c.origin, CellOrigin) for c in candidates):
+            return scale
         ordered = sorted(candidates, key=_rank)
         cells = [c.origin for c in ordered if isinstance(c.origin, CellOrigin)]
-        if cells and index.header_scale is not None:
-            return index.header_scale
         grid = index.cell_scales
         for origin in cells:  # the column above the cell, then the row left of it
             above = (grid[r][origin.col] for r in range(origin.row))
@@ -354,11 +357,13 @@ class HeuristicScale:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_summary(candidates: list[EvidenceCandidate], context: HybridContext) -> tuple:
-    return tuple(
-        (c.text, round(c.probability, 6), origin_to_json(c.origin, context))
+def _candidate_summary(candidates: list[EvidenceCandidate], context: HybridContext) -> list:
+    """The trace file's row for each candidate."""
+    return [
+        {"text": c.text, "probability": round(c.probability, 6),
+         "origin": origin_to_json(c.origin, context)}
         for c in candidates
-    )
+    ]
 
 
 def answer_question(
@@ -380,16 +385,11 @@ def answer_question(
     candidates = decode_evidence(tags, threshold)
     operator = op_predictor.predict(question, context, candidates)
 
-    trace = PredictionTrace(
-        operator=operator,
-        candidates=_candidate_summary(candidates, context),
-    )
     if operator == Operator.OTHER:
-        return Prediction(
-            value="",
-            scale=Scale.NONE,
-            trace=replace(trace, note="abstained: unsupported operator"),
-        )
+        note = "abstained: unsupported operator"
+        summary = _candidate_summary(candidates, context)
+        trace = PredictionTrace(operator=operator, candidates=summary, note=note)
+        return Prediction(value="", scale=Scale.NONE, trace=trace)
 
     order_flag: int | None = None
     if operator in ORDER_SENSITIVE:
@@ -402,10 +402,11 @@ def answer_question(
         # percent scale the face value is the fraction over the factor
         raw = raw / Scale.PERCENT.factor
 
-    trace = replace(
-        trace,
+    trace = PredictionTrace(
+        operator=operator,
         order_flag=order_flag,
         scale=scale,
+        candidates=_candidate_summary(candidates, context),
         raw_value=render_decimal(raw) if isinstance(raw, (int, Fraction)) else str(raw),
     )
     return assemble_prediction(raw, scale, trace)

@@ -627,6 +627,33 @@ def reference_heuristic_scale(question, context, candidates):
     return Scale.NONE
 
 
+def reference_sorted_heuristic_scale(question, context, candidates):
+    """``HeuristicScale().predict`` as it ran when it sorted the candidates
+    before it looked for a header scale."""
+    if _REFERENCE_PERCENT_CUE_RE.search(question.text):
+        return Scale.PERCENT
+
+    index = ev._context_index(context)
+    ordered = sorted(candidates, key=lambda c: (-c.probability, c.position))
+    cells = [c.origin for c in ordered if isinstance(c.origin, ev.CellOrigin)]
+    if cells and index.header_scale is not None:
+        return index.header_scale
+    grid = index.cell_scales
+    for origin in cells:  # the column above the cell, then the row left of it
+        above = (grid[r][origin.col] for r in range(origin.row))
+        scale = next(filter(None, itertools.chain(above, grid[origin.row][: origin.col])), None)
+        if scale is not None:
+            return scale
+
+    for candidate in ordered:
+        if isinstance(candidate.origin, ev.SpanOrigin):
+            words = index.paragraphs[candidate.origin.paragraph].scale_words
+            if words:  # the nearest, the first of a tie
+                start = candidate.origin.start
+                return min(words, key=lambda word: abs(word[0] - start))[1]
+    return Scale.NONE
+
+
 # ---------------------------------------------------------------------------
 # Evidence decoding, unit by unit, as it ran before it started from the
 # positive units

@@ -23,6 +23,7 @@ from oracles import (
     reference_context_units,
     reference_decode,
     reference_heuristic_scale,
+    reference_sorted_heuristic_scale,
     reference_lexical_tags,
     reference_oracle_tags,
     reference_supervision,
@@ -431,6 +432,37 @@ def test_heuristic_scale_matches_the_reference_on_decoded_candidates(
     assert len(scales) >= (2 if corpus_index is None else 4)
 
 
+@pytest.fixture(scope="module")
+def scale_pools(dataset, generated):
+    """(question, context, candidates) per question of the fixture corpus
+    and a dense one, the candidates decoded from lexical tags at two
+    thresholds."""
+    pools = []
+    for corpus in (dataset, generated[0]):
+        for context, question in iter_questions(corpus):
+            tags = LexicalTagger().tag(question, context)
+            pool = dict.fromkeys(c for t in (0.02, 0.05) for c in decode_evidence(tags, t))
+            pools.append((question, context, list(pool)))
+    return pools
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_heuristic_scale_matches_the_sort_first_reference(scale_pools, data):
+    """Returning the header scale before sorting, when any candidate is a
+    cell, picks what sorting first picked, for any subset of a question's
+    candidates at any probabilities, ties included."""
+    question, context, pool = data.draw(st.sampled_from(scale_pools))
+    picked = data.draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+    candidates = [
+        EvidenceCandidate(c.text, data.draw(st.sampled_from((0.1, 0.5, 0.9))), c.origin,
+                          c.numeric, c.position)
+        for c in picked
+    ]
+    expected = reference_sorted_heuristic_scale(question, context, candidates)
+    assert HeuristicScale().predict(question, context, candidates) is expected
+
+
 def test_lexical_run_reads_each_scale_word_once_per_context(dataset, generated, monkeypatch):
     """``HeuristicScale`` reads a context's scale words from its index: a
     cell's text and a paragraph word are scanned at most once per
@@ -474,6 +506,36 @@ def test_run_makes_no_units_and_one_layout_per_context(dataset, generated, monke
     # the counters count: the units view makes units
     context, questions = generated[0][0]
     assert len(LexicalTagger().tag(questions[0], context).units) == len(units)
+
+
+def test_lexical_run_builds_one_origin_per_decoded_cell_per_context(
+    dataset, generated, monkeypatch
+):
+    """Decoding keeps a cell's origin on its context's layout: a lexical
+    run builds one ``CellOrigin`` per cell it decodes in a context, however
+    many questions decode that cell."""
+    built, decoded = Counter(), []
+    real_init, real_decode = CellOrigin.__init__, reasoning.decode_evidence
+
+    def init(self, row, col):
+        built[id(evidence._current_index.context), row, col] += 1
+        real_init(self, row, col)
+
+    def decode(tags, threshold):
+        candidates = real_decode(tags, threshold)
+        context = id(evidence._current_index.context)
+        decoded.extend((context, c.origin.row, c.origin.col)
+                       for c in candidates if isinstance(c.origin, CellOrigin))
+        return candidates
+
+    monkeypatch.setattr(CellOrigin, "__init__", init)
+    monkeypatch.setattr(reasoning, "decode_evidence", decode)
+    monkeypatch.setattr(evidence, "_current_index", None)
+    for corpus in [dataset, *generated]:
+        run_pipeline(corpus, LEXICAL)
+    assert set(built.values()) == {1}
+    assert set(built) == set(decoded)
+    assert len(decoded) > 2 * len(built)  # most decodes reuse an origin
 
 
 def test_shared_taggers_agree_across_threads(dataset):

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from tatqa_symbolic.errors import UnlocatableEvidenceError
 from tatqa_symbolic.evidence import (
     CellOrigin,
     CellWord,
+    EvidenceCandidate,
     LexicalTagger,
     OracleTagger,
     SpanOrigin,
@@ -56,6 +58,18 @@ class TestDecode:
         assert candidate.origin == CellOrigin(5, 0)
         assert candidate.text == "Enterprise Services"
         assert candidate.probability == 0.8
+
+    def test_a_cell_decodes_to_one_origin_per_context(self):
+        """Questions of any length over one context share a decoded
+        cell's origin object."""
+        short, context = word_inputs(["How", "much?"], table=[[["Revenue"], ["5,134"]]])
+        longer = replace(short, text="How much was it?")
+        first, second = (
+            decode_evidence(TaggedSequence(q, context, [0.0] * len(q.text.split()) + [0.0, 1.0]))
+            for q in (short, longer)
+        )
+        assert [c.origin for c in first] == [c.origin for c in second] == [CellOrigin(0, 1)]
+        assert first[0].origin is second[0].origin
 
     def test_question_units_never_candidates(self):
         tags = tagged([1.0, 0.0], question=["revenue"], paragraphs=[("p1", ["revenue"])])
@@ -110,6 +124,29 @@ class TestDecode:
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
                 tagged(probabilities, **words)
+
+
+class TestEvidenceCandidate:
+    FIELDS = ("text", "probability", "origin", "numeric", "position")
+    VALUES = ("5,134", 0.5, CellOrigin(2, 1), Fraction(5134), 7)
+
+    def test_fields_repr_and_hash(self):
+        candidate = EvidenceCandidate(*self.VALUES)
+        assert tuple(EvidenceCandidate.__annotations__) == self.FIELDS
+        assert tuple(getattr(candidate, name) for name in self.FIELDS) == self.VALUES
+        assert repr(candidate) == (
+            "EvidenceCandidate(text='5,134', probability=0.5, origin=CellOrigin(row=2, col=1), "
+            "numeric=Fraction(5134, 1), position=7)"
+        )
+        assert hash(candidate) == hash(self.VALUES)
+        assert candidate == EvidenceCandidate(*self.VALUES)
+        assert candidate != EvidenceCandidate(*self.VALUES[:4], 8)
+
+    def test_is_immutable(self):
+        candidate = EvidenceCandidate(*self.VALUES)
+        with pytest.raises(AttributeError):
+            candidate.probability = 1.0
+        assert candidate.probability == 0.5
 
 
 class TestSupervision:

@@ -1,0 +1,71 @@
+"""The bytes of the files a user keeps, pinned by their sha256.
+
+``run`` writes a predictions file and a trace file, and ``eval --out``
+a report; each is digested as written, not as decoded JSON, so a change
+of spacing, key order or number form fails here as surely as a changed
+answer.  Both configs run with one worker on the fixture corpus and on
+the seed-7 dense corpus of ``bench/gen.py``.  A change that means to
+keep every output as it is leaves these digests alone; one that means to
+move an output updates its digest and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from conftest import bench_module
+from tatqa_symbolic.cli import main
+
+CONFIGS = {
+    "oracle": (),
+    "lexical": ("--tagger", "lexical", "--operator", "keyword", "--order", "positional",
+                "--scale", "heuristic", "--threshold", "0.05"),
+}
+
+# (corpus, config) -> sha256 of the predictions, the traces and the eval report
+DIGESTS = {
+    ("fixture", "oracle"): (
+        "c9c4e028d3a37a9fbe8f0dfaade8672f51c07edc63f94c090f9a2dba9208be39",
+        "fd54617bab23e30db9ad65f6352f5d1a9a3bf54a8664db5ff07db2ef767e2d30",
+        "2c8bc48b3f8dd2d0f7424993325a255f2b7b495e652a1ba2091fbfe45c9e01cb",
+    ),
+    ("fixture", "lexical"): (
+        "bac7ef684eebedd9c1181e73aaf26f605775d3c7563568d71f0d8c9e391a85d0",
+        "dca60bbeb77864db76d21ef2076cfea3092074c924ce715d1d5bf9c2aea1856b",
+        "a2abd0f33351e86ec90e803576c8316e5be3147fa1916298f4fa99c395d4e505",
+    ),
+    ("dense-7", "oracle"): (
+        "598d47a7abd11c6d5a31b0c5c23010d242161ff4bf72da609ba75278a2763246",
+        "6bd75062e6795114280dc56a1811efb8d732cdcfc38012b7da5981986dc8a177",
+        "e788c8d8159dca65e58278ef7661271d6810a51fadc489a7216f90bb98d9da55",
+    ),
+    ("dense-7", "lexical"): (
+        "825965a7b279709c1ebaa9114d9f389cbb73a3d069c6947e54362563884019b3",
+        "041eb4a8582f04383c54effded1e811a9550b395a515b6740bf989c69a31071b",
+        "05380ca4e72ff7f0c235b0ab64f29b38db8c4156fb303934b235051de214af83",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def corpora(corpus_path, tmp_path_factory):
+    gen = bench_module("gen")
+    dense = tmp_path_factory.mktemp("digests") / "dense-7.json"
+    dense.write_text(gen.dumps(gen.dense_corpus(7, 130)[0]), encoding="utf-8")
+    return {"fixture": corpus_path, "dense-7": dense}
+
+
+def output_digests(dataset, config: str, directory) -> tuple[str, str, str]:
+    """sha256 of ``run``'s predictions and traces and of ``eval --out``."""
+    preds, traces, report = (directory / name for name in ("p.json", "t.jsonl", "e.json"))
+    run = ("run", "--dataset", dataset, "--out", preds, "--traces", traces, "--workers", 1)
+    assert main([str(arg) for arg in (*run, *CONFIGS[config])]) == 0
+    score = ("eval", "--dataset", dataset, "--pred", preds, "--out", report)
+    assert main([str(arg) for arg in score]) == 0
+    return tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (preds, traces, report))
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS), ids="-".join)
+def test_outputs_match_their_digests(corpora, key, tmp_path, capsys):
+    corpus, config = key
+    assert output_digests(corpora[corpus], config, tmp_path) == DIGESTS[key]
