@@ -34,7 +34,6 @@ from .errors import (
     UnsupportedOperatorError,
 )
 from .evaluation import (
-    RoundingPolicy,
     evaluate,
     normalize_answer,
     numbers_match,
@@ -59,7 +58,6 @@ from .numerics import (
     extract_numbers,
     parse_number,
     render_decimal,
-    round_fraction,
 )
 from .reasoning import (
     HeuristicScale,
@@ -71,7 +69,6 @@ from .reasoning import (
     PositionalOrder,
     Prediction,
     answer_question,
-    assemble_prediction,
     execute_operator,
     rank_candidates,
     run_pipeline,

@@ -20,11 +20,11 @@ from . import reference
 from .corpus import (
     AnswerSource,
     AnswerType,
+    field_inventory,
     load_dataset,
     parse_documents,
     read_json,
     scale_distribution,
-    schema_report,
     split_stats,
     type_source_matrix,
     write_json,
@@ -32,8 +32,8 @@ from .corpus import (
 from .derivation import Operator, operator_distribution
 from .errors import PipelineError
 from .evaluation import (
+    DEFAULT_PLACES,
     CellScore,
-    RoundingPolicy,
     evaluate,
     format_report,
     read_predictions,
@@ -134,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check dataset consistency and report")
     _add_dataset_arg(p)
     p.add_argument(
-        "--rounding", type=_rounding, default=4, help="comparison decimal places, at least 0"
+        "--rounding", type=_rounding, default=DEFAULT_PLACES,
+        help="comparison decimal places, at least 0",
     )
     p.add_argument("--out", help="write the machine-readable report here")
     p.set_defaults(func=cmd_validate)
@@ -160,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a predictions file against gold")
     _add_dataset_arg(p)
     p.add_argument("--pred", required=True, help="predictions file")
-    p.add_argument("--rounding", type=_rounding, default=4)
+    p.add_argument("--rounding", type=_rounding, default=DEFAULT_PLACES)
     p.add_argument("--out", help="write the machine-readable report here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="cumulative operator ablation grid")
     _add_dataset_arg(p)
     _add_pipeline_args(p)
-    p.add_argument("--rounding", type=_rounding, default=4)
+    p.add_argument("--rounding", type=_rounding, default=DEFAULT_PLACES)
     p.add_argument("--out", help="write the grid as JSON here")
     p.set_defaults(func=cmd_ablate)
 
@@ -195,7 +196,7 @@ def cmd_validate(args) -> int:
     dataset = parse_documents(documents, strict=args.strict)
     deviations = field_deviations(documents)
     del documents  # the checks below need only the records
-    report = validate_dataset(dataset, RoundingPolicy(places=args.rounding))
+    report = validate_dataset(dataset, args.rounding)
     if args.out:
         payload = {
             "n_questions": report.n_questions,
@@ -307,7 +308,7 @@ def _trace_payload(question_id: str, prediction) -> dict:
         "question_id": question_id,
         "operator": trace.operator,
         "order_flag": trace.order_flag,
-        "scale": trace.scale.word,
+        "scale": prediction.scale.word,
         "candidates": trace.candidates,
         "raw_value": trace.raw_value,
         "answer": prediction.display(),
@@ -346,7 +347,7 @@ def cmd_eval(args) -> int:
         return 2
     dataset = load_dataset(args.dataset, strict=args.strict)
     predictions = read_predictions(args.pred)
-    report = evaluate(predictions, dataset, RoundingPolicy(places=args.rounding))
+    report = evaluate(predictions, dataset, args.rounding)
     if args.out:
         payload = {
             "em": report.em,
@@ -376,11 +377,8 @@ def cmd_ablate(args) -> int:
         return 2
     dataset = load_dataset(args.dataset, strict=args.strict)
     predictions = run_pipeline(dataset, _pipeline_config(args), workers=args.workers)
-    report = evaluate(
-        {qid: (p.value, p.scale) for qid, p in predictions.items()},
-        dataset,
-        RoundingPolicy(places=args.rounding),
-    )
+    pairs = {qid: (p.value, p.scale) for qid, p in predictions.items()}
+    report = evaluate(pairs, dataset, args.rounding)
     operators = [predictions[qid].trace.operator for qid, _, _ in report.questions]
 
     rows = []
@@ -404,7 +402,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_schema_report(args) -> int:
-    inventory = schema_report(args.dataset)
+    inventory = field_inventory(read_json(args.dataset))
     width = max(len(path) for path in inventory) if inventory else 0
     for path, entry in inventory.items():
         print(f"{path:<{width}}  {entry['count']:>8}  {', '.join(entry['types'])}")

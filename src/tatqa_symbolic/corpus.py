@@ -575,19 +575,13 @@ def scale_distribution(dataset: Dataset) -> dict[Scale, float]:
 # ---------------------------------------------------------------------------
 
 
-def schema_report(path: str | Path) -> dict[str, dict]:
-    """Inventory of observed field paths in a raw dataset file.
+def field_inventory(raw: Any) -> dict[str, dict]:
+    """Inventory of observed field paths in documents decoded by
+    :func:`read_json`.
 
     Returns ``{json_path: {"count": n, "types": sorted type names}}`` so a
     new dataset release can be diffed against the expected schema before
     anything is loaded.
-    """
-    return field_inventory(read_json(path))
-
-
-def field_inventory(raw: Any) -> dict[str, dict]:
-    """:func:`schema_report` of documents already decoded by
-    :func:`read_json`.
 
     The walk is breadth-first: each level groups the items of every
     container found at one path by key, so a path is spelled once per

@@ -8,7 +8,8 @@ contain numbers only match predictions sharing one).  Two deliberate
 departures make the metric finance-safe: a leading minus on a number is
 preserved (so "-1,657" and "1,657" differ), and a gold numeric answer
 scores 1 only when the predicted number times the predicted scale
-equals the gold number times the gold scale under the rounding policy.
+equals the gold number times the gold scale, both rounded to the same
+decimal places.
 
 Each span is normalized once, and its EM string and its F1 bag are
 built from the same tokens; each bag's numbers are found once, not once
@@ -55,19 +56,12 @@ from .errors import DatasetParseError, NumberTooLongError, ScoringError
 from .numerics import Scale, _round_half_even, parse_number
 
 # ---------------------------------------------------------------------------
-# Rounding policy and numeric comparison
+# Numeric comparison
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class RoundingPolicy:
-    """Both sides of a numeric comparison are rounded to ``places``
-    decimal places after scale application (half to even)."""
-
-    places: int = 4
-
-
-DEFAULT_POLICY = RoundingPolicy()
+# both sides of a numeric comparison are rounded half to even to this many
+# decimal places after scale application
+DEFAULT_PLACES = 4
 
 
 def _scaled_units(value: Fraction, scale: Scale, places: int) -> int:
@@ -85,15 +79,14 @@ def numbers_match(
     pred_scale: Scale,
     gold_value: Fraction,
     gold_scale: Scale,
-    policy: RoundingPolicy = DEFAULT_POLICY,
+    places: int = DEFAULT_PLACES,
 ) -> bool:
     """Whether both values, each times its scale's factor, are equal once
-    rounded half to even to ``policy.places`` places.
+    rounded half to even to ``places`` places.
 
     Exact and float-free: the rounding is done in integers, and equals
-    comparing ``round_fraction(value * scale.factor, places)`` of both.
+    comparing ``round(value * scale.factor, places)`` of both.
     """
-    places = policy.places
     return _scaled_units(pred_value, pred_scale, places) == _scaled_units(
         gold_value, gold_scale, places
     )
@@ -370,7 +363,7 @@ def score_question(
     pred_value,
     pred_scale: Scale,
     gold: QuestionRecord,
-    policy: RoundingPolicy = DEFAULT_POLICY,
+    places: int = DEFAULT_PLACES,
 ) -> tuple[float, float]:
     """(EM, F1) for one question, each in [0, 1].
 
@@ -386,7 +379,7 @@ def score_question(
             if pred_numeric is None:
                 return 0.0, 0.0
             hit = numbers_match(
-                pred_numeric, pred_scale, gold_numeric, gold.gold_scale, policy
+                pred_numeric, pred_scale, gold_numeric, gold.gold_scale, places
             )
             return (1.0, 1.0) if hit else (0.0, 0.0)
 
@@ -453,7 +446,7 @@ Predictions = Mapping[str, tuple[object, Scale]]
 def evaluate(
     predictions: Predictions,
     dataset: Dataset,
-    policy: RoundingPolicy = DEFAULT_POLICY,
+    places: int = DEFAULT_PLACES,
 ) -> EvalReport:
     """Micro-averaged EM/F1 overall and per (answer type, answer source).
 
@@ -482,7 +475,7 @@ def evaluate(
         if gold.question_id in predictions:
             value, scale = predictions[gold.question_id]
             try:
-                em, f1 = score_question(value, scale, gold, policy)
+                em, f1 = score_question(value, scale, gold, places)
             except NumberTooLongError as exc:
                 raise ScoringError(f"{gold.question_id}: unreadable number: {exc}") from exc
         else:

@@ -178,12 +178,8 @@ class TaggedSequence:
     __slots__ = ("words", "layout", "probabilities")
 
     def __init__(self, question: QuestionRecord, context: HybridContext, probabilities):
-        self._fill(tuple(question.text.split()), _context_index(context).layout, probabilities)
-
-    def _fill(self, words: tuple[str, ...], layout: _Layout, probabilities) -> None:
-        """Set and check the fields; ``_tagged``, which has split the
-        question's words already, calls this in place of ``__init__``."""
-        self.words, self.layout = words, layout
+        self.words = words = tuple(question.text.split())
+        self.layout = layout = _context_index(context).layout
         self.probabilities = probabilities = tuple(probabilities)
         if len(probabilities) != len(words) + len(layout.texts):
             raise ValueError(
@@ -724,17 +720,13 @@ def build_supervision(
 def _tagged(question: QuestionRecord, context: HybridContext, base: float, scored) -> TaggedSequence:
     """The question's words at 0.0, then the context's units at ``base``
     except where ``scored`` gives (layout positions, probability)."""
-    words = tuple(question.text.split())
-    layout = _context_index(context).layout
-    offset = len(words)
-    probabilities = [0.0] * offset + [base] * len(layout.texts)
+    offset = len(question.text.split())
+    probabilities = [0.0] * offset + [base] * len(_context_index(context).layout.texts)
     for positions, probability in scored:
         probabilities[offset + positions.start : offset + positions.stop] = (
             [probability] * len(positions)
         )
-    tags = TaggedSequence.__new__(TaggedSequence)
-    tags._fill(words, layout, probabilities)
-    return tags
+    return TaggedSequence(question, context, probabilities)
 
 
 class OracleTagger:

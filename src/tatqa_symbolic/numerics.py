@@ -199,15 +199,6 @@ def _round_half_even(numerator: int, denominator: int, places: int) -> int:
     return quotient
 
 
-def round_fraction(value: Fraction | int, places: int) -> Fraction:
-    """Round to ``places`` decimal places, half to even.
-
-    Equal to ``round(Fraction(value), places)``, computed in integers.
-    """
-    units = _round_half_even(value.numerator, value.denominator, places)
-    return Fraction(units, 10**places) if places >= 0 else Fraction(units * 10**-places)
-
-
 # the smallest whole part that ``str`` refuses to write: it has 4,301 digits
 _UNWRITABLE = 10**NumberTooLongError.LIMIT
 

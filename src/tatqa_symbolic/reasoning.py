@@ -83,7 +83,6 @@ class PredictionTrace:
 
     operator: str | None = None
     order_flag: int | None = None
-    scale: Scale = Scale.NONE
     candidates: list | tuple = ()
     raw_value: str | None = None
     note: str | None = None
@@ -159,7 +158,7 @@ def execute_operator(
     if operator == Operator.OTHER:
         raise UnsupportedOperatorError("the Other class has no executable program")
     if operator == Operator.COUNT:
-        return len(candidates)
+        return Fraction(len(candidates))
     if not candidates:
         raise InsufficientEvidenceError("no evidence candidates")
 
@@ -204,19 +203,6 @@ def execute_operator(
             raise ExecutionError("change ratio against zero")
         return (a - b) / b
     raise ValueError(f"unknown operator: {operator!r}")
-
-
-def assemble_prediction(
-    raw, scale: Scale, trace: PredictionTrace | None = None
-) -> Prediction:
-    """Pair the raw operator output with the predicted scale.
-
-    Numeric values stay exact and unmultiplied; scale application
-    happens at comparison time, and the scale word is concatenated only
-    when the answer is emitted as a string.
-    """
-    value = Fraction(raw) if isinstance(raw, int) else raw
-    return Prediction(value=value, scale=scale, trace=trace or PredictionTrace(scale=scale))
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +388,15 @@ def answer_question(
         # percent scale the face value is the fraction over the factor
         raw = raw / Scale.PERCENT.factor
 
+    # a numeric value stays exact and unmultiplied: the scale applies when
+    # the answer is compared, and its word is attached only when it is shown
     trace = PredictionTrace(
         operator=operator,
         order_flag=order_flag,
-        scale=scale,
         candidates=_candidate_summary(candidates, context),
-        raw_value=render_decimal(raw) if isinstance(raw, (int, Fraction)) else str(raw),
+        raw_value=render_decimal(raw) if isinstance(raw, Fraction) else str(raw),
     )
-    return assemble_prediction(raw, scale, trace)
+    return Prediction(value=raw, scale=scale, trace=trace)
 
 
 # ---------------------------------------------------------------------------

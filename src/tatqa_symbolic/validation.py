@@ -25,7 +25,7 @@ from .errors import (
     NumberTooLongError,
     UnlocatableEvidenceError,
 )
-from .evaluation import DEFAULT_POLICY, RoundingPolicy, _as_fraction, _scaled_units
+from .evaluation import DEFAULT_PLACES, _as_fraction, _scaled_units
 from .evidence import build_supervision
 from .numerics import Scale
 
@@ -77,13 +77,13 @@ class ValidationReport:
         return counts
 
 
-def check_question(question, policy: RoundingPolicy = DEFAULT_POLICY) -> DerivationCheck:
+def check_question(question, places: int = DEFAULT_PLACES) -> DerivationCheck:
     """Execute one gold derivation and compare it with the gold answer.
 
     A question is consistent when the exact result equals the gold
     answer under either storage convention: face value (result == gold)
     or scale-applied (result == gold x scale factor), both sides rounded
-    per the policy.
+    half to even to ``places`` decimal places.
     """
     question_id = question.question_id
     try:
@@ -107,7 +107,6 @@ def check_question(question, policy: RoundingPolicy = DEFAULT_POLICY) -> Derivat
         )
 
     # the result is rounded once, and compared under both conventions
-    places = policy.places
     rounded = _scaled_units(result, Scale.NONE, places)
     face = rounded == _scaled_units(gold, Scale.NONE, places)
     scaled = rounded == _scaled_units(gold, question.gold_scale, places)
@@ -132,9 +131,7 @@ def _approximate(value: Fraction) -> str:
         return f"{Decimal(value.numerator) / value.denominator:.6g}"
 
 
-def validate_dataset(
-    dataset: Dataset, policy: RoundingPolicy = DEFAULT_POLICY
-) -> ValidationReport:
+def validate_dataset(dataset: Dataset, places: int = DEFAULT_PLACES) -> ValidationReport:
     """Run all consistency checks over a loaded dataset.
 
     A number too long to read exactly fails the question's check when
@@ -148,7 +145,7 @@ def validate_dataset(
         check = None
         if question.answer_type in (AnswerType.COUNTING, AnswerType.ARITHMETIC):
             report.n_checked += 1
-            check = check_question(question, policy)
+            check = check_question(question, places)
             report.checks.append(check)
         try:
             build_supervision(question, context)
@@ -209,6 +206,7 @@ def field_deviations(raw: Any) -> dict[str, list[str]]:
 
 def format_validation(report: ValidationReport) -> str:
     conventions = report.convention_counts()
+    failures = report.failures()
     lines = [
         f"questions                  {report.n_questions}",
         f"derivations checked        {report.n_checked}",
@@ -217,11 +215,10 @@ def format_validation(report: ValidationReport) -> str:
         f"    face-value convention   {conventions['face']}",
         f"    scale-applied           {conventions['scaled']}",
         f"    both                    {conventions['both']}",
-        f"  failures                  {len(report.failures())}",
+        f"  failures                  {len(failures)}",
         f"evidence located           {report.n_supervised}"
         f" (unlocatable rate {100.0 * report.unlocatable_rate:.1f}%)",
     ]
-    failures = report.failures()
     if failures:
         lines.append("")
         lines.append("itemized failures:")

@@ -28,8 +28,8 @@ every span was normalized once for EM and again for F1 and each number
 set was built per pair; it calls the library's assignment solver and
 pairwise mean, but none of its normalization or gating.  The schema
 section keeps the recursive walk that recorded each field path once per
-item.  The rounding section keeps ``round_fraction``, ``render_decimal``
-and ``numbers_match`` as they were when every rounding went through
+item.  The rounding section keeps the rounding behind ``numbers_match`` and
+``render_decimal`` as it was when every rounding went through
 ``round(Fraction, places)``.
 """
 
@@ -754,7 +754,7 @@ def reference_decode(units, threshold=0.5):
 # ---------------------------------------------------------------------------
 
 
-def reference_ablation(dataset, predictions, policy):
+def reference_ablation(dataset, predictions, places: int):
     """The cumulative operator ablation with one ``evaluate`` per row: a
     prediction whose operator is not enabled yet is replaced by an
     abstention before scoring.  Returns the ``ablate --out`` rows."""
@@ -767,7 +767,7 @@ def reference_ablation(dataset, predictions, policy):
             for qid, p in predictions.items()
         }
         report = evaluate(
-            {qid: (p.value, p.scale) for qid, p in routed.items()}, dataset, policy
+            {qid: (p.value, p.scale) for qid, p in routed.items()}, dataset, places
         )
         label = f"+ {derivation.Operator.LABELS[derivation.Operator.ALL[k - 1]]}"
         rows.append({"row": label, "em": report.em, "f1": report.f1})

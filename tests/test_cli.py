@@ -13,7 +13,7 @@ from oracles import reference_ablation, reference_margins
 from tatqa_symbolic import cli, evaluation, evidence
 from tatqa_symbolic.cli import main
 from tatqa_symbolic.corpus import read_json
-from tatqa_symbolic.evaluation import RoundingPolicy, evaluate, read_predictions
+from tatqa_symbolic.evaluation import evaluate, read_predictions
 from tatqa_symbolic.numerics import parse_number
 from tatqa_symbolic.reasoning import PipelineConfig, run_pipeline
 from tatqa_symbolic.validation import schema_deviations
@@ -1096,7 +1096,7 @@ class TestAblate:
         argv, pipeline_config = CONFIGS[config]
         out = tmp_path / "grid.json"
         assert run_cli("ablate", "--dataset", corpus_path, "--out", out, *argv) == 0
-        rows = reference_ablation(corpus, run_pipeline(corpus, pipeline_config), RoundingPolicy())
+        rows = reference_ablation(corpus, run_pipeline(corpus, pipeline_config), 4)
         assert out.read_text(encoding="utf-8") == json.dumps(rows, indent=1)
         printed = capsys.readouterr().out.splitlines()[1:]
         assert printed == [f"{r['row']:<22}{r['em']:>8.1f}{r['f1']:>8.1f}" for r in rows]

@@ -18,7 +18,6 @@ from tatqa_symbolic.corpus import (
     parse_documents,
     read_json,
     scale_distribution,
-    schema_report,
     split_stats,
     type_source_matrix,
     write_json,
@@ -256,7 +255,7 @@ class TestStats:
 
 class TestSchemaReport:
     def test_inventory(self, corpus_path):
-        inventory = schema_report(corpus_path)
+        inventory = field_inventory(read_json(corpus_path))
         assert inventory["$[].table.uid"]["count"] == 3
         assert inventory["$[].questions[].answer_type"]["count"] == 17
         assert "str" in inventory["$[].questions[].question"]["types"]

@@ -24,7 +24,6 @@ from tatqa_symbolic.corpus import (
 )
 from tatqa_symbolic.errors import ScoringError
 from tatqa_symbolic.evaluation import (
-    RoundingPolicy,
     _max_assignment,
     _pairwise_sum,
     align_spans_f1,
@@ -175,8 +174,7 @@ class TestScoreQuestion:
         gold = make_gold(9.98, scale=Scale.PERCENT)
         value = Fraction(103300, 10353)  # 9.97778..., rounds to gold at 4 places
         assert score_question(value, Scale.PERCENT, gold) == (1.0, 1.0)
-        strict = RoundingPolicy(places=6)
-        assert score_question(value, Scale.PERCENT, gold, strict) == (0.0, 0.0)
+        assert score_question(value, Scale.PERCENT, gold, places=6) == (0.0, 0.0)
 
     def test_scale_word_concatenated_for_string_gold(self):
         gold = make_gold("0.22", AnswerType.SPAN, scale=Scale.MILLION)

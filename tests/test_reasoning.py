@@ -32,8 +32,8 @@ from tatqa_symbolic.reasoning import (
     OracleOrder,
     PipelineConfig,
     PositionalOrder,
+    Prediction,
     answer_question,
-    assemble_prediction,
     execute_operator,
     rank_candidates,
     run_pipeline,
@@ -324,16 +324,16 @@ class TestHeuristicScale:
 
 class TestAssemble:
     def test_numeric_pair_kept(self):
-        prediction = assemble_prediction(Fraction(105226), Scale.MILLION)
+        prediction = Prediction(Fraction(105226), Scale.MILLION)
         assert prediction.value == 105226
         assert prediction.scale is Scale.MILLION
         assert prediction.display() == "105226 million"
 
     def test_string_concatenation_on_display(self):
-        assert assemble_prediction("0.22", Scale.MILLION).display() == "0.22 million"
+        assert Prediction("0.22", Scale.MILLION).display() == "0.22 million"
 
     def test_plain_string_unchanged(self):
-        prediction = assemble_prediction("enterprise services", Scale.NONE)
+        prediction = Prediction("enterprise services", Scale.NONE)
         assert prediction.value == "enterprise services"
         assert prediction.display() == "enterprise services"
 
