@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import logging
 import os
 import sys
@@ -28,6 +27,7 @@ from .corpus import (
     split_stats,
     type_source_matrix,
     write_json,
+    write_lines,
 )
 from .derivation import Operator, operator_distribution
 from .errors import PipelineError
@@ -316,10 +316,6 @@ def _trace_payload(question_id: str, prediction) -> dict:
     }
 
 
-# one encoder for every trace line; a trace holds no cycles to check for
-_TRACE_ENCODER = json.JSONEncoder(check_circular=False)
-
-
 def cmd_run(args) -> int:
     traces_path = args.traces or f"{args.out}.traces.jsonl"
     if _paths_clash({"--dataset": args.dataset}, {"--out": args.out, "--traces": traces_path}):
@@ -331,9 +327,8 @@ def cmd_run(args) -> int:
     write_predictions(
         {qid: (p.value, p.scale) for qid, p in predictions.items()}, args.out
     )
-    with Path(traces_path).open("w", encoding="utf-8") as handle:
-        for question_id, prediction in predictions.items():
-            handle.write(_TRACE_ENCODER.encode(_trace_payload(question_id, prediction)) + "\n")
+    write_lines(traces_path, (_trace_payload(question_id, prediction)
+                              for question_id, prediction in predictions.items()))
 
     abstained = sum(1 for p in predictions.values() if p.trace.note)
     print(f"answered {len(predictions)} questions ({abstained} abstained)")

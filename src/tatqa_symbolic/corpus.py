@@ -13,6 +13,10 @@ default (shape oddities produce warnings) and pedantic under
 dataclasses, with one exception: a span answer is a ``list`` of strings,
 which a caller could mutate in place.  No code in this package does, so
 loaded records are safe to share across threads.
+
+It also owns what the other modules share: an answer's span texts
+(``answer_spans``) and every file the package writes (``write_json``
+and ``write_lines``).
 """
 
 from __future__ import annotations
@@ -206,7 +210,7 @@ def _all_scalars(values) -> bool:
 
 def write_json(path: str | Path, payload: Any) -> None:
     """Write ``payload`` to ``path`` as exactly the text of
-    ``json.dumps(payload, indent=1)``: the one writer of indented reports.
+    ``json.dumps(payload, indent=1)``: the one writer of indented files.
 
     ``json.dumps`` takes its pure-Python encoder whenever ``indent`` is
     set.  Here the C encoder writes each container whose children are all
@@ -268,6 +272,19 @@ def write_json(path: str | Path, payload: Any) -> None:
 
     emit(payload, 1)
     Path(path).write_text("".join(pieces), encoding="utf-8")
+
+
+# one encoder for every line; a record holds no cycles to check for
+_LINE_ENCODER = json.JSONEncoder(check_circular=False)
+
+
+def write_lines(path: str | Path, records) -> None:
+    """Write each of ``records`` on its own line as exactly the text of
+    ``json.dumps(record)``: the one writer of JSON-lines files.  The text
+    is built whole before the file is opened, and written in one call."""
+    lines = list(map(_LINE_ENCODER.encode, records))
+    lines.append("")  # the last line ends in a newline too
+    Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
 def load_dataset(path: str | Path, strict: bool = False) -> Dataset:
@@ -462,6 +479,16 @@ def render_answer(value: Any) -> str | list[str]:
     return str(value)
 
 
+def answer_spans(value: Any) -> list[str]:
+    """An answer value's span texts, as :func:`render_answer` gives them:
+    a list's items, an exact number as one decimal, and any other value
+    as its ``str``, none when that is empty."""
+    spans = render_answer(value)
+    if isinstance(spans, str):
+        return [spans] if spans else []
+    return spans
+
+
 # ---------------------------------------------------------------------------
 # Split statistics
 # ---------------------------------------------------------------------------
@@ -494,14 +521,6 @@ def _word_count(text: str) -> int:
     return len(text.split())
 
 
-def _answer_words(answer: AnswerValue) -> int:
-    if isinstance(answer, Fraction):
-        return 1
-    if isinstance(answer, list):
-        return sum(_word_count(str(item)) for item in answer)
-    return _word_count(str(answer))
-
-
 def split_stats(dataset: Dataset) -> StatsSummary:
     """Corpus-shape statistics; word counts use whitespace tokenization."""
     n_contexts = len(dataset)
@@ -521,7 +540,8 @@ def split_stats(dataset: Dataset) -> StatsSummary:
         avg_paragraphs=mean([len(ctx.paragraphs) for ctx, _ in dataset]),
         avg_paragraph_len=mean(paragraph_lengths),
         avg_question_len=mean([_word_count(q.text) for _, q in iter_questions(dataset)]),
-        avg_answer_len=mean([_answer_words(q.answer) for _, q in iter_questions(dataset)]),
+        avg_answer_len=mean([sum(map(_word_count, answer_spans(q.answer)))
+                             for _, q in iter_questions(dataset)]),
     )
 
 

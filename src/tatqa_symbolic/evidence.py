@@ -37,7 +37,7 @@ index twice, never mix two.
 
 from __future__ import annotations
 
-import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -45,7 +45,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, product, repeat
 from operator import lt
-from pathlib import Path
 from typing import Iterator, NamedTuple, Union
 
 from .corpus import (
@@ -55,7 +54,9 @@ from .corpus import (
     HybridContext,
     Paragraph,
     QuestionRecord,
+    answer_spans,
     iter_questions,
+    write_lines,
 )
 from .derivation import (
     ORDER_SENSITIVE,
@@ -513,14 +514,6 @@ class _EvidenceItem:
     value: Fraction | None
 
 
-def _answer_spans(answer) -> list[str]:
-    if isinstance(answer, list):
-        return [str(item) for item in answer]
-    if isinstance(answer, Fraction):
-        return []
-    return [str(answer)]
-
-
 def _text_item(surface: str) -> _EvidenceItem:
     # strings that are themselves numbers match by value, so "5134"
     # still locates a cell printed as "5,134"
@@ -534,7 +527,7 @@ def _evidence_items(question: QuestionRecord) -> list[_EvidenceItem]:
     if question.answer_type in (AnswerType.SPAN, AnswerType.SPANS):
         return [
             _text_item(span)
-            for span in _answer_spans(question.answer)
+            for span in answer_spans(question.answer)
             if span.strip()
         ]
 
@@ -819,31 +812,30 @@ class SupervisionExport:
         return len(self.failures) / total if total else 0.0
 
 
-def export_supervision(dataset: Dataset, path: str | Path) -> SupervisionExport:
+def export_supervision(dataset: Dataset, path: str | os.PathLike) -> SupervisionExport:
     """Write gold labels to a line-delimited file for external training.
 
     Questions whose evidence cannot be located (or whose derivation does
     not parse, or holds a number too long to read) are skipped and
     reported, not fatal.
     """
-    export = SupervisionExport(n_written=0)
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for context, question in iter_questions(dataset):
-            try:
-                labels = build_supervision(question, context)
-            except (UnlocatableEvidenceError, DerivationParseError, NumberTooLongError) as exc:
-                export.failures.append((question.question_id, str(exc)))
-                continue
-            record = {
-                "question_id": question.question_id,
-                "g_op": labels.g_op,
-                "g_scale": labels.g_scale.word,
-                "g_order": labels.g_order,
-                "g_tag": sorted(
-                    (origin_to_json(origin, context) for origin in labels.g_tag),
-                    key=lambda o: (o["kind"], str(o)),
-                ),
-            }
-            handle.write(json.dumps(record) + "\n")
-            export.n_written += 1
-    return export
+    records: list[dict] = []
+    failures: list[tuple[str, str]] = []
+    for context, question in iter_questions(dataset):
+        try:
+            labels = build_supervision(question, context)
+        except (UnlocatableEvidenceError, DerivationParseError, NumberTooLongError) as exc:
+            failures.append((question.question_id, str(exc)))
+            continue
+        records.append({
+            "question_id": question.question_id,
+            "g_op": labels.g_op,
+            "g_scale": labels.g_scale.word,
+            "g_order": labels.g_order,
+            "g_tag": sorted(
+                (origin_to_json(origin, context) for origin in labels.g_tag),
+                key=lambda o: (o["kind"], str(o)),
+            ),
+        })
+    write_lines(path, records)
+    return SupervisionExport(len(records), failures)

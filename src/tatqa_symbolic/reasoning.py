@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Protocol
 
-from .corpus import Dataset, HybridContext, QuestionRecord, render_answer, repeated_question_id
+from .corpus import Dataset, HybridContext, QuestionRecord, answer_spans, repeated_question_id
 from .derivation import (
     ORDER_SENSITIVE,
     Operator,
@@ -96,9 +96,7 @@ class Prediction:
 
     def display(self) -> str:
         """Human-readable final answer with the scale word attached."""
-        text = render_answer(self.value)
-        if isinstance(text, list):
-            text = ", ".join(text)
+        text = ", ".join(answer_spans(self.value))
         if self.scale is not Scale.NONE and text:
             return f"{text} {self.scale.word}"
         return text

@@ -870,6 +870,44 @@ class TestJsonNumberPredictions:
         assert capsys.readouterr().out == from_strings
 
 
+class TestNumericSpanAnswers:
+    """A span answer stored as a JSON number is looked up by its value:
+    ``32622`` is the cell "32,622", and ``99999`` is in no cell."""
+
+    @staticmethod
+    def revenue_file(tmp_path, answer, only_the_span=False):
+        doc = json.loads(json.dumps(REVENUE_DOC))
+        span = next(q for q in doc["questions"] if q["uid"] == "q-rev-span")
+        span["answer"] = answer
+        if only_the_span:
+            doc["questions"] = [span]
+        path = tmp_path / "revenue.json"
+        path.write_text(json.dumps([doc]), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("answer", [32622, 32622.0], ids=["int", "float"])
+    def test_oracle_run_answers_the_cell(self, answer, tmp_path, capsys):
+        dataset = self.revenue_file(tmp_path, answer)
+        preds, report = tmp_path / "preds.json", tmp_path / "eval.json"
+        assert run_cli("run", "--dataset", dataset, "--out", preds, "--workers", 1) == 0
+        assert run_cli("eval", "--dataset", dataset, "--pred", preds, "--out", report) == 0
+        assert json.loads(preds.read_text(encoding="utf-8"))["q-rev-span"] == ["32,622", ""]
+        rows = json.loads(report.read_text(encoding="utf-8"))["questions"]
+        assert {"question_id": "q-rev-span", "em": 1.0, "f1": 1.0} in rows
+
+    def test_validate_reports_a_value_in_no_cell(self, tmp_path, capsys):
+        dataset, out = self.revenue_file(tmp_path, 99999), tmp_path / "validate.json"
+        assert run_cli("validate", "--dataset", dataset, "--out", out) == 0
+        unlocatable = json.loads(out.read_text(encoding="utf-8"))["unlocatable"]
+        assert {"question_id": "q-rev-span", "missing": "99999"} in unlocatable
+
+    @pytest.mark.parametrize("answer", [32622, 32622.0, 99999], ids=str)
+    def test_stats_counts_one_answer_word(self, answer, tmp_path, capsys):
+        dataset = self.revenue_file(tmp_path, answer, only_the_span=True)
+        assert run_cli("stats", "--dataset", dataset) == 0
+        assert re.search(r"^  Avg\. answer len \[words\] +1\.0$", capsys.readouterr().out, re.M)
+
+
 class TestNumbersPastTheDigitLimit:
     """A number too long to read exactly ends in one ``error:`` line and
     exit 1, not a traceback."""

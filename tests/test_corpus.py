@@ -21,6 +21,7 @@ from tatqa_symbolic.corpus import (
     split_stats,
     type_source_matrix,
     write_json,
+    write_lines,
 )
 from tatqa_symbolic.errors import DatasetParseError, DatasetValidationError
 from tatqa_symbolic.numerics import Scale
@@ -409,3 +410,16 @@ class TestWriteJson:
         assert text == json.dumps(payload, indent=1)
         # each report holds a list of records, the path that rewrites separators
         assert text.count("},\n") >= 2
+
+
+class TestWriteLines:
+    """``write_lines`` writes each record on its own line as exactly the
+    text of ``json.dumps(record)``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(_JSON_TREES, max_size=4))
+    def test_matches_json_dumps(self, records, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "write_lines.jsonl"
+        write_lines(path, iter(records))
+        expected = "".join(json.dumps(record) + "\n" for record in records)
+        assert path.read_bytes() == expected.encode("utf-8")

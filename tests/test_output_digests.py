@@ -4,12 +4,16 @@
 a report; each is digested as written, not as decoded JSON, so a change
 of spacing, key order or number form fails here as surely as a changed
 answer.  Both configs run with one worker on the fixture corpus and on
-the seed-7 dense corpus of ``bench/gen.py``.  A change that means to
-keep every output as it is leaves these digests alone; one that means to
-move an output updates its digest and says why.
+the seed-7 dense corpus of ``bench/gen.py``.  The outputs that need no
+config, ``export-supervision``'s labels, ``validate --out`` and what
+``stats`` prints, are pinned on the same two corpora.  A change that
+means to keep every output as it is leaves these digests alone; one that
+means to move an output updates its digest and says why.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -69,3 +73,37 @@ def output_digests(dataset, config: str, directory) -> tuple[str, str, str]:
 def test_outputs_match_their_digests(corpora, key, tmp_path, capsys):
     corpus, config = key
     assert output_digests(corpora[corpus], config, tmp_path) == DIGESTS[key]
+
+
+# corpus -> sha256 of the supervision labels, the validate report and stats' stdout
+CONFIGLESS_DIGESTS = {
+    "fixture": (
+        "325d33444dfaa01b99afedeaf0c34d43f88a82f2dafddeebde5d0e3fa7845da3",
+        "80edd44ae0ef3a642758990a42492df2058a1ecdd2103c0c7298569bfa1efb9b",
+        "8c0862d3a58627f22d4435a2b4107eac8ad14617869a48ee6a8dd3c4aca9c3a9",
+    ),
+    "dense-7": (
+        "42f9343c052ed54cb399209d50fb65f743203b63f95ca8a804856eea9aa1bfc4",
+        "1e0d5065bc22d4fa6f1e83bd97a5a5a8cf6b5be5c207db72841c1f614b8d6d07",
+        "f552cb7a51d783d3da6cbb139afeee07048bd4290af886f6f6dbdc01f3fa6fa9",
+    ),
+}
+
+
+def configless_digests(dataset, directory) -> tuple[str, str, str]:
+    """sha256 of ``export-supervision``'s file, of ``validate --out`` and of
+    ``stats``' stdout, which names the corpus by its file's stem."""
+    labels, report = directory / "s.jsonl", directory / "v.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["export-supervision", "--dataset", str(dataset), "--out", str(labels)]) == 0
+        assert main(["validate", "--dataset", str(dataset), "--out", str(report)]) == 0
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(["stats", "--dataset", str(dataset)]) == 0
+    return (*(hashlib.sha256(path.read_bytes()).hexdigest() for path in (labels, report)),
+            hashlib.sha256(printed.getvalue().encode("utf-8")).hexdigest())
+
+
+@pytest.mark.parametrize("corpus", sorted(CONFIGLESS_DIGESTS))
+def test_configless_outputs_match_their_digests(corpora, corpus, tmp_path):
+    assert configless_digests(corpora[corpus], tmp_path) == CONFIGLESS_DIGESTS[corpus]

@@ -9,9 +9,12 @@ per error path.  The functions never entered must be exactly
 ``NOT_REACHED``, each with its reason.  So code that neither a command
 nor a documented library use needs fails here, and so does a listed
 function that something has come to reach.  ``test_library_surface``
-pins the names the package exports, which README declares its API.
+pins the names the package exports, which README declares its API, and
+``test_only_corpus_writes_files`` that every output file is written
+through ``corpus``.
 """
 
+import ast
 import contextlib
 import inspect
 import io
@@ -213,3 +216,20 @@ def test_library_surface():
     exported = [name for name, value in vars(tatqa_symbolic).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(exported) == LIBRARY
+
+
+def test_only_corpus_writes_files():
+    """No module but ``corpus`` calls ``open``, ``.open``, ``.write_text``
+    or ``.write_bytes``, so every output file is written by
+    ``corpus.write_json`` or ``corpus.write_lines``."""
+    calls: dict[str, list[int]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open"
+                    or isinstance(func, ast.Attribute)
+                    and func.attr in {"open", "write_text", "write_bytes"}):
+                calls.setdefault(path.stem, []).append(node.lineno)
+    assert sorted(calls) == ["corpus"], f"file writes by line: {calls}"
