@@ -75,4 +75,23 @@ from .reasoning import (
 )
 from .validation import validate_dataset
 
+# the library API that README declares, and what ``import *`` gives
+__all__ = [
+    "AnswerSource", "AnswerType", "CellOrigin", "DatasetParseError",
+    "DatasetValidationError", "DerivationParseError", "EvidenceCandidate",
+    "ExecutionError", "HeuristicScale", "HybridContext", "InsufficientEvidenceError",
+    "KeywordOperator", "LexicalTagger", "NumberTooLongError", "Operator",
+    "OracleOperator", "OracleOrder", "OracleScale", "OracleTagger", "Paragraph",
+    "PipelineConfig", "PipelineError", "PositionalOrder", "Prediction",
+    "QuestionRecord", "Scale", "ScoringError", "SpanOrigin", "SupervisionLabels",
+    "Table", "TaggedSequence", "UnlocatableEvidenceError", "UnsupportedOperatorError",
+    "answer_question", "build_supervision", "classify_operator", "decode_evidence",
+    "eval_derivation", "evaluate", "execute_operator", "export_supervision",
+    "extract_numbers", "iter_questions", "load_dataset", "normalize_answer",
+    "numbers_match", "operand_sequence", "operator_distribution", "parse_derivation",
+    "parse_number", "rank_candidates", "read_predictions", "render_decimal",
+    "run_pipeline", "scale_distribution", "score_question", "split_stats",
+    "type_source_matrix", "validate_dataset", "write_predictions",
+]
+
 __version__ = "0.1.0"

@@ -16,13 +16,15 @@ loaded records are safe to share across threads.
 
 It also owns what the other modules share: an answer's span texts
 (``answer_spans``) and every file the package writes (``write_json``
-and ``write_lines``).
+and ``write_lines``), each written whole or not at all.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import stat
 from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
@@ -271,7 +273,7 @@ def write_json(path: str | Path, payload: Any) -> None:
             pieces.append(close)
 
     emit(payload, 1)
-    Path(path).write_text("".join(pieces), encoding="utf-8")
+    _write_text(path, "".join(pieces))
 
 
 # one encoder for every line; a record holds no cycles to check for
@@ -284,7 +286,56 @@ def write_lines(path: str | Path, records) -> None:
     is built whole before the file is opened, and written in one call."""
     lines = list(map(_LINE_ENCODER.encode, records))
     lines.append("")  # the last line ends in a newline too
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    _write_text(path, "\n".join(lines))
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a new file beside the target, which ``os.replace``
+    then moves over it, so a write that fails or is stopped leaves the
+    previous file as it was; on an error the new file is removed.  A
+    symbolic link is written through.  A target that is not a regular
+    file (a pipe, ``/dev/stdout``, ``/dev/null``), that cannot be resolved
+    to one, or beside which no file can be made is written in place.
+    """
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    # the pid keeps live writers apart; a file left by a killed one is reused
+    temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        file = open(temporary, "w", encoding="utf-8") if _replaceable(path, target) else None
+    except OSError:
+        file = None
+    if file is None:  # any error is then reported, and named, as a direct write's
+        Path(path).write_text(text, encoding="utf-8")
+        return
+    try:
+        with file:
+            file.write(text)
+        os.replace(temporary, target)
+    except BaseException:
+        os.remove(temporary)
+        raise
+
+
+def _replaceable(path: str | Path, target: str) -> bool:
+    """Whether ``path`` names a regular file, or none, at ``target``.
+
+    ``os.stat`` follows every link, ``/dev/fd`` and ``/proc`` ones too,
+    which ``os.path.realpath`` cannot read back as a path: the target
+    must be the very file that ``path`` opens.
+    """
+    try:
+        found = os.stat(path)
+    except FileNotFoundError:
+        return True  # a new file, or one through a dangling link
+    except OSError:
+        return False  # a link loop, say: the direct write reports it
+    try:
+        return stat.S_ISREG(found.st_mode) and os.path.samestat(found, os.stat(target))
+    except OSError:
+        return False
 
 
 def load_dataset(path: str | Path, strict: bool = False) -> Dataset:

@@ -19,18 +19,24 @@ An origin names a paragraph by its index in ``context.paragraphs``, so
 paragraphs that share a uid are never mixed; the uid is read only where
 an origin is written to JSON (``origin_to_json``).
 
-Two deterministic taggers are provided: an oracle that realizes the
-gold tag labels exactly, and a lexical-overlap baseline that needs no
-gold annotation.
+Gold supervision first locates each evidence string of a question
+(``locate_evidence``, all that validation needs), then builds the tag,
+operator, order and scale labels from those places
+(``build_supervision``).  Two deterministic taggers are provided: an
+oracle that realizes the gold tag labels exactly, and a lexical-overlap
+baseline that needs no gold annotation.
 
 What does not depend on the question (the layout, paragraph word spans
 and numbers, the cells under each digit key, the content words of cells
 and sentences with the slots holding each word, and the scale words of
 cells and paragraphs) is kept in a private per-context index, each part
 built on first use.  A cell's number is parsed only when a value lookup
-or a decoded candidate reads it, once per context.
+or a decoded candidate reads it, once per context, and a cell's digit
+key is one ``str.translate`` of its text.
 The index of the most recent context is held in a one-slot cache, so
-memory stays bounded to one context.  The taggers keep no state and are
+memory stays bounded to one context; the one table kept beside it, that
+of ``str.translate``, holds an entry per distinct character read, which
+the corpus's alphabet bounds.  The taggers keep no state and are
 safe to share across threads: a race on the cache can only build an
 index twice, never mix two.
 """
@@ -281,8 +287,23 @@ class _ParagraphIndex:
 
 
 _SENTENCE_END_RE = re.compile(r"[.!?;]\s+|\Z")
-# the complement of the number parser's ``\d``
-_NON_DIGITS_RE = re.compile(r"\D+")
+
+
+class _DigitKeyTable(dict):
+    """``str.translate`` table of digit keys: a decimal digit of any
+    script (the number parser's ``\\d``) to its ASCII digit, and anything
+    else deleted.  Each code point is filled on its first sight."""
+
+    __slots__ = ()
+
+    def __missing__(self, code: int) -> str | None:
+        char = chr(code)
+        key = str(int(char)) if char.isdecimal() else None
+        self[code] = key
+        return key
+
+
+_DIGIT_KEYS = _DigitKeyTable()
 
 
 def _value_key(value: Fraction) -> str | None:
@@ -352,15 +373,13 @@ class _ContextIndex:
 
         Every digit of a text that parses as a number is a digit of its
         value, so a cell can hold a value or its negation only if it is
-        listed under the value's key (``_value_key``).
+        listed under the value's key (``_value_key``).  A cell's digits
+        are one ``str.translate`` of its text (``_DIGIT_KEYS``).
         """
         cells: dict[str, list[tuple[int, int]]] = {}
-        remove = _NON_DIGITS_RE.sub
         for place, text in self.cells():
-            digits = remove("", text)
+            digits = text.translate(_DIGIT_KEYS)
             if digits:
-                if not digits.isascii():  # decimal digits of any script
-                    digits = "".join(str(int(digit)) for digit in digits)
                 cells.setdefault(digits.strip("0"), []).append(place)
         return cells
 
@@ -646,25 +665,20 @@ def _merge_spans(origins: list[SpanOrigin]) -> list[SpanOrigin]:
     return merged
 
 
-def build_supervision(
+def locate_evidence(
     question: QuestionRecord, context: HybridContext
-) -> SupervisionLabels:
-    """Derive the gold labels for one question from its annotations.
+) -> dict[_EvidenceItem, CandidateOrigin]:
+    """The first occurrence of each of the question's evidence strings.
 
-    Each evidence string is searched in the table first when the table
-    is among the answer sources, otherwise in the paragraphs; only the
-    first occurrence is kept when an evidence appears multiple times.
-    The order flag is present only for the order-sensitive operators: 0
-    when the two operands appear in derivation order within the input
-    sequence, 1 when reversed.
+    Each is searched in the table first when the table is among the
+    answer sources, otherwise in the paragraphs.  Raises
+    ``UnlocatableEvidenceError`` naming every string found nowhere.
     """
-    items = _evidence_items(question)
     table_first = question.answer_source in (AnswerSource.TABLE, AnswerSource.TABLE_TEXT)
     index = _context_index(context)
-
     located: dict[_EvidenceItem, CandidateOrigin] = {}
     missing: list[str] = []
-    for item in items:
+    for item in _evidence_items(question):
         found = _locate(index, item, table_first)
         if found is None:
             missing.append(item.surface)
@@ -672,7 +686,20 @@ def build_supervision(
             located[item] = found
     if missing:
         raise UnlocatableEvidenceError(question.question_id, missing)
+    return located
 
+
+def build_supervision(
+    question: QuestionRecord, context: HybridContext
+) -> SupervisionLabels:
+    """Derive the gold labels for one question from its annotations.
+
+    The evidence is where ``locate_evidence`` finds it.  The order flag
+    is present only for the order-sensitive operators: 0 when the two
+    operands appear in derivation order within the input sequence, 1
+    when reversed.
+    """
+    located = locate_evidence(question, context)
     operator = classify_question(question)
 
     def position_of_value(value: Fraction) -> tuple:

@@ -26,7 +26,7 @@ from .errors import (
     UnlocatableEvidenceError,
 )
 from .evaluation import DEFAULT_PLACES, _as_fraction, _scaled_units
-from .evidence import build_supervision
+from .evidence import locate_evidence
 from .numerics import Scale
 
 CONSISTENT = "consistent"
@@ -148,7 +148,7 @@ def validate_dataset(dataset: Dataset, places: int = DEFAULT_PLACES) -> Validati
             check = check_question(question, places)
             report.checks.append(check)
         try:
-            build_supervision(question, context)
+            locate_evidence(question, context)
             report.n_supervised += 1
         except UnlocatableEvidenceError as exc:
             report.unlocatable.append((question.question_id, ", ".join(exc.missing)))

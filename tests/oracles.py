@@ -11,8 +11,9 @@ the per-question unit loops and gold-label search that the evidence
 module ran before it kept a per-context index, the lexical tagger's
 Jaccard loop over every slot and its token-by-token word cleaning, the
 heuristic scale guess that scanned the table and paragraphs per
-question, and the unit-by-unit decoder it ran before it decoded from
-the positive units.  They read a table's cells through
+question, the unit-by-unit decoder it ran before it decoded from the
+positive units, and the digit keys it built with one ``re.sub`` per
+cell before it keyed a cell in one ``str.translate``.  They read a table's cells through
 ``reference_cells``, built from its texts and ``parse_number``, and use
 the library's data types and its number and derivation parsers, but
 none of its tagging, lookup or decoding code; tags are plain ``TagUnit`` tuples,
@@ -305,6 +306,21 @@ def reference_cell(table, row, col):
 def reference_cells(table):
     """Every cell of ``table``, row-major."""
     return [reference_cell(table, r, c) for r in range(table.n_rows) for c in range(table.n_cols)]
+
+
+def reference_digit_keys(table):
+    """(row, col) of each cell holding a digit, row-major, under its digit
+    key, built as the evidence module built it before it keyed a cell in
+    one ``str.translate``: one ``re.sub`` per cell, and each digit of
+    another script written in ASCII, less leading and trailing zeros."""
+    keys = {}
+    for r in range(table.n_rows):
+        for c in range(table.n_cols):
+            digits = re.sub(r"\D+", "", table.texts[r][c])
+            if digits:
+                digits = "".join(str(int(digit)) for digit in digits)
+                keys.setdefault(digits.strip("0"), []).append((r, c))
+    return keys
 
 
 def reference_context_units(question_text, context):

@@ -491,6 +491,45 @@ class TestClosedStdout:
         assert out.read_bytes() == expected.read_bytes()
 
 
+class TestStoppedWrite:
+    """A command whose ``--out`` write fails part-way, here at the file
+    size limit, exits 1 with one ``error:`` line and leaves the previous
+    report as it was, with no other file beside it."""
+
+    def test_the_previous_report_is_kept(self, corpus_path, tmp_path):
+        resource = pytest.importorskip("resource")
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--dataset", corpus_path, "--out", out) == 0
+        previous = out.read_bytes()
+        limit = len(previous) // 2
+        result = fresh_python(
+            "import resource, signal, sys\n"
+            "from tatqa_symbolic.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "sys.exit(main(sys.argv[1:]))",
+            "validate", "--dataset", corpus_path, "--out", out,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "error: [Errno 27] File too large\n"
+        assert out.read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_out_to_a_piped_stdout_is_written_in_place(self, corpus_path, tmp_path):
+        """``--out /dev/stdout`` into a pipe, as ``... | jq`` gives, writes
+        the labels into the pipe ahead of the summary."""
+        out = tmp_path / "labels.jsonl"
+        assert run_cli("export-supervision", "--dataset", corpus_path, "--out", out) == 0
+        result = fresh_python(
+            "import sys\nfrom tatqa_symbolic.cli import main\nsys.exit(main(sys.argv[1:]))",
+            "export-supervision", "--dataset", corpus_path, "--out", "/dev/stdout",
+        )
+        assert result.returncode == 0, result.stderr
+        labels = out.read_text(encoding="utf-8")
+        assert result.stdout.startswith(labels)
+        assert result.stdout[len(labels):].startswith("wrote ")
+
+
 class TestValidate:
     def test_report_and_exit_code(self, corpus_path, capsys, tmp_path):
         out = tmp_path / "validation.json"

@@ -22,6 +22,7 @@ from oracles import (
     reference_cells,
     reference_context_units,
     reference_decode,
+    reference_digit_keys,
     reference_heuristic_scale,
     reference_sorted_heuristic_scale,
     reference_lexical_tags,
@@ -29,7 +30,7 @@ from oracles import (
     reference_supervision,
 )
 from tatqa_symbolic import evidence, reasoning
-from tatqa_symbolic.corpus import iter_questions, load_dataset
+from tatqa_symbolic.corpus import HybridContext, Table, iter_questions, load_dataset
 from tatqa_symbolic.derivation import _NUMBER_TOKEN_RE, parsed_derivation
 from tatqa_symbolic.errors import DerivationParseError, PipelineError
 from tatqa_symbolic.evidence import (
@@ -671,6 +672,24 @@ def test_a_number_cell_keys_as_its_value(text):
     assert evidence._value_key(-number) == evidence._value_key(number)
 
 
+# digits of three scripts, a superscript that ``str.isdigit`` accepts but
+# that is no decimal digit, number punctuation, letters, a space and NUL
+_KEY_CHARS = st.sampled_from("0123456789٠٣٥٩０５９²,.$()%-aZ \x00")
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.tuples(st.integers(0, 4), st.integers(1, 4)), data=st.data())
+def test_digit_keys_match_the_cell_by_cell_reference(shape, data):
+    """One ``str.translate`` per cell keys each cell as one ``re.sub``
+    per cell did."""
+    n_rows, n_cols = shape
+    texts = data.draw(st.lists(st.text(_KEY_CHARS, max_size=6), min_size=n_rows * n_cols,
+                               max_size=n_rows * n_cols))
+    table = Table(tuple(tuple(texts[r * n_cols:(r + 1) * n_cols]) for r in range(n_rows)))
+    index = evidence._ContextIndex(HybridContext("ctx-keys", table, ()))
+    assert index.cells_by_digits == reference_digit_keys(table)
+
+
 @pytest.mark.parametrize(
     "value,key",
     [(Fraction(0), ""), (Fraction(1200), "12"), (Fraction(-1, 2), "5"), (Fraction(1, 8), "125"),
@@ -752,6 +771,18 @@ def test_validate_parses_less_than_half_the_cells(monkeypatch, tmp_path):
     n_cells = sum(table.n_rows * table.n_cols for table in (c.table for c, _ in dataset))
     assert 0 < len(calls) < n_cells / 2
     assert not any("numbers" in vars(context.table) for context, _ in dataset)
+
+
+def test_validate_locates_evidence_without_building_labels(corpus, monkeypatch):
+    """``validate`` reads only where the evidence is, so it builds no
+    operator, order or merged-span labels."""
+    built = []
+    real_labels = evidence.SupervisionLabels
+    monkeypatch.setattr(evidence, "SupervisionLabels",
+                        lambda *args, **kwargs: built.append(args) or real_labels(*args, **kwargs))
+    report = validate_dataset(corpus)
+    assert report.n_supervised > 0 and report.unlocatable
+    assert built == []
 
 
 def test_index_is_built_once_per_context_and_slot_holds_one(corpus):

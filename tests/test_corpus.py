@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import stat
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -423,3 +426,83 @@ class TestWriteLines:
         write_lines(path, iter(records))
         expected = "".join(json.dumps(record) + "\n" for record in records)
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+class TestWholeOrNothing:
+    """Both writers write a new file beside the target and move it over
+    the target, so a failed write leaves the previous file as it was and
+    no other file behind."""
+
+    WRITERS = {"write_json": (write_json, {"a": [1, 2]}), "write_lines": (write_lines, [{"a": 1}])}
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_a_failed_move_keeps_the_previous_file(self, name, tmp_path, monkeypatch):
+        writer, payload = self.WRITERS[name]
+        path = tmp_path / "out.json"
+        path.write_text("previous", encoding="utf-8")
+
+        def refuse(source, target):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(corpus.os, "replace", refuse)
+        with pytest.raises(OSError, match="No space left"):
+            writer(path, payload)
+        assert path.read_text(encoding="utf-8") == "previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_a_link_is_written_through(self, name, tmp_path):
+        writer, payload = self.WRITERS[name]
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("previous", encoding="utf-8")
+        link.symlink_to(target)
+        writer(link, payload)
+        assert link.is_symlink() and link.read_bytes() == target.read_bytes()
+        assert target.read_text(encoding="utf-8") != "previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    @pytest.mark.parametrize("linked", [False, True])
+    def test_a_pipe_is_written_in_place(self, linked, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        path = fifo
+        if linked:
+            path = tmp_path / "link"
+            path.symlink_to(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_lines(path, [{"a": 1}])
+        reader.join(timeout=60)
+        assert read == [b'{"a": 1}\n']
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"fifo", path.name})
+
+    def test_a_pipe_reached_through_dev_fd_is_written_in_place(self):
+        """``/dev/fd/N`` (as bash's ``>(...)`` gives) and ``/dev/stdout``
+        link to a pipe through a link that ``os.path.realpath`` cannot
+        resolve to a path."""
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd")
+        read_end, write_end = os.pipe()
+        try:
+            write_json(f"/dev/fd/{write_end}", {"a": [1, 2]})
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            assert pipe.read() == json.dumps({"a": [1, 2]}, indent=1).encode()
+
+    def test_a_file_left_by_a_killed_writer_is_reused(self, tmp_path):
+        """A writer killed before it could remove its new file leaves it
+        behind; a later writer with the same pid writes over it."""
+        path = tmp_path / "out.json"
+        (tmp_path / f".out.json.{os.getpid()}.tmp").write_text("left", encoding="utf-8")
+        write_json(path, {"a": 1})
+        assert path.read_text(encoding="utf-8") == json.dumps({"a": 1}, indent=1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_an_unwritable_place_is_named_as_given(self, tmp_path):
+        path = tmp_path / "missing" / "out.json"
+        with pytest.raises(FileNotFoundError) as excinfo:
+            write_json(path, {})
+        assert excinfo.value.filename == str(path)

@@ -9,9 +9,9 @@ per error path.  The functions never entered must be exactly
 ``NOT_REACHED``, each with its reason.  So code that neither a command
 nor a documented library use needs fails here, and so does a listed
 function that something has come to reach.  ``test_library_surface``
-pins the names the package exports, which README declares its API, and
-``test_only_corpus_writes_files`` that every output file is written
-through ``corpus``.
+pins the names the package exports and its ``__all__``, which README
+declares its API, and ``test_only_corpus_writes_files`` that every
+output file is written through ``corpus``.
 """
 
 import ast
@@ -27,7 +27,7 @@ from pathlib import Path
 from conftest import CORPUS_DOCS, TEXT_DOC, bench_module
 
 import tatqa_symbolic
-from tatqa_symbolic import evaluation
+from tatqa_symbolic import evaluation, evidence
 from tatqa_symbolic.cli import main
 from tatqa_symbolic.corpus import load_dataset
 from tatqa_symbolic.evidence import TaggedSequence, context_units, decode_evidence
@@ -195,9 +195,11 @@ def test_never_entered_functions_are_the_listed_ones(tmp_path):
         if event == "call":
             entered.add(frame.f_code)
 
-    # a word cached by an earlier test would not enter its normalizer
+    # a word cached by an earlier test would not enter its normalizer, nor
+    # a code point translated before enter the digit-key table's filler
     evaluation._normalize_piece.cache_clear()
     evaluation._is_number.cache_clear()
+    evidence._DIGIT_KEYS.clear()
     sys.setprofile(profile)
     try:
         codes = [call(*argv) for argv, _ in argvs]
@@ -216,6 +218,7 @@ def test_library_surface():
     exported = [name for name, value in vars(tatqa_symbolic).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(exported) == LIBRARY
+    assert sorted(tatqa_symbolic.__all__) == LIBRARY
 
 
 def test_only_corpus_writes_files():
