@@ -20,6 +20,7 @@ from .corpus import (
     AnswerSource,
     AnswerType,
     field_inventory,
+    flush_stdout,
     load_dataset,
     parse_documents,
     read_json,
@@ -429,13 +430,18 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        status = args.func(args)
+        flush_stdout()
+    except BrokenPipeError:  # stdout's reader has gone; files are written before prints
+        flush_stdout()
+        status = 0
     except (OSError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status = 1
     finally:
         if enabled:
             gc.enable()
+    return status
 
 
 if __name__ == "__main__":

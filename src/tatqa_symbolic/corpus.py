@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import stat
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
@@ -296,9 +297,17 @@ def _write_text(path: str | Path, text: str) -> None:
     then moves over it, so a write that fails or is stopped leaves the
     previous file as it was; on an error the new file is removed.  A
     symbolic link is written through.  A target that is not a regular
-    file (a pipe, ``/dev/stdout``, ``/dev/null``), that cannot be resolved
-    to one, or beside which no file can be made is written in place.
+    file (a pipe, ``/dev/null``), that cannot be resolved to one, or
+    beside which no file can be made is written in place, and the file
+    on stdout through ``sys.stdout``, in its place among the prints.
     """
+    try:
+        on_stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such file, or no descriptor on stdout
+        on_stdout = False
+    if on_stdout:  # the text is ASCII, as JSON is written
+        print(text, end="", flush=True)
+        return
     target = os.path.realpath(path)
     head, name = os.path.split(target)
     # the pid keeps live writers apart; a file left by a killed one is reused
@@ -308,7 +317,10 @@ def _write_text(path: str | Path, text: str) -> None:
     except OSError:
         file = None
     if file is None:  # any error is then reported, and named, as a direct write's
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except BrokenPipeError as exc:  # named, so as not to pass for stdout's
+            raise OSError(f"{path}: {exc.strerror}") from None
         return
     try:
         with file:
@@ -317,6 +329,19 @@ def _write_text(path: str | Path, text: str) -> None:
     except BaseException:
         os.remove(temporary)
         raise
+
+
+def flush_stdout() -> None:
+    """Flush stdout; on an error, point fd 1 at the null device for the last
+    flush at exit, and raise the error unless stdout's reader has gone."""
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise
 
 
 def _replaceable(path: str | Path, target: str) -> bool:

@@ -9,7 +9,11 @@ departures make the metric finance-safe: a leading minus on a number is
 preserved (so "-1,657" and "1,657" differ), and a gold numeric answer
 scores 1 only when the predicted number times the predicted scale
 equals the gold number times the gold scale, both rounded to the same
-decimal places.
+decimal places.  A third departure is kept, as a fix would move EM/F1:
+a span token is tested for a number before its punctuation is stripped,
+so span scoring reads a parenthesised number as text.  "(1,033)" scores
+(0, 0) against "1,033", as do "(2019)" against "2019" and "1.5." against
+"15", where the published evaluator strips first and scores (1, 1).
 
 Each span is normalized once, and its EM string and its F1 bag are
 built from the same tokens; each bag's numbers are found once, not once

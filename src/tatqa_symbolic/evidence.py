@@ -20,11 +20,10 @@ paragraphs that share a uid are never mixed; the uid is read only where
 an origin is written to JSON (``origin_to_json``).
 
 Gold supervision first locates each evidence string of a question
-(``locate_evidence``, all that validation needs), then builds the tag,
-operator, order and scale labels from those places
-(``build_supervision``).  Two deterministic taggers are provided: an
-oracle that realizes the gold tag labels exactly, and a lexical-overlap
-baseline that needs no gold annotation.
+(``locate_evidence``, all that validation needs).  Two deterministic
+taggers are provided: an oracle that tags the located evidence, and a
+lexical-overlap baseline that needs no gold annotation.  The gold tag
+label is what decoding the oracle's tags yields (``build_supervision``).
 
 What does not depend on the question (the layout, paragraph word spans
 and numbers, the cells under each digit key, the content words of cells
@@ -252,10 +251,6 @@ class SupervisionLabels:
     g_order: int | None
 
 
-def _word_spans(text: str) -> list[tuple[int, int]]:
-    return [match.span() for match in re.finditer(r"\S+", text)]
-
-
 # ---------------------------------------------------------------------------
 # Per-context index
 # ---------------------------------------------------------------------------
@@ -269,7 +264,7 @@ class _ParagraphIndex:
 
     @cached_property
     def word_spans(self) -> list[tuple[int, int]]:
-        return _word_spans(self.paragraph.text)
+        return [match.span() for match in re.finditer(r"\S+", self.paragraph.text)]
 
     @cached_property
     def numbers(self) -> list[tuple[Fraction, tuple[int, int]]]:
@@ -645,26 +640,6 @@ def _locate(
     return None
 
 
-def _merge_spans(origins: list[SpanOrigin]) -> list[SpanOrigin]:
-    """Merge overlapping or adjacent spans per paragraph, mirroring what
-    decoding contiguous positive words would produce."""
-    by_paragraph: dict[int, list[SpanOrigin]] = {}
-    for origin in origins:
-        by_paragraph.setdefault(origin.paragraph, []).append(origin)
-    merged: list[SpanOrigin] = []
-    for paragraph, spans in by_paragraph.items():
-        spans.sort(key=lambda s: (s.start, s.stop))
-        current = spans[0]
-        for span in spans[1:]:
-            if span.start <= current.stop:
-                current = SpanOrigin(paragraph, current.start, max(current.stop, span.stop))
-            else:
-                merged.append(current)
-                current = span
-        merged.append(current)
-    return merged
-
-
 def locate_evidence(
     question: QuestionRecord, context: HybridContext
 ) -> dict[_EvidenceItem, CandidateOrigin]:
@@ -694,38 +669,23 @@ def build_supervision(
 ) -> SupervisionLabels:
     """Derive the gold labels for one question from its annotations.
 
-    The evidence is where ``locate_evidence`` finds it.  The order flag
-    is present only for the order-sensitive operators: 0 when the two
-    operands appear in derivation order within the input sequence, 1
-    when reversed.
+    The tag label is what decoding the oracle's tags yields: each located
+    cell, and each maximal run of located words within one paragraph.
+    The order flag, only for the order-sensitive operators, is 0 when the
+    first two operands appear in derivation order in the input sequence.
     """
     located = locate_evidence(question, context)
     operator = classify_question(question)
-
-    def position_of_value(value: Fraction) -> tuple:
-        for item, origin in located.items():
-            if item.value == value:
-                # cells, row-major, precede the paragraphs' words, and a
-                # located cell is never empty, so this orders origins as
-                # the input sequence does
-                if isinstance(origin, CellOrigin):
-                    return (0, origin.row, origin.col)
-                return (1, origin.paragraph, origin.start)
-        raise ValueError(f"no located evidence with value {value}")
-
     g_order: int | None = None
     if operator in ORDER_SENSITIVE:
-        operands = operand_sequence(parsed_derivation(question))
-        first, second = operands[0], operands[1]
-        position_first = position_of_value(first.value)
-        position_second = position_of_value(second.value)
-        g_order = 0 if position_first <= position_second else 1
-
-    cells = [o for o in located.values() if isinstance(o, CellOrigin)]
-    spans = [o for o in located.values() if isinstance(o, SpanOrigin)]
-    g_tag = frozenset(cells) | frozenset(_merge_spans(spans))
+        # each operand is a located item, and items are distinct in value
+        index = _context_index(context)
+        starts = {item.value: index.positions(o).start for item, o in located.items()}
+        first, second = operand_sequence(parsed_derivation(question))[:2]
+        g_order = 0 if starts[first.value] <= starts[second.value] else 1
+    tags = _oracle_tags(question, context, located.values())
     return SupervisionLabels(
-        g_tag=g_tag,
+        g_tag=frozenset(candidate.origin for candidate in decode_evidence(tags)),
         g_op=operator,
         g_scale=question.gold_scale,
         g_order=g_order,
@@ -749,15 +709,19 @@ def _tagged(question: QuestionRecord, context: HybridContext, base: float, score
     return TaggedSequence(question, context, probabilities)
 
 
+def _oracle_tags(question: QuestionRecord, context: HybridContext, origins) -> TaggedSequence:
+    """1.0 on the units of each of ``origins``, 0.0 elsewhere."""
+    index = _context_index(context)
+    return _tagged(question, context, 0.0, [(index.positions(o), 1.0) for o in origins])
+
+
 class OracleTagger:
-    """Perfect realization of the gold tag labels: probability 1.0 on the
-    units of each origin in ``build_supervision(...).g_tag`` and 0.0
-    elsewhere."""
+    """Perfect realization of the gold evidence: probability 1.0 on the
+    units of each place ``locate_evidence`` finds and 0.0 elsewhere, so
+    decoding its tags yields ``build_supervision(...).g_tag``."""
 
     def tag(self, question: QuestionRecord, context: HybridContext) -> TaggedSequence:
-        index = _context_index(context)
-        g_tag = build_supervision(question, context).g_tag
-        return _tagged(question, context, 0.0, [(index.positions(o), 1.0) for o in g_tag])
+        return _oracle_tags(question, context, locate_evidence(question, context).values())
 
 
 _STOPWORDS = frozenset(

@@ -462,33 +462,86 @@ class TestOutputPathClashes:
 
 
 class TestClosedStdout:
-    """A command that prints a report writes its ``--out`` file first, so a
-    closed stdout does not lose it: the file holds the bytes of a normal
-    run, while the exit stays 1 with one ``error:`` line."""
+    """A command whose reader closes stdout exits 0 with nothing on
+    stderr: it writes its output files before its first print, so they
+    hold the bytes of a normal run, and the status does not depend on
+    when the reader went."""
 
-    @pytest.mark.parametrize("command", ["eval", "validate", "ablate"])
-    def test_out_is_written(self, corpus_path, tmp_path, command):
+    @staticmethod
+    def outputs(corpus_path, tmp_path, command, python_flags=("-u",), env=None):
+        """(status, stderr, output files) of ``command`` into a closed
+        stdout, and the output files of a normal in-process run."""
         argv = [command, "--dataset", str(corpus_path)]
         if command == "eval":
             preds = tmp_path / "preds.json"
             assert run_cli("run", "--dataset", corpus_path, "--out", preds) == 0
             argv += ["--pred", str(preds)]
-        expected, out = tmp_path / "expected.json", tmp_path / "out.json"
-        assert run_cli(*argv, "--out", expected) == 0
+        expected, out = tmp_path / "expected", tmp_path / "out"
+        expected.mkdir()
+        out.mkdir()
+        has_out = command not in ("stats", "schema-report")
+        assert run_cli(*argv, *(["--out", expected / "out.json"] if has_out else [])) == 0
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            # unbuffered, so the first print meets the closed pipe
             result = subprocess.run(
-                [sys.executable, "-u", "-m", "tatqa_symbolic.cli", *argv, "--out", str(out)],
+                [sys.executable, *python_flags, "-m", "tatqa_symbolic.cli", *argv,
+                 *(["--out", str(out / "out.json")] if has_out else [])],
                 stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
-                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                env={**(os.environ if env is None else env),
+                     "PYTHONPATH": os.pathsep.join(sys.path)},
             )
         finally:
             os.close(write_end)
-        assert result.returncode == 1
-        assert result.stderr == "error: [Errno 32] Broken pipe\n"
-        assert out.read_bytes() == expected.read_bytes()
+        files = [{p.name: p.read_bytes() for p in root.iterdir()} for root in (out, expected)]
+        assert len(files[1]) == (2 if command == "run" else int(has_out))
+        return result.returncode, result.stderr, *files
+
+    @pytest.mark.parametrize(
+        "command",
+        ["eval", "validate", "ablate", "run", "export-supervision", "stats", "schema-report"],
+    )
+    def test_out_is_written(self, corpus_path, tmp_path, command):
+        # unbuffered, so the first print meets the closed pipe
+        status, stderr, written, expected = self.outputs(corpus_path, tmp_path, command)
+        assert (status, stderr) == (0, "")
+        assert written == expected
+
+    def test_a_full_stdout_is_one_error_line(self, corpus_path):
+        """Buffered output that cannot be written is reported inside
+        ``main``, not as a traceback or status 120 at the interpreter's exit."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "tatqa_symbolic.cli", "stats", "--dataset", str(corpus_path)],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+        assert (result.returncode, result.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+    def test_an_out_pipe_whose_reader_has_gone_is_an_error(self, corpus_path, capsys):
+        """Only stdout's broken pipe exits 0: one of ``--out`` is named."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = f"/dev/fd/{write_end}"
+        try:
+            assert run_cli("validate", "--dataset", corpus_path, "--out", out) == 1
+        finally:
+            os.close(write_end)
+        assert capsys.readouterr().err == f"error: {out}: Broken pipe\n"
+
+    def test_a_buffered_stdout_meets_the_closed_pipe_before_exit(self, corpus_path, tmp_path):
+        """Buffered, the report first reaches the pipe when the command
+        flushes it, still inside ``main``, and not at the interpreter's exit
+        (status 120 and an ``Exception ignored`` line)."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        status, stderr, written, expected = self.outputs(
+            corpus_path, tmp_path, "validate", python_flags=(), env=env
+        )
+        assert (status, stderr) == (0, "")
+        assert written == expected
 
 
 class TestStoppedWrite:
@@ -528,6 +581,25 @@ class TestStoppedWrite:
         labels = out.read_text(encoding="utf-8")
         assert result.stdout.startswith(labels)
         assert result.stdout[len(labels):].startswith("wrote ")
+
+    def test_out_to_stdout_redirected_to_a_file_keeps_the_summary(self, corpus_path, tmp_path):
+        """``--out /dev/stdout > f`` writes the labels through stdout, so
+        ``f`` holds every label and then the summary."""
+        out = tmp_path / "labels.jsonl"
+        assert run_cli("export-supervision", "--dataset", corpus_path, "--out", out) == 0
+        redirected = tmp_path / "stdout.txt"
+        with open(redirected, "wb") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "tatqa_symbolic.cli", "export-supervision",
+                 "--dataset", str(corpus_path), "--out", "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+        assert result.returncode == 0, result.stderr
+        labels, written = out.read_text(encoding="utf-8"), redirected.read_text(encoding="utf-8")
+        assert labels.count("\n") > 10
+        assert written.startswith(labels)
+        assert written[len(labels):].startswith("wrote ")
 
 
 class TestValidate:
@@ -1358,9 +1430,9 @@ class TestWithoutNumpyOrScipy:
 
 class TestHashSeedIndependence:
     """Outputs do not depend on the string hash seed: ``eval --out`` on a
-    multispan corpus, ``validate --out`` on a sparse one and ``ablate
-    --out`` on a dense one give the same bytes, stdout included, in
-    interpreters started under two seeds."""
+    multispan corpus, ``validate --out`` on a sparse one, and ``ablate
+    --out``, ``run`` and ``export-supervision`` on a dense one give the
+    same bytes, stdout included, in interpreters started under two seeds."""
 
     CODE = (
         "import sys\n"
@@ -1375,6 +1447,16 @@ class TestHashSeedIndependence:
         "from tatqa_symbolic.cli import main\n"
         "dense, root = sys.argv[1:]\n"
         "assert main(['ablate', '--dataset', dense, '--out', root + '/ablate.json']) == 0\n"
+    )
+    # relative output paths, so that stdout names the same files under both seeds
+    RUN_CODE = (
+        "import os, sys\n"
+        "from tatqa_symbolic.cli import main\n"
+        "dense, root = sys.argv[1:]\n"
+        "os.chdir(root)\n"
+        "assert main(['run', '--dataset', dense, '--out', 'oracle.json']) == 0\n"
+        f"assert main(['run', '--dataset', dense, '--out', 'lexical.json', *{CONFIGS['lexical'][0]}]) == 0\n"
+        "assert main(['export-supervision', '--dataset', dense, '--out', 'labels.jsonl']) == 0\n"
     )
 
     @staticmethod
@@ -1410,4 +1492,12 @@ class TestHashSeedIndependence:
         dense, _ = bench_module("gen").dense_corpus(11, 40)
         outputs = self.outputs_under_seeds(tmp_path, self.ABLATE_CODE, {"dense.json": dense})
         assert len(outputs["0"]) == 2
+        assert outputs["0"] == outputs["12345"]
+
+    def test_run_and_export_supervision(self, tmp_path):
+        """Predictions and traces under all oracle and under lexical at
+        0.05, and the gold labels."""
+        dense, _ = bench_module("gen").dense_corpus(11, 40)
+        outputs = self.outputs_under_seeds(tmp_path, self.RUN_CODE, {"dense.json": dense})
+        assert len(outputs["0"]) == 6
         assert outputs["0"] == outputs["12345"]

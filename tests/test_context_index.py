@@ -785,6 +785,18 @@ def test_validate_locates_evidence_without_building_labels(corpus, monkeypatch):
     assert built == []
 
 
+def test_oracle_run_builds_no_labels(corpus, monkeypatch):
+    """The oracle tagger tags the located evidence, so an all-oracle run
+    classifies no operator, flags no order and merges no spans for it."""
+    built = []
+    real_labels = evidence.SupervisionLabels
+    monkeypatch.setattr(evidence, "SupervisionLabels",
+                        lambda *args, **kwargs: built.append(args) or real_labels(*args, **kwargs))
+    predictions = run_pipeline(corpus, PipelineConfig())
+    assert sum(p.trace.note is None for p in predictions.values()) > 10
+    assert built == []
+
+
 def test_index_is_built_once_per_context_and_slot_holds_one(corpus):
     (first, _), (second, _) = corpus[0], corpus[1]
     index = _context_index(first)

@@ -131,6 +131,27 @@ class TestDropConformance:
         assert drop_metrics(pred, gold) == (em, f1)
 
 
+# (prediction, gold, ``drop_em_f1``, ``drop_metrics``): span scoring reads
+# a number that parses only once its punctuation is stripped as text, and
+# the published evaluator as a number; the last row scores (1, 1) in both
+PARENTHESISED_NUMBERS = [
+    ("(1,033)", "1,033", (0.0, 0.0), (1.0, 1.0)),
+    ("(2019)", "2019", (0.0, 0.0), (1.0, 1.0)),
+    ("1.5.", "15", (0.0, 0.0), (1.0, 1.0)),
+    ("(1,033)", "-1,033", (0.0, 0.0), (1.0, 1.0)),
+    ("(1,033.5)", "(10,335)", (1.0, 1.0), (1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("pred,gold,ours,published", PARENTHESISED_NUMBERS)
+def test_parenthesised_numbers_score_as_text(pred, gold, ours, published):
+    """The departure the ``evaluation`` docstring records; a change to
+    the metric shows here first."""
+    assert drop_em_f1([pred], [gold]) == drop_em_f1([gold], [pred]) == ours
+    pytest.importorskip("scipy.optimize")
+    assert drop_metrics([pred], [gold]) == drop_metrics([gold], [pred]) == published
+
+
 def make_gold(answer, answer_type=AnswerType.ARITHMETIC, scale=Scale.NONE, qid="q"):
     if isinstance(answer, (int, float)) and not isinstance(answer, bool):
         answer = Fraction(str(answer))

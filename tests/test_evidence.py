@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import word_inputs
+from oracles import reference_supervision
 from tatqa_symbolic.corpus import AnswerSource, AnswerType, QuestionRecord
 from tatqa_symbolic.derivation import Operator
 from tatqa_symbolic.errors import UnlocatableEvidenceError
@@ -250,6 +251,22 @@ class TestSupervision:
         )
         labels = build_supervision(question, context)
         assert labels.g_tag == {SpanOrigin(1, 4, 8)}
+
+    def test_overlapping_gold_spans_merge(self, contexts):
+        # words 4-6 and 5-8 of one paragraph overlap in "also in": one
+        # span, as the independent merge in the reference gives
+        context = contexts["ctx-text"]
+        question = QuestionRecord(
+            question_id="adhoc-overlap",
+            text="Where does the company operate?",
+            answer=["Singapore, also in", "also in Germany and"],
+            answer_type=AnswerType.SPANS,
+            answer_source=AnswerSource.TEXT,
+            gold_scale=Scale.NONE,
+        )
+        labels = build_supervision(question, context)
+        assert labels.g_tag == {SpanOrigin(1, 4, 9)}
+        assert labels == reference_supervision(question, context)
 
     def test_spans_in_paragraphs_sharing_a_uid_stay_apart(self):
         # ranges 0-2 and 2-4 would merge if both paragraphs were one
