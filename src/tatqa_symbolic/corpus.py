@@ -14,6 +14,12 @@ dataclasses, with one exception: a span answer is a ``list`` of strings,
 which a caller could mutate in place.  No code in this package does, so
 loaded records are safe to share across threads.
 
+Loading does per record only the work its checks need: each distinct
+spelling of a question's labels is parsed once per call, through a
+memo that lives for that call alone, and the location of a paragraph
+or a question (``$[i].questions[j]``) or a default id is formatted only
+where an error, a warning or a record without a ``uid`` uses it.
+
 It also owns what the other modules share: an answer's span texts
 (``answer_spans``) and every file the package writes (``write_json``
 and ``write_lines``), each written whole or not at all.
@@ -30,7 +36,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterator, Union
 
@@ -380,30 +387,37 @@ def parse_documents(raw: Any, strict: bool = False) -> Dataset:
 
     dataset: Dataset = []
     seen_question_ids: set[str] = set()
+    # each raw (answer_type, answer_from, scale) spelling, parsed once per call
+    labels: dict[tuple, tuple[str, str, Scale]] = {}
     for doc_index, doc in enumerate(raw):
         location = f"$[{doc_index}]"
         if not isinstance(doc, dict):
             raise DatasetParseError("document must be an object", location)
         context = _parse_context(doc, location, strict)
         questions = _parse_questions(
-            doc, context, location, strict, seen_question_ids
+            doc, context, location, strict, seen_question_ids, labels
         )
         dataset.append((context, questions))
     return dataset
+
+
+# stands for a missing field, whose default is formatted only when needed
+_MISSING = object()
 
 
 def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
     table_obj = doc.get("table")
     if not isinstance(table_obj, dict) or "table" not in table_obj:
         raise DatasetParseError("missing table object", f"{location}.table")
-    context_id = str(table_obj.get("uid", f"context-{location}"))
+    uid = table_obj.get("uid", _MISSING)
+    context_id = f"context-{location}" if uid is _MISSING else str(uid)
 
     grid = table_obj["table"]
-    if not isinstance(grid, list) or not grid or not all(isinstance(r, list) for r in grid):
+    if not isinstance(grid, list) or not grid or not all(map(isinstance, grid, repeat(list))):
         raise DatasetParseError(
             "table must be a non-empty 2-D array", f"{location}.table.table"
         )
-    widths = {len(row) for row in grid}
+    widths = set(map(len, grid))
     n_cols = max(widths)
     if len(widths) > 1:
         _problem(
@@ -414,12 +428,19 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
     if n_cols == 0:
         raise DatasetParseError("table has no columns", f"{location}.table.table")
 
-    rows = []
-    for r, raw_row in enumerate(grid):
-        row = tuple(map(str, raw_row)) + ("",) * (n_cols - len(raw_row))
-        # a text no longer than the digit limit cannot hold more digits,
-        # so only a longer one can fail to parse when the index reads it
-        if max(map(len, row)) > NumberTooLongError.LIMIT:
+    # a text no longer than the digit limit cannot hold more digits, so
+    # only a table with a longer one can fail to parse when the index reads
+    # it; str() can fail too (an int too long to print), and then the rows
+    # are read one by one to find which of the two fails first
+    try:
+        rows = tuple(tuple(map(str, row)) + ("",) * (n_cols - len(row)) for row in grid)
+        readable = max(map(len, chain.from_iterable(rows))) <= NumberTooLongError.LIMIT
+    except ValueError:
+        readable = False
+    if not readable:
+        rows = []
+        for r, raw_row in enumerate(grid):
+            row = tuple(map(str, raw_row)) + ("",) * (n_cols - len(raw_row))
             for c, text in enumerate(row):
                 try:
                     parse_number(text)
@@ -427,7 +448,7 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
                     raise DatasetParseError(
                         f"unreadable number: {exc}", f"{location}.table.table[{r}][{c}]"
                     ) from exc
-        rows.append(row)
+            rows.append(row)
     table = Table(tuple(rows))
 
     if not (ROW_BOUNDS[0] <= table.n_rows <= ROW_BOUNDS[1]):
@@ -448,9 +469,10 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
     seen_orders: set[int] = set()
     seen_ids: set[str] = set()
     for p_index, raw_p in enumerate(raw_paragraphs):
-        p_loc = f"{location}.paragraphs[{p_index}]"
         if not isinstance(raw_p, dict):
-            raise DatasetParseError("paragraph must be an object", p_loc)
+            raise DatasetParseError(
+                "paragraph must be an object", f"{location}.paragraphs[{p_index}]"
+            )
         raw_order = raw_p.get("order", p_index + 1)
         try:
             order = int(raw_order)
@@ -460,22 +482,22 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
         if order is None or isinstance(raw_order, bool) or (
             not isinstance(raw_order, str) and order != raw_order
         ):
-            raise DatasetParseError("paragraph order must be an integer", f"{p_loc}.order")
-        if order in seen_orders:
-            _problem(f"duplicate paragraph order {order}", p_loc, strict)
-        seen_orders.add(order)
-        paragraph_id = str(raw_p.get("uid", f"{context_id}-p{p_index}"))
-        if paragraph_id in seen_ids:
-            _problem(f"duplicate paragraph uid {paragraph_id}", p_loc, strict)
-        seen_ids.add(paragraph_id)
-        paragraphs.append(
-            Paragraph(
-                paragraph_id=paragraph_id,
-                order=order,
-                text=str(raw_p.get("text", "")),
+            raise DatasetParseError(
+                "paragraph order must be an integer",
+                f"{location}.paragraphs[{p_index}].order",
             )
-        )
-    paragraphs.sort(key=lambda p: p.order)
+        if order in seen_orders:
+            _problem(f"duplicate paragraph order {order}",
+                     f"{location}.paragraphs[{p_index}]", strict)
+        seen_orders.add(order)
+        uid = raw_p.get("uid", _MISSING)
+        paragraph_id = f"{context_id}-p{p_index}" if uid is _MISSING else str(uid)
+        if paragraph_id in seen_ids:
+            _problem(f"duplicate paragraph uid {paragraph_id}",
+                     f"{location}.paragraphs[{p_index}]", strict)
+        seen_ids.add(paragraph_id)
+        paragraphs.append(Paragraph(paragraph_id, order, str(raw_p.get("text", ""))))
+    paragraphs.sort(key=attrgetter("order"))
     if len(paragraphs) < 2:
         _problem(
             f"context has {len(paragraphs)} paragraph(s), expected at least 2",
@@ -483,11 +505,7 @@ def _parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
             strict,
         )
 
-    return HybridContext(
-        context_id=context_id,
-        table=table,
-        paragraphs=tuple(paragraphs),
-    )
+    return HybridContext(context_id, table, tuple(paragraphs))
 
 
 def _parse_questions(
@@ -496,6 +514,7 @@ def _parse_questions(
     location: str,
     strict: bool,
     seen_question_ids: set[str],
+    labels: dict[tuple, tuple[str, str, Scale]],
 ) -> list[QuestionRecord]:
     raw_questions = doc.get("questions", [])
     if not isinstance(raw_questions, list):
@@ -503,26 +522,37 @@ def _parse_questions(
 
     questions = []
     for q_index, raw_q in enumerate(raw_questions):
-        q_loc = f"{location}.questions[{q_index}]"
         if not isinstance(raw_q, dict):
-            raise DatasetParseError("question must be an object", q_loc)
-        question_id = str(raw_q.get("uid", f"{context.context_id}-q{q_index}"))
+            raise DatasetParseError(
+                "question must be an object", f"{location}.questions[{q_index}]"
+            )
+        uid = raw_q.get("uid", _MISSING)
+        question_id = f"{context.context_id}-q{q_index}" if uid is _MISSING else str(uid)
         if question_id in seen_question_ids:
-            _problem(f"duplicate question uid {question_id}", q_loc, strict)
+            _problem(f"duplicate question uid {question_id}",
+                     f"{location}.questions[{q_index}]", strict)
         seen_question_ids.add(question_id)
 
+        spelling = (raw_q.get("answer_type", ""), raw_q.get("answer_from", ""),
+                    raw_q.get("scale", ""))
         try:
-            answer_type = _parse_label(
-                "answer_type", str(raw_q.get("answer_type", "")), AnswerType.ALIASES, strict
-            )
-            answer_source = _parse_label(
-                "answer_from", str(raw_q.get("answer_from", "")), AnswerSource.ALIASES, strict
-            )
-            gold_scale = Scale.from_word(str(raw_q.get("scale", "")))
-        except ValueError as exc:
-            raise DatasetValidationError(
-                str(exc), context.context_id, question_id
-            ) from exc
+            answer_type, answer_source, gold_scale = labels[spelling]
+        except (KeyError, TypeError):  # a spelling not seen yet, or an unhashable one
+            try:
+                answer_type = _parse_label(
+                    "answer_type", str(spelling[0]), AnswerType.ALIASES, strict
+                )
+                answer_source = _parse_label(
+                    "answer_from", str(spelling[1]), AnswerSource.ALIASES, strict
+                )
+                gold_scale = Scale.from_word(str(spelling[2]))
+            except ValueError as exc:
+                raise DatasetValidationError(
+                    str(exc), context.context_id, question_id
+                ) from exc
+            # only strings and a null scale parse, and no two of them are
+            # equal unless they spell the same, so a stored key is exact
+            labels[spelling] = answer_type, answer_source, gold_scale
 
         derivation = str(raw_q.get("derivation", "") or "")
         if answer_type in (AnswerType.COUNTING, AnswerType.ARITHMETIC) and not derivation.strip():
@@ -533,13 +563,13 @@ def _parse_questions(
 
         questions.append(
             QuestionRecord(
-                question_id=question_id,
-                text=str(raw_q.get("question", "")),
-                answer=_coerce_answer(raw_q.get("answer", "")),
-                answer_type=answer_type,
-                answer_source=answer_source,
-                gold_scale=gold_scale,
-                derivation=derivation,
+                question_id,
+                str(raw_q.get("question", "")),
+                _coerce_answer(raw_q.get("answer", "")),
+                answer_type,
+                answer_source,
+                gold_scale,
+                derivation,
             )
         )
     return questions
@@ -683,7 +713,8 @@ def field_inventory(raw: Any) -> dict[str, dict]:
     container found at one path by key, so a path is spelled once per
     distinct key, not once per item.  A list's items are recorded only
     through the keys of those that are objects, and a scalar, passed
-    down with the containers, holds no paths.
+    down with the containers, holds no paths: a path whose values are all
+    of exact scalar types is passed over whole, by one check in C.
     """
     counts: dict[str, int] = {}
     kinds: dict[str, set[type]] = {}
@@ -691,6 +722,8 @@ def field_inventory(raw: Any) -> dict[str, dict]:
     while level:
         below: dict[str, list] = {}
         for json_path, values in level.items():
+            if _all_scalars(values):
+                continue
             by_key: defaultdict[Any, list] = defaultdict(list)
             listed: list = []
             for value in values:

@@ -31,7 +31,10 @@ pairwise mean, but none of its normalization or gating.  The schema
 section keeps the recursive walk that recorded each field path once per
 item.  The rounding section keeps the rounding behind ``numbers_match`` and
 ``render_decimal`` as it was when every rounding went through
-``round(Fraction, places)``.
+``round(Fraction, places)``.  The loader section keeps ``parse_documents``
+as it was when every question parsed its own labels and every record
+formatted its location and default id; it calls the library's label,
+answer and warning helpers and builds the library's record types.
 """
 
 from __future__ import annotations
@@ -46,8 +49,23 @@ from fractions import Fraction
 
 from tatqa_symbolic import derivation
 from tatqa_symbolic import evidence as ev
-from tatqa_symbolic.corpus import AnswerSource, AnswerType
+from tatqa_symbolic.corpus import (
+    COL_BOUNDS,
+    ROW_BOUNDS,
+    AnswerSource,
+    AnswerType,
+    HybridContext,
+    Paragraph,
+    QuestionRecord,
+    Table,
+    _coerce_answer,
+    _parse_label,
+    _problem,
+    logger,
+)
 from tatqa_symbolic.errors import (
+    DatasetParseError,
+    DatasetValidationError,
     DerivationParseError,
     NumberTooLongError,
     UnlocatableEvidenceError,
@@ -1064,3 +1082,186 @@ def reference_numbers_match(pred_value, pred_scale: Scale, gold_value, gold_scal
     pred = reference_round_fraction(pred_value * pred_scale.factor, places)
     gold = reference_round_fraction(gold_value * gold_scale.factor, places)
     return pred == gold
+
+
+# ---------------------------------------------------------------------------
+# Loader, as it ran when every question parsed its labels and formatted
+# its location and default id
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_documents(raw, strict: bool = False):
+    """Build validated, frozen records from decoded documents
+    (:func:`read_json`).
+
+    In tolerant mode (the default) recoverable deviations are logged as
+    warnings; ``strict=True`` turns every deviation into an error.
+    """
+    if not isinstance(raw, list):
+        raise DatasetParseError("top level must be an array of documents", "$")
+
+    dataset = []
+    seen_question_ids: set[str] = set()
+    for doc_index, doc in enumerate(raw):
+        location = f"$[{doc_index}]"
+        if not isinstance(doc, dict):
+            raise DatasetParseError("document must be an object", location)
+        context = _reference_parse_context(doc, location, strict)
+        questions = _reference_parse_questions(
+            doc, context, location, strict, seen_question_ids
+        )
+        dataset.append((context, questions))
+    return dataset
+
+
+def _reference_parse_context(doc: dict, location: str, strict: bool) -> HybridContext:
+    table_obj = doc.get("table")
+    if not isinstance(table_obj, dict) or "table" not in table_obj:
+        raise DatasetParseError("missing table object", f"{location}.table")
+    context_id = str(table_obj.get("uid", f"context-{location}"))
+
+    grid = table_obj["table"]
+    if not isinstance(grid, list) or not grid or not all(isinstance(r, list) for r in grid):
+        raise DatasetParseError(
+            "table must be a non-empty 2-D array", f"{location}.table.table"
+        )
+    widths = {len(row) for row in grid}
+    n_cols = max(widths)
+    if len(widths) > 1:
+        _problem(
+            f"ragged table (row widths {sorted(widths)}), padding with empty cells",
+            f"{location}.table.table",
+            strict,
+        )
+    if n_cols == 0:
+        raise DatasetParseError("table has no columns", f"{location}.table.table")
+
+    rows = []
+    for r, raw_row in enumerate(grid):
+        row = tuple(map(str, raw_row)) + ("",) * (n_cols - len(raw_row))
+        # a text no longer than the digit limit cannot hold more digits,
+        # so only a longer one can fail to parse when the index reads it
+        if max(map(len, row)) > NumberTooLongError.LIMIT:
+            for c, text in enumerate(row):
+                try:
+                    parse_number(text)
+                except NumberTooLongError as exc:
+                    raise DatasetParseError(
+                        f"unreadable number: {exc}", f"{location}.table.table[{r}][{c}]"
+                    ) from exc
+        rows.append(row)
+    table = Table(tuple(rows))
+
+    if not (ROW_BOUNDS[0] <= table.n_rows <= ROW_BOUNDS[1]):
+        logger.warning(
+            "%s: table has %d rows, outside the usual %d-%d range",
+            context_id, table.n_rows, *ROW_BOUNDS,
+        )
+    if not (COL_BOUNDS[0] <= table.n_cols <= COL_BOUNDS[1]):
+        logger.warning(
+            "%s: table has %d columns, outside the usual %d-%d range",
+            context_id, table.n_cols, *COL_BOUNDS,
+        )
+
+    paragraphs = []
+    raw_paragraphs = doc.get("paragraphs", [])
+    if not isinstance(raw_paragraphs, list):
+        raise DatasetParseError("paragraphs must be an array", f"{location}.paragraphs")
+    seen_orders: set[int] = set()
+    seen_ids: set[str] = set()
+    for p_index, raw_p in enumerate(raw_paragraphs):
+        p_loc = f"{location}.paragraphs[{p_index}]"
+        if not isinstance(raw_p, dict):
+            raise DatasetParseError("paragraph must be an object", p_loc)
+        raw_order = raw_p.get("order", p_index + 1)
+        try:
+            order = int(raw_order)
+        except (TypeError, ValueError, OverflowError):
+            order = None
+        # int() would also turn 1.5 into 1 and true into 1
+        if order is None or isinstance(raw_order, bool) or (
+            not isinstance(raw_order, str) and order != raw_order
+        ):
+            raise DatasetParseError("paragraph order must be an integer", f"{p_loc}.order")
+        if order in seen_orders:
+            _problem(f"duplicate paragraph order {order}", p_loc, strict)
+        seen_orders.add(order)
+        paragraph_id = str(raw_p.get("uid", f"{context_id}-p{p_index}"))
+        if paragraph_id in seen_ids:
+            _problem(f"duplicate paragraph uid {paragraph_id}", p_loc, strict)
+        seen_ids.add(paragraph_id)
+        paragraphs.append(
+            Paragraph(
+                paragraph_id=paragraph_id,
+                order=order,
+                text=str(raw_p.get("text", "")),
+            )
+        )
+    paragraphs.sort(key=lambda p: p.order)
+    if len(paragraphs) < 2:
+        _problem(
+            f"context has {len(paragraphs)} paragraph(s), expected at least 2",
+            f"{location}.paragraphs",
+            strict,
+        )
+
+    return HybridContext(
+        context_id=context_id,
+        table=table,
+        paragraphs=tuple(paragraphs),
+    )
+
+
+def _reference_parse_questions(
+    doc: dict,
+    context: HybridContext,
+    location: str,
+    strict: bool,
+    seen_question_ids: set[str],
+) -> list[QuestionRecord]:
+    raw_questions = doc.get("questions", [])
+    if not isinstance(raw_questions, list):
+        raise DatasetParseError("questions must be an array", f"{location}.questions")
+
+    questions = []
+    for q_index, raw_q in enumerate(raw_questions):
+        q_loc = f"{location}.questions[{q_index}]"
+        if not isinstance(raw_q, dict):
+            raise DatasetParseError("question must be an object", q_loc)
+        question_id = str(raw_q.get("uid", f"{context.context_id}-q{q_index}"))
+        if question_id in seen_question_ids:
+            _problem(f"duplicate question uid {question_id}", q_loc, strict)
+        seen_question_ids.add(question_id)
+
+        try:
+            answer_type = _parse_label(
+                "answer_type", str(raw_q.get("answer_type", "")), AnswerType.ALIASES, strict
+            )
+            answer_source = _parse_label(
+                "answer_from", str(raw_q.get("answer_from", "")), AnswerSource.ALIASES, strict
+            )
+            gold_scale = Scale.from_word(str(raw_q.get("scale", "")))
+        except ValueError as exc:
+            raise DatasetValidationError(
+                str(exc), context.context_id, question_id
+            ) from exc
+
+        derivation = str(raw_q.get("derivation", "") or "")
+        if answer_type in (AnswerType.COUNTING, AnswerType.ARITHMETIC) and not derivation.strip():
+            message = f"{answer_type} question lacks a derivation"
+            if strict:
+                raise DatasetValidationError(message, context.context_id, question_id)
+            logger.warning("%s/%s: %s", context.context_id, question_id, message)
+
+        questions.append(
+            QuestionRecord(
+                question_id=question_id,
+                text=str(raw_q.get("question", "")),
+                answer=_coerce_answer(raw_q.get("answer", "")),
+                answer_type=answer_type,
+                answer_source=answer_source,
+                gold_scale=gold_scale,
+                derivation=derivation,
+            )
+        )
+    return questions

@@ -587,6 +587,37 @@ class TestEvaluate:
         with pytest.raises(ScoringError):
             read_predictions(path)
 
+    def test_the_first_unknown_scale_word_is_named(self, tmp_path):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps({"q1": ["1", "million"], "q2": ["2", "lakh"],
+                                    "q3": ["3", "lakh"], "q4": ["4", "crore"]}),
+                        encoding="utf-8")
+        named = r""": \$\["q2"\]\[1\]: unknown scale word: 'lakh'$"""
+        with pytest.raises(ScoringError, match=named):
+            read_predictions(path)
+
+    def test_scale_words_read_as_spelled(self, tmp_path):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps({"q1": ["1", " Million "], "q2": ["2", "million"],
+                                    "q3": ["3", None], "q4": ["4", "-"], "q5": ["5", ""],
+                                    "q6": ["6", " Million "]}), encoding="utf-8")
+        scales = {qid: scale for qid, (_, scale) in read_predictions(path).items()}
+        assert scales == {"q1": Scale.MILLION, "q2": Scale.MILLION, "q3": Scale.NONE,
+                          "q4": Scale.NONE, "q5": Scale.NONE, "q6": Scale.MILLION}
+
+    @pytest.mark.parametrize("answer, valid", [
+        ("text", True), (3, True), ("1.50", True), (["a", "b"], True), ([], True),
+        (["a", 1], False), ([["a"]], False), (True, False), (None, False), ({"a": 1}, False),
+    ])
+    def test_non_string_answers_are_checked(self, answer, valid, tmp_path):
+        path = tmp_path / "answers.json"
+        path.write_text(json.dumps({"q": ["1", ""], "r": [answer, ""]}), encoding="utf-8")
+        if valid:
+            assert read_predictions(path)["r"][0] == answer
+        else:
+            with pytest.raises(ScoringError, match=r'\$\["r"\]\[0\]: answer must be'):
+                read_predictions(path)
+
 
 class TestNumbersMatch:
     def test_same_quantity_different_scales(self):
